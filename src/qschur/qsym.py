@@ -212,13 +212,6 @@ def commutative_monomial(m: int, exponents, coeff=1) -> TruncatedPolynomial:
     return TruncatedPolynomial(m, True, {tuple(exponents): coeff})
 
 
-def word_monomial(m: int, word, coeff=1) -> TruncatedPolynomial:
-    word = tuple(word)
-    if any(not 1 <= x <= m for x in word):
-        raise ValueError(f"word {word} uses variables outside 1..{m}")
-    return TruncatedPolynomial(m, False, {word: coeff})
-
-
 def let_variables_commute(p: TruncatedPolynomial) -> TruncatedPolynomial:
     """Abelianization: each word becomes its exponent vector."""
     if p.commutative:
@@ -299,52 +292,44 @@ def _s_to_l(terms: dict) -> dict:
     return out
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fraction; matrix must be invertible."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col])
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+def _peel(terms: dict, key, expansion) -> dict:
+    """Invert a unitriangular basis change by peeling off leading terms.
+
+    ``expansion(i)`` must hold ``i`` with coefficient 1 and otherwise only
+    indices smaller under ``key``; an index that survives its own
+    subtraction names no basis element and raises ``ValueError``.
+    Quasi-Schur functions are unitriangular in the fundamental basis
+    (Haglund, Luoto, Mason and van Willigenburg, *Quasisymmetric Schur
+    functions*, JCTA 2011); the verify check peel-orders-are-unitriangular
+    covers the orders below (through degree 10 when it was added).
+    """
+    remaining = dict(terms)
+    out: dict = {}
+    while remaining:
+        lead = max(remaining, key=key)
+        c = remaining[lead]
+        out[lead] = c
+        for index, k in expansion(lead).items():
+            val = remaining.get(index, 0) - c * k
+            if val:
+                remaining[index] = val
+            else:
+                remaining.pop(index, None)
+        if lead in remaining:
+            raise ValueError(f"{lead} does not index a basis element")
+    return out
 
 
-@cache
-def _l_to_s_matrix(n: int):
-    """Column j holds the fundamental expansion of the quasi-Schur of comp j."""
-    comps = _comps(n)
-    pos = {c: i for i, c in enumerate(comps)}
-    size = len(comps)
-    matrix = [[0] * size for _ in range(size)]
-    for j, alpha in enumerate(comps):
-        for delta, k in qs_schur(alpha).terms.items():
-            matrix[pos[delta]][j] = k
-    return comps, matrix
+def _l_to_s_key(alpha: Composition):
+    return sum(alpha), alpha[::-1]  # degree, then reverse-lexicographic
+
+
+def _m_to_s_key(lam: Composition):
+    return sum(lam), lam  # degree, then lexicographic
 
 
 def _l_to_s(terms: dict) -> dict:
-    out: dict = {}
-    by_degree: dict[int, dict] = {}
-    for alpha, c in terms.items():
-        by_degree.setdefault(sum(alpha), {})[alpha] = c
-    for n, part in by_degree.items():
-        comps, matrix = _l_to_s_matrix(n)
-        rhs = [part.get(c, 0) for c in comps]
-        solution = _solve_exact(matrix, rhs)
-        for alpha, x in zip(comps, solution):
-            if x:
-                if x.denominator != 1:
-                    raise AssertionError(
-                        f"non-integer quasi-Schur coefficient {x} at {alpha}"
-                    )
-                out[alpha] = out.get(alpha, 0) + int(x)
-    return out
+    return _peel(terms, _l_to_s_key, lambda alpha: qs_schur(alpha).terms)
 
 
 @cache
@@ -370,15 +355,19 @@ def _distinct_rearrangements(lam: Composition) -> int:
 
 
 def convert(f: GradedElement, basis: str) -> GradedElement:
-    """Rewrite ``f`` in another basis of the same ring (exactly)."""
+    """Rewrite ``f`` in another basis of the same ring (exactly).
+
+    ``L``/``M`` -> ``S`` (through ``L``) and ``m`` -> ``s`` peel (``_peel``),
+    and raise ``ValueError`` on an index that names no basis element.
+    """
     if basis == f.basis:
         return GradedElement(f.ring, basis, dict(f.terms))
     if f.ring == "QSym":
         routes = {
-            ("L", "M"): lambda t: _l_to_m(t),
-            ("M", "L"): lambda t: _m_to_l(t),
-            ("S", "L"): lambda t: _s_to_l(t),
-            ("L", "S"): lambda t: _l_to_s(t),
+            ("L", "M"): _l_to_m,
+            ("M", "L"): _m_to_l,
+            ("S", "L"): _s_to_l,
+            ("L", "S"): _l_to_s,
             ("S", "M"): lambda t: _l_to_m(_s_to_l(t)),
             ("M", "S"): lambda t: _l_to_s(_m_to_l(t)),
         }
@@ -393,19 +382,9 @@ def convert(f: GradedElement, basis: str) -> GradedElement:
                     out[mu] = out.get(mu, 0) + c * k
             return GradedElement("Sym", "m", out)
         if (f.basis, basis) == ("m", "s"):
-            remaining = dict(f.terms)
-            out = {}
-            while remaining:
-                lam = max(remaining, key=lambda i: (sum(i), i))
-                c = remaining[lam]
-                out[lam] = out.get(lam, 0) + c
-                for mu, k in _schur_in_monomial(lam).items():
-                    val = remaining.get(mu, 0) - c * k
-                    if val:
-                        remaining[mu] = val
-                    else:
-                        remaining.pop(mu, None)
-            return GradedElement("Sym", "s", out)
+            return GradedElement(
+                "Sym", "s", _peel(f.terms, _m_to_s_key, _schur_in_monomial)
+            )
         raise ValueError(f"no conversion {f.basis} -> {basis} in Sym")
     raise ValueError(f"no conversions within ring {f.ring}")
 

@@ -62,6 +62,9 @@ from .nsym import (
 from .qsym import (
     GradedElement,
     TruncatedPolynomial,
+    _l_to_s_key,
+    _m_to_s_key,
+    _schur_in_monomial,
     basis_element,
     commutative_monomial,
     convert,
@@ -508,6 +511,22 @@ def _check_symmetry(d: int, rng: random.Random) -> tuple:
             return cases, f"s_{lam} flagged as not symmetric"
         if schur_expansion(f).terms != ({lam: 1} if lam else {(): 1}):
             return cases, f"s_{lam} does not peel back to itself"
+    return cases, None
+
+
+@_register("peel-orders-are-unitriangular")
+def _check_peel_orders(d: int, rng: random.Random) -> tuple:
+    cases = 0
+    for basis, indices, key, expansion in (
+        ("S", _comps_upto(d), _l_to_s_key, lambda alpha: qs_schur(alpha).terms),
+        ("s", _parts_upto(d), _m_to_s_key, _schur_in_monomial),
+    ):
+        for index in indices:
+            cases += 1
+            terms = expansion(index)
+            lower = all(key(i) < key(index) for i in terms if i != index)
+            if terms.get(index) != 1 or not lower:
+                return cases, f"{basis}_{index} is not unitriangular: {terms}"
     return cases, None
 
 
@@ -1214,6 +1233,7 @@ SUITES: dict[str, tuple[str, ...]] = {
         "coproduct-multiplicative",
         "skew-coproduct-nonnegative",
         "symmetry-detection",
+        "peel-orders-are-unitriangular",
     ),
     "duality": (
         "skew-vanishing-matches-order",

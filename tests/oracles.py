@@ -9,6 +9,7 @@ to coefficients.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 def composition_cells(gamma, beta):
@@ -208,6 +209,28 @@ def classical_lr_oracle(lam, mu, nu):
         return 1 if nu == () else 0
     product = poly_mul(schur_poly(lam, m), schur_poly(mu, m))
     return schur_expand(product, m).get(nu, 0)
+
+
+# --- exact linear algebra --------------------------------------------------
+
+
+def solve_exact(matrix, rhs):
+    """Solve ``matrix @ x = rhs`` by Gaussian elimination over Fraction.
+
+    ``matrix`` must be square and invertible; neither argument is modified.
+    """
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
 
 
 # --- reverse row insertion -------------------------------------------------

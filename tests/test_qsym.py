@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     monomial_quasi_poly,
     qschur_poly,
     schur_poly,
+    solve_exact,
 )
 
 
@@ -127,11 +129,54 @@ def test_uniform_skew_shape_is_schur_positive():
 
 
 def test_conversion_round_trips():
-    for alpha in comps_upto(4):
-        for src in ("M", "L", "S"):
-            f = basis_element("QSym", src, alpha)
+    # the last input has Fraction coefficients and mixed degree
+    mixed = {(2, 1): Fraction(1, 2), (1,): Fraction(-3, 4), (1, 2, 1): 2}
+    for src in ("M", "L", "S"):
+        inputs = [basis_element("QSym", src, alpha) for alpha in comps_upto(4)]
+        for f in inputs + [GradedElement("QSym", src, mixed)]:
             for dst in ("M", "L", "S"):
                 assert convert(convert(f, dst), src) == f
+
+
+def dense_s_coefficients(f):
+    """S coefficients of a QSym element by solving the S-to-L matrix densely."""
+    g = convert(f, "L")
+    out = {}
+    for n in g.degrees():
+        comps = list(compositions_of(n))
+        pos = {c: i for i, c in enumerate(comps)}
+        matrix = [[0] * len(comps) for _ in comps]
+        for j, alpha in enumerate(comps):
+            for delta, k in qs_schur(alpha).terms.items():
+                matrix[pos[delta]][j] = k
+        solution = solve_exact(matrix, [g.coefficient(c) for c in comps])
+        out.update({alpha: x for alpha, x in zip(comps, solution) if x})
+    return out
+
+
+def test_s_conversion_matches_dense_solve():
+    pool = comps_upto(6)
+    cases = [basis_element("QSym", b, alpha) for b in ("L", "M") for alpha in pool]
+    rng = random.Random(2011)
+    for _ in range(200):
+        terms = [(rng.choice(pool), rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))]
+        cases.append(GradedElement("QSym", rng.choice("LM"), terms))
+    for f in cases:
+        assert convert(f, "S").terms == dense_s_coefficients(f)
+
+
+@pytest.mark.parametrize(
+    "convert_bad",
+    [
+        lambda: convert(GradedElement("QSym", "L", {(0, 1): 1, (1,): 2}), "S"),
+        lambda: convert(GradedElement("Sym", "m", {(1, 2): 1}), "s"),
+        lambda: schur_expansion(GradedElement("Sym", "m", {(0, 1): 1})),
+    ],
+    ids=["L-to-S", "m-to-s", "schur-expansion"],
+)
+def test_peel_rejects_malformed_indices(convert_bad):
+    with pytest.raises(ValueError, match="does not index a basis element"):
+        convert_bad()
 
 
 def test_schur_basis_inverts_quasi_schur():
