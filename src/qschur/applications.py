@@ -33,7 +33,6 @@ from .qsym import (
     basis_element,
     convert,
     let_variables_commute,
-    skew_qs_schur,
 )
 from .tableaux import (
     COMPOSITION,
@@ -349,8 +348,8 @@ def descent_pieri_K(gamma: Composition, beta: Composition) -> GradedElement:
     """Sum, over labeled descending chains of the interval, of the
     fundamental element of each chain's descent composition.
 
-    The result is cross-checked against the skew expansion computed by
-    tableau enumeration; the two must always agree.
+    It equals the skew quasi-Schur function of gamma over beta; the verify
+    check chain-descents-match-skew compares the two.
     """
     n = sum(gamma) - sum(beta)
     terms: dict = {}
@@ -363,10 +362,4 @@ def descent_pieri_K(gamma: Composition, beta: Composition) -> GradedElement:
         }
         tau = comp_of_set(des, n)
         terms[tau] = terms.get(tau, 0) + 1
-    out = GradedElement("QSym", "L", terms)
-    if out != skew_qs_schur(gamma, beta):
-        raise AssertionError(
-            f"chain-descent series disagrees with the skew expansion "
-            f"for {gamma} over {beta}"
-        )
-    return out
+    return GradedElement("QSym", "L", terms)

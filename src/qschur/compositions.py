@@ -13,7 +13,9 @@ from ``beta``:
 
 Saturated chains in an interval of this order are what standard
 composition tableaux encode, so the chain enumeration here is the engine
-behind tableau enumeration in :mod:`qschur.tableaux`.
+behind tableau enumeration in :mod:`qschur.tableaux`, and
+:func:`chain_descents`, which counts chains by descent composition without
+listing them, is the engine behind skew quasi-Schur functions and products.
 """
 
 from __future__ import annotations
@@ -45,6 +47,13 @@ def is_weak_composition(alpha: tuple[int, ...]) -> bool:
 
 def is_composition(alpha: tuple[int, ...]) -> bool:
     return all(isinstance(a, int) and a >= 1 for a in alpha)
+
+
+def require_composition(*alphas: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` naming the first argument that is not a composition."""
+    for alpha in alphas:
+        if not is_composition(alpha):
+            raise ValueError(f"{alpha} is not a composition")
 
 
 def is_partition(alpha: tuple[int, ...]) -> bool:
@@ -111,23 +120,6 @@ def underlying_partition(gamma: tuple[int, ...]) -> Composition:
     return tuple(sorted(strong(gamma), reverse=True))
 
 
-def normal_forms(
-    gamma: tuple[int, ...],
-) -> tuple[tuple[int, ...], Composition, Composition]:
-    return reverse(gamma), strong(gamma), underlying_partition(gamma)
-
-
-def concat(alpha: Composition, beta: Composition) -> Composition:
-    return alpha + beta
-
-
-def near_concat(alpha: Composition, beta: Composition) -> Composition:
-    """Concatenation with the adjacent boundary parts merged."""
-    if not alpha or not beta:
-        raise ValueError("near-concatenation needs both compositions nonempty")
-    return alpha[:-1] + (alpha[-1] + beta[0],) + beta[1:]
-
-
 def is_contained(alpha: Composition, beta: Composition) -> bool:
     """Front-aligned containment: part i of ``alpha`` fits in part i of ``beta``."""
     return len(alpha) <= len(beta) and all(a <= b for a, b in zip(alpha, beta))
@@ -136,10 +128,6 @@ def is_contained(alpha: Composition, beta: Composition) -> bool:
 def is_rev_contained(alpha: Composition, beta: Composition) -> bool:
     """Containment of the reversals: ``alpha`` fits bottom-aligned in ``beta``."""
     return is_contained(reverse(alpha), reverse(beta))
-
-
-def containment(alpha: Composition, beta: Composition) -> tuple[bool, bool]:
-    return is_contained(alpha, beta), is_rev_contained(alpha, beta)
 
 
 def covers(beta: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
@@ -213,6 +201,51 @@ def interval_chains(
             chains.append(chain + (step,))
     chains.sort(key=lambda ch: tuple((s.row, s.column) for s in ch))
     return tuple(chains)
+
+
+def chain_descents(
+    beta: Composition, levels: int, top: Composition | None = None
+) -> dict[Composition, dict[Composition, int]]:
+    """Saturated chains ``levels`` covers up from ``beta``, counted by their
+    upper end and their descent composition: ``{gamma: {tau: chains}}``.
+
+    Read as a standard composition filling, a chain puts entry
+    ``levels - t + 1`` in the cell added at step t, and i is a descent when
+    i + 1 sits weakly right of i.  So i is a descent exactly when the cell
+    added at step ``levels - i`` lies in a column weakly right of the cell
+    added at step ``levels - i + 1``.  The walk goes one level at a time
+    over states (composition, column of the last added cell, descent
+    composition so far, its parts read from the top entry down) and adds
+    up chain counts, so no chain is listed.  With ``top``, only
+    compositions ``leq`` ``top`` are kept.
+    """
+    states: dict = {(beta, 0, ()): 1}
+    moves: dict = {}  # composition -> (cover, column added) kept under top
+    for _ in range(levels):
+        grown: dict = {}
+        for (comp, last, runs), count in states.items():
+            if comp not in moves:
+                moves[comp] = [
+                    (bigger, step.column)
+                    for bigger, step in covers(comp)
+                    if top is None or leq(bigger, top)
+                ]
+            for bigger, column in moves[comp]:
+                if not runs:
+                    grown_runs = (1,)
+                elif last >= column:  # a descent: start a new part
+                    grown_runs = runs + (1,)
+                else:
+                    grown_runs = runs[:-1] + (runs[-1] + 1,)
+                key = (bigger, column, grown_runs)
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    out: dict = {}
+    for (gamma, _, runs), count in states.items():
+        tally = out.setdefault(gamma, {})
+        tau = runs[::-1]
+        tally[tau] = tally.get(tau, 0) + count
+    return out
 
 
 def apply_step(beta: Composition, step: ChainStep) -> Composition:

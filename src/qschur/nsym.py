@@ -1,32 +1,32 @@
 """Dual quasi-Schur functions and their structure constants.
 
-The product of two dual quasi-Schur elements expands with coefficients
-counting standard composition fillings of a skew shape that rectify to a
-fixed canonical filling.  The forgetful map onto symmetric functions and
-the classical coefficient computations (for cross-checking) live here
-too.
+The paper's central duality computes the products: the coefficient of
+S*_gamma in S*_alpha S*_beta equals the coefficient of the quasi-Schur
+function S_alpha in the skew quasi-Schur function S_{gamma//beta}.  Both
+come from one walk over saturated chains up from beta
+(:func:`~qschur.compositions.chain_descents`) and a triangular basis change
+into S.  The forgetful map onto symmetric functions and the classical
+coefficient computations (for cross-checking) live here too.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 
 from .compositions import (
     Composition,
     canonical_key,
-    covers,
+    chain_descents,
     is_contained,
     leq,
+    require_composition,
     underlying_partition,
 )
-from .qsym import GradedElement
+from .qsym import GradedElement, _l_to_s, skew_qs_schur
 from .tableaux import (
     COMPOSITION,
     PARTITION,
     SkewShape,
-    canonical_sct,
     canonical_srt,
     column_word,
     enumerate_semistandard,
@@ -34,40 +34,38 @@ from .tableaux import (
     row_constant_srt,
     strip_kind,
 )
-from .transforms import insertion_tableau, rect
-
-
-@cache
-def _rect_census(beta: Composition, gamma: Composition) -> Counter:
-    """How often each rectification arises over standard fillings of
-    gamma over beta (keys are the rectified tableaux themselves)."""
-    if not leq(beta, gamma):
-        return Counter()
-    shape = SkewShape(COMPOSITION, gamma, beta)
-    return Counter(rect(t) for t in enumerate_standard(shape))
+from .transforms import insertion_tableau
 
 
 def lr_coeff(alpha: Composition, beta: Composition, gamma: Composition) -> int:
     """Coefficient of the dual quasi-Schur of ``gamma`` in the product of
-    those of ``alpha`` and ``beta``: the number of standard fillings of
-    gamma over beta rectifying to the canonical filling of ``alpha``."""
+    those of ``alpha`` and ``beta``.
+
+    By the duality this is the coefficient of S_alpha in the skew
+    quasi-Schur function S_{gamma//beta}, which also counts the standard
+    fillings of gamma over beta that rectify to the canonical filling of
+    ``alpha`` (the verify check skew-coefficients-are-lr compares the two).
+    Raises ``ValueError`` when an argument is not a composition.
+    """
+    require_composition(alpha, beta, gamma)
     if sum(alpha) + sum(beta) != sum(gamma):
         return 0
-    return _rect_census(beta, gamma).get(canonical_sct(alpha), 0)
-
-
-def _grown_from(beta: Composition, levels: int) -> frozenset[Composition]:
-    frontier = {beta}
-    for _ in range(levels):
-        frontier = {g for b in frontier for g, _ in covers(b)}
-    return frozenset(frontier)
+    return _l_to_s(skew_qs_schur(gamma, beta).terms).get(alpha, 0)
 
 
 def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
-    """Product of the dual quasi-Schur elements of ``alpha`` and ``beta``."""
+    """Product of the dual quasi-Schur elements of ``alpha`` and ``beta``.
+
+    One chain walk up from ``beta`` gives every S_{gamma//beta} in the
+    fundamental basis at once; the coefficient of S*_gamma is the S_alpha
+    coefficient of that skew function (see :func:`lr_coeff`).  The walk
+    yields compositions only, so the peel into S skips ``convert``'s index
+    check.
+    """
+    require_composition(alpha, beta)
     terms = {}
-    for gamma in _grown_from(beta, sum(alpha)):
-        c = lr_coeff(alpha, beta, gamma)
+    for gamma, tally in chain_descents(beta, sum(alpha)).items():
+        c = _l_to_s(tally).get(alpha, 0)
         if c:
             terms[gamma] = c
     return GradedElement("NSym", "S_star", terms)
@@ -125,7 +123,7 @@ def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
     product = pieri(kind, n, beta)
     which = 0 if kind == "row" else 1
     predicted = []
-    for gamma in _grown_from(beta, n):
+    for gamma in chain_descents(beta, n):
         if leq(beta, gamma) and strip_kind(SkewShape(COMPOSITION, gamma, beta))[which]:
             predicted.append(gamma)
     predicted.sort(key=canonical_key)

@@ -26,18 +26,15 @@ from functools import cache
 
 from .compositions import (
     Composition,
+    chain_descents,
     compositions_of,
+    is_composition,
     is_partition,
     leq,
+    require_composition,
     strong,
     underlying_partition,
     weak_compositions,
-)
-from .tableaux import (
-    COMPOSITION,
-    SkewShape,
-    descent_composition,
-    enumerate_standard,
 )
 
 RING_BASES = {
@@ -238,15 +235,18 @@ def qs_schur(alpha: Composition) -> GradedElement:
 
 @cache
 def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
-    """Fundamental-basis expansion over standard fillings of gamma over beta.
+    """Fundamental-basis expansion over standard fillings of gamma over beta:
+    one L term per saturated chain from beta up to gamma, at the chain's
+    descent composition (:func:`~qschur.compositions.chain_descents`).
 
-    Zero when ``beta`` is not below ``gamma`` in the cover order.
+    Zero when ``beta`` is not below ``gamma`` in the cover order; raises
+    ``ValueError`` when either is not a composition.
     """
+    require_composition(gamma, beta)
     if not leq(beta, gamma):
         return zero("QSym", "L")
-    shape = SkewShape(COMPOSITION, gamma, beta)
-    terms = [(descent_composition(t), 1) for t in enumerate_standard(shape)]
-    return GradedElement("QSym", "L", terms)
+    tally = chain_descents(beta, sum(gamma) - sum(beta), gamma)[gamma]
+    return GradedElement("QSym", "L", tally)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +357,15 @@ def _distinct_rearrangements(lam: Composition) -> int:
 def convert(f: GradedElement, basis: str) -> GradedElement:
     """Rewrite ``f`` in another basis of the same ring (exactly).
 
-    ``L``/``M`` -> ``S`` (through ``L``) and ``m`` -> ``s`` peel (``_peel``),
-    and raise ``ValueError`` on an index that names no basis element.
+    ``L``/``M`` -> ``S`` (through ``L``) and ``m`` -> ``s`` peel (``_peel``).
+    An index that names no basis element raises ``ValueError``.
     """
     if basis == f.basis:
         return GradedElement(f.ring, basis, dict(f.terms))
     if f.ring == "QSym":
+        for index in f.terms:
+            if not is_composition(index):
+                raise ValueError(f"{index} does not index a basis element")
         routes = {
             ("L", "M"): _l_to_m,
             ("M", "L"): _m_to_l,

@@ -254,6 +254,34 @@ def insert_word(word):
     return tuple(tuple(r) for r in rows)
 
 
+def canonical_composition_filling(alpha):
+    """Cells of composition ``alpha`` numbered n..1, bottom row first, each
+    row left to right."""
+    filling = {}
+    v = sum(alpha)
+    for r in range(len(alpha), 0, -1):
+        for c in range(1, alpha[r - 1] + 1):
+            filling[(r, c)] = v
+            v -= 1
+    return filling
+
+
+def column_reading_word(filling):
+    """Entries of each column in increasing order, columns left to right."""
+    return tuple(v for _, v in sorted((c, v) for (_, c), v in filling.items()))
+
+
+def lr_by_rectification(alpha, beta, gamma):
+    """Standard composition fillings of gamma over beta whose column word
+    inserts to the same tableau as that of the canonical filling of alpha."""
+    target = insert_word(column_reading_word(canonical_composition_filling(alpha)))
+    return sum(
+        1
+        for f in brute_sct(gamma, beta)
+        if insert_word(column_reading_word(f)) == target
+    )
+
+
 def shuffles(u, v):
     if not u or not v:
         yield u + v

@@ -1,6 +1,6 @@
 import pytest
 
-from qschur.compositions import compositions_of, underlying_partition
+from qschur.compositions import compositions_of, leq, underlying_partition
 from qschur.nsym import (
     classical_lr,
     forget,
@@ -11,8 +11,10 @@ from qschur.nsym import (
     strip_report,
 )
 from qschur.qsym import basis_element, convert, multiply, skew_qs_schur
+from qschur.tableaux import canonical_sct
+from qschur.verify import _rect_census
 
-from oracles import classical_lr_oracle
+from oracles import classical_lr_oracle, lr_by_rectification
 
 
 def S(alpha, coeff=1):
@@ -49,16 +51,58 @@ def test_lr_coeff_degree_mismatch_is_zero():
     assert lr_coeff((2,), (1,), (2, 2, 1)) == 0
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: product_nc_schur((1,), (0, 1)),
+        lambda: lr_coeff((1, 0), (1,), (1, 1)),
+        lambda: lr_coeff((2,), (1,), (2, 0, 1)),
+        lambda: lr_coeff((1,), (-1, 2), (1, 1)),
+    ],
+    ids=["product-zero-part", "lr-zero-part", "lr-zero-part-outer", "lr-negative"],
+)
+def test_rejects_non_compositions(call):
+    with pytest.raises(ValueError, match="is not a composition"):
+        call()
+
+
 def test_coefficients_match_skew_expansion():
+    # the LR rule by brute force: fillings of gamma over beta rectifying
+    # to the canonical filling of alpha
     for n in range(5):
         for gamma in compositions_of(n):
             for k in range(n + 1):
                 for beta in compositions_of(k):
                     skew = convert(skew_qs_schur(gamma, beta), "S")
                     for alpha in compositions_of(n - k):
-                        assert skew.coefficient(alpha) == lr_coeff(
+                        assert skew.coefficient(alpha) == lr_by_rectification(
                             alpha, beta, gamma
                         )
+
+
+def test_product_matches_rectification_census():
+    for n in range(8):
+        for k in range(n + 1):
+            for beta in compositions_of(n - k):
+                census = {
+                    gamma: _rect_census(beta, gamma)
+                    for gamma in compositions_of(n)
+                    if leq(beta, gamma)
+                }
+                for alpha in compositions_of(k):
+                    target = canonical_sct(alpha)
+                    expected = {
+                        gamma: counts[target]
+                        for gamma, counts in census.items()
+                        if counts[target]
+                    }
+                    assert product_nc_schur(alpha, beta).terms == expected
+
+
+def test_weight_fourteen_product_golden():
+    got = product_nc_schur((1, 3, 2, 1), (2, 1, 3, 1))
+    assert len(got.terms) == 109
+    assert sum(got.terms.values()) == 112
 
 
 def test_pieri_row_equals_strip_product():

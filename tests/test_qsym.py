@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.compositions import compositions_of, refines
+from qschur.compositions import compositions_of, leq, refines
 from qschur.qsym import (
     GradedElement,
     basis_element,
@@ -23,6 +23,12 @@ from qschur.qsym import (
     sym_to_qsym,
     to_polynomial,
     zero,
+)
+from qschur.tableaux import (
+    COMPOSITION,
+    SkewShape,
+    descent_composition,
+    enumerate_standard,
 )
 
 from oracles import (
@@ -109,6 +115,29 @@ def test_skew_quasi_schur_goldens():
     assert qs_schur((2, 2)) == L((2, 2)) + L((1, 2, 1))
 
 
+def test_skew_quasi_schur_matches_tableau_descents():
+    for gamma in comps_upto(7):
+        for beta in comps_upto(sum(gamma)):
+            if leq(beta, gamma):
+                shape = SkewShape(COMPOSITION, gamma, beta)
+                terms = [(descent_composition(t), 1) for t in enumerate_standard(shape)]
+                assert skew_qs_schur(gamma, beta) == GradedElement("QSym", "L", terms)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: skew_qs_schur((2, 1), (0, 1)),
+        lambda: skew_qs_schur((0, 1), ()),
+        lambda: qs_schur((-1, 2)),
+    ],
+    ids=["zero-inner", "zero-outer", "negative"],
+)
+def test_skew_quasi_schur_rejects_non_compositions(call):
+    with pytest.raises(ValueError, match="is not a composition"):
+        call()
+
+
 def test_skew_realization_counts_semistandard_fillings():
     cases = [((4, 4, 2), (3, 2, 1)), ((1, 4, 3), (1, 2)), ((2, 3), (1,))]
     for gamma, beta in cases:
@@ -169,10 +198,12 @@ def test_s_conversion_matches_dense_solve():
     "convert_bad",
     [
         lambda: convert(GradedElement("QSym", "L", {(0, 1): 1, (1,): 2}), "S"),
+        lambda: convert(basis_element("QSym", "M", (0, 1)), "S"),
+        lambda: convert(basis_element("QSym", "L", (2, 0)), "M"),
         lambda: convert(GradedElement("Sym", "m", {(1, 2): 1}), "s"),
         lambda: schur_expansion(GradedElement("Sym", "m", {(0, 1): 1})),
     ],
-    ids=["L-to-S", "m-to-s", "schur-expansion"],
+    ids=["L-to-S", "M-to-S", "L-to-M", "m-to-s", "schur-expansion"],
 )
 def test_peel_rejects_malformed_indices(convert_bad):
     with pytest.raises(ValueError, match="does not index a basis element"):
