@@ -50,32 +50,26 @@ from .transforms import (
 from .verify import DEFAULT_SEED, SUITES, default_jobs, run_suite
 
 
-def parse_composition(text: str) -> tuple[int, ...]:
+def _parse_positive_ints(text: str, noun: str) -> tuple[int, ...]:
     if text == "empty":
         return ()
-    parts = []
+    values = []
     for token in text.split(","):
         token = token.strip()
-        if not token.isdigit() or int(token) < 1:
+        if not token.isdecimal() or int(token) < 1:
             raise argparse.ArgumentTypeError(
-                f"composition part {token!r} is not a positive integer"
+                f"{noun} {token!r} is not a positive integer"
             )
-        parts.append(int(token))
-    return tuple(parts)
+        values.append(int(token))
+    return tuple(values)
+
+
+def parse_composition(text: str) -> tuple[int, ...]:
+    return _parse_positive_ints(text, "composition part")
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    if text == "empty":
-        return ()
-    letters = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token.isdigit() or int(token) < 1:
-            raise argparse.ArgumentTypeError(
-                f"letter {token!r} is not a positive integer"
-            )
-        letters.append(int(token))
-    return tuple(letters)
+    return _parse_positive_ints(text, "letter")
 
 
 def load_tableau(path: str):
@@ -341,11 +335,7 @@ def _cmd_ncqsym(args) -> int:
 
 
 def _cmd_pieri_operator(args) -> int:
-    try:
-        emit_element(descent_pieri_K(args.gamma, args.beta), args.format)
-    except AssertionError as exc:
-        print(f"cross-check failed: {exc}", file=sys.stderr)
-        return 1
+    emit_element(descent_pieri_K(args.gamma, args.beta), args.format)
     return 0
 
 

@@ -6,7 +6,8 @@ function S_alpha in the skew quasi-Schur function S_{gamma//beta}.  Both
 come from one walk over saturated chains up from beta
 (:func:`~qschur.compositions.chain_descents`) and a triangular basis change
 into S.  The forgetful map onto symmetric functions and the classical
-coefficient computations (for cross-checking) live here too.
+Littlewood-Richardson coefficients, which the products refine, live here
+too.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .tableaux import (
     SkewShape,
     canonical_srt,
     column_word,
-    enumerate_semistandard,
     enumerate_standard,
-    row_constant_srt,
     strip_kind,
 )
 from .transforms import insertion_tableau
@@ -153,40 +152,16 @@ def forget(f: GradedElement) -> GradedElement:
     return GradedElement("Sym", basis, terms)
 
 
-def _classical_lr_standard(lam: Composition, mu: Composition, nu: Composition) -> int:
-    target = canonical_srt(lam)
-    shape = SkewShape(PARTITION, nu, mu)
-    return sum(
-        1
-        for t in enumerate_standard(shape)
-        if insertion_tableau(column_word(t)) == target
-    )
-
-
-def _classical_lr_semistandard(lam: Composition, mu: Composition, nu: Composition) -> int:
-    target = row_constant_srt(lam)
-    shape = SkewShape(PARTITION, nu, mu)
-    return sum(
-        1
-        for t in enumerate_semistandard(shape, max(len(lam), 1))
-        if insertion_tableau(column_word(t)) == target
-    )
-
-
 def classical_lr(lam: Composition, mu: Composition, nu: Composition) -> int:
-    """Classical Littlewood-Richardson coefficient, computed two ways.
-
-    Counts standard reverse fillings of nu/mu whose column word inserts to
-    the canonical standard filling of ``lam``, and independently
-    semistandard reverse fillings inserting to the row-constant filling of
-    ``lam``.  The two counts must agree.
+    """Classical Littlewood-Richardson coefficient: the number of standard
+    reverse fillings of nu/mu whose column word inserts to the canonical
+    standard filling of ``lam``.
     """
     if sum(lam) + sum(mu) != sum(nu) or not is_contained(mu, nu):
         return 0
-    a = _classical_lr_standard(lam, mu, nu)
-    b = _classical_lr_semistandard(lam, mu, nu)
-    if a != b:
-        raise AssertionError(
-            f"classical coefficient mismatch for {lam}, {mu}, {nu}: {a} vs {b}"
-        )
-    return a
+    target = canonical_srt(lam)
+    return sum(
+        1
+        for t in enumerate_standard(SkewShape(PARTITION, nu, mu))
+        if insertion_tableau(column_word(t)) == target
+    )

@@ -1,9 +1,10 @@
 """Exhaustive identity checks at bounded degree, grouped into named suites.
 
 Every check sweeps a finite family of cases and either passes or returns a
-counterexample payload.  Bounds that the identities themselves fix (entry
-caps, permutation sizes) are capped internally; everything else scales
-with the requested maximum degree.
+counterexample payload; a check that sweeps no case fails.  Bounds that the
+identities themselves fix (entry caps, permutation sizes) are capped
+internally; everything else scales with the requested maximum degree, which
+must be nonnegative.  Each check names its suite where it is registered.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from fractions import Fraction
 from typing import Callable
 
 from .applications import (
+    _set_comps_by_shape,
     chi_nc,
     descent_pieri_K,
     knuth_class,
+    kostka,
     lift,
     m_pi_nc,
     m_pi_sym,
@@ -36,7 +39,6 @@ from .applications import (
     qs_rs,
     s_rs,
     set_compositions,
-    shape_of_blocks,
 )
 from .compositions import (
     Composition,
@@ -145,11 +147,15 @@ class CheckResult:
 
 CheckFn = Callable[[int, random.Random], tuple]
 _CHECKS: dict[str, CheckFn] = {}
+SUITES: dict[str, tuple[str, ...]] = {}
 
 
-def _register(name: str) -> Callable[[CheckFn], CheckFn]:
+def _register(name: str, suite: str) -> Callable[[CheckFn], CheckFn]:
+    """Record a check under ``name`` and append it to ``SUITES[suite]``."""
+
     def wrap(fn: CheckFn) -> CheckFn:
         _CHECKS[name] = fn
+        SUITES[suite] = SUITES.get(suite, ()) + (name,)
         return fn
 
     return wrap
@@ -211,7 +217,7 @@ def _exact_rank(rows: list[dict]) -> int:
 # poset
 
 
-@_register("partial-sums-roundtrip")
+@_register("partial-sums-roundtrip", "poset")
 def _check_partial_sums(d: int, rng: random.Random) -> tuple:
     cases = 0
     for n in range(min(d, 10) + 1):
@@ -228,7 +234,7 @@ def _check_partial_sums(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("covers-shape")
+@_register("covers-shape", "poset")
 def _check_covers_shape(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta in _comps_upto(d):
@@ -249,7 +255,7 @@ def _check_covers_shape(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("non-lattice-witness")
+@_register("non-lattice-witness", "poset")
 def _check_non_lattice(d: int, rng: random.Random) -> tuple:
     pair = ((2, 2, 2), (2, 3, 2))
     lower = [
@@ -267,7 +273,7 @@ def _check_non_lattice(d: int, rng: random.Random) -> tuple:
     return 1, None
 
 
-@_register("chain-count-matches-brute-force")
+@_register("chain-count-matches-brute-force", "poset")
 def _check_chain_counts(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -287,7 +293,7 @@ def _check_chain_counts(d: int, rng: random.Random) -> tuple:
     return cases, None, note
 
 
-@_register("order-implies-reverse-containment")
+@_register("order-implies-reverse-containment", "poset")
 def _check_leq_revcon(d: int, rng: random.Random) -> tuple:
     cases = 0
     for gamma in _comps_upto(d):
@@ -302,7 +308,7 @@ def _check_leq_revcon(d: int, rng: random.Random) -> tuple:
 # bases
 
 
-@_register("fundamental-is-refinement-sum")
+@_register("fundamental-is-refinement-sum", "bases")
 def _check_fundamental_refinements(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(d):
@@ -316,7 +322,7 @@ def _check_fundamental_refinements(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("basis-conversion-roundtrips")
+@_register("basis-conversion-roundtrips", "bases")
 def _check_conversion_roundtrips(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(d):
@@ -332,7 +338,7 @@ def _check_conversion_roundtrips(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-content-polynomial")
+@_register("schur-content-polynomial", "bases")
 def _check_schur_content(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(d):
@@ -346,7 +352,7 @@ def _check_schur_content(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-inverts-to-single-term")
+@_register("schur-inverts-to-single-term", "bases")
 def _check_schur_inversion(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(d):
@@ -357,7 +363,7 @@ def _check_schur_inversion(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-sum-over-rearrangements")
+@_register("schur-sum-over-rearrangements", "bases")
 def _check_schur_sum(d: int, rng: random.Random) -> tuple:
     cases = 0
     for lam in _parts_upto(d):
@@ -372,7 +378,7 @@ def _check_schur_sum(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("monomial-symmetric-sum")
+@_register("monomial-symmetric-sum", "bases")
 def _check_monomial_symmetric(d: int, rng: random.Random) -> tuple:
     cases = 0
     for lam in _parts_upto(d):
@@ -387,7 +393,7 @@ def _check_monomial_symmetric(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("complete-homogeneous-positivity")
+@_register("complete-homogeneous-positivity", "bases")
 def _check_h_positive(d: int, rng: random.Random) -> tuple:
     cases = 0
     for lam in _parts_upto(min(d, 5)):
@@ -402,7 +408,7 @@ def _check_h_positive(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("random-polynomial-roundtrip")
+@_register("random-polynomial-roundtrip", "bases")
 def _check_from_polynomial(d: int, rng: random.Random) -> tuple:
     cases = 0
     comps = _comps_upto(min(d, 6))[1:] or [()]
@@ -418,7 +424,7 @@ def _check_from_polynomial(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("rejects-non-quasisymmetric")
+@_register("rejects-non-quasisymmetric", "bases")
 def _check_rejection(d: int, rng: random.Random) -> tuple:
     p = commutative_monomial(2, (1, 0))
     try:
@@ -428,7 +434,7 @@ def _check_rejection(d: int, rng: random.Random) -> tuple:
     return 1, "x1 alone in two variables was accepted as quasisymmetric"
 
 
-@_register("coproduct-counit")
+@_register("coproduct-counit", "bases")
 def _check_counit(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(d):
@@ -443,7 +449,7 @@ def _check_counit(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("coproduct-coassociative")
+@_register("coproduct-coassociative", "bases")
 def _check_coassociativity(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(min(d, 6)):
@@ -466,7 +472,7 @@ def _check_coassociativity(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("coproduct-multiplicative")
+@_register("coproduct-multiplicative", "bases")
 def _check_bialgebra(d: int, rng: random.Random) -> tuple:
     small = _comps_upto(min(d, 3))
     cases = 0
@@ -490,7 +496,7 @@ def _check_bialgebra(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("skew-coproduct-nonnegative")
+@_register("skew-coproduct-nonnegative", "bases")
 def _check_skew_coproduct(d: int, rng: random.Random) -> tuple:
     cases = 0
     for gamma in _comps_upto(d):
@@ -502,7 +508,7 @@ def _check_skew_coproduct(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("symmetry-detection")
+@_register("symmetry-detection", "bases")
 def _check_symmetry(d: int, rng: random.Random) -> tuple:
     cases = 0
     for lam in _parts_upto(d):
@@ -515,7 +521,7 @@ def _check_symmetry(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("peel-orders-are-unitriangular")
+@_register("peel-orders-are-unitriangular", "bases")
 def _check_peel_orders(d: int, rng: random.Random) -> tuple:
     cases = 0
     for basis, indices, key, expansion in (
@@ -535,7 +541,7 @@ def _check_peel_orders(d: int, rng: random.Random) -> tuple:
 # duality
 
 
-@_register("skew-vanishing-matches-order")
+@_register("skew-vanishing-matches-order", "duality")
 def _check_skew_vanishing(d: int, rng: random.Random) -> tuple:
     cases = 0
     for gamma in _comps_upto(d):
@@ -553,7 +559,7 @@ def _rect_census(beta: Composition, gamma: Composition) -> Counter:
     return Counter(rect(t) for t in enumerate_standard(shape))
 
 
-@_register("skew-coefficients-are-lr")
+@_register("skew-coefficients-are-lr", "duality")
 def _check_duality(d: int, rng: random.Random) -> tuple:
     """The S-expansion of each skew quasi-Schur function against the LR
     rule: fillings of gamma over beta rectifying to the canonical filling
@@ -581,7 +587,7 @@ def _check_duality(d: int, rng: random.Random) -> tuple:
 # products
 
 
-@_register("forgetful-algebra-map")
+@_register("forgetful-algebra-map", "products")
 def _check_forgetful(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -598,7 +604,7 @@ def _check_forgetful(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("product-unit")
+@_register("product-unit", "products")
 def _check_product_unit(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta in _comps_upto(d):
@@ -610,7 +616,7 @@ def _check_product_unit(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("product-associative")
+@_register("product-associative", "products")
 def _check_product_associative(d: int, rng: random.Random) -> tuple:
     bound = min(d, 5)
     cases = 0
@@ -629,7 +635,7 @@ def _check_product_associative(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("pieri-support-within-strips")
+@_register("pieri-support-within-strips", "products")
 def _check_pieri_support(d: int, rng: random.Random) -> tuple:
     cases = 0
     for kind in ("row", "column"):
@@ -649,7 +655,7 @@ def _check_pieri_support(d: int, rng: random.Random) -> tuple:
 # classical
 
 
-@_register("factorization-over-rearrangements")
+@_register("factorization-over-rearrangements", "classical")
 def _check_factorization(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -671,7 +677,7 @@ def _check_factorization(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-product-matches-classical")
+@_register("schur-product-matches-classical", "classical")
 def _check_schur_product(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -694,7 +700,7 @@ def _check_schur_product(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("classical-commutativity")
+@_register("classical-commutativity", "classical")
 def _check_classical_symmetry(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -711,7 +717,7 @@ def _check_classical_symmetry(d: int, rng: random.Random) -> tuple:
 # g-alpha
 
 
-@_register("restricted-graph-connected")
+@_register("restricted-graph-connected", "g-alpha")
 def _check_connectivity(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(d):
@@ -722,7 +728,7 @@ def _check_connectivity(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("knuth-moves-preserve-insertion")
+@_register("knuth-moves-preserve-insertion", "g-alpha")
 def _check_knuth_moves(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -755,7 +761,7 @@ def _check_knuth_moves(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("pq-moves-commute")
+@_register("pq-moves-commute", "g-alpha")
 def _check_move_commutation(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -786,7 +792,7 @@ def _uniform_pairs(d: int) -> list[tuple[Composition, Composition]]:
     ]
 
 
-@_register("uniform-shapes-lack-rigid-pairs")
+@_register("uniform-shapes-lack-rigid-pairs", "rigidity")
 def _check_uniform_rigidity(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _uniform_pairs(d):
@@ -799,7 +805,7 @@ def _check_uniform_rigidity(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("uniform-q-moves-stay-in-shape")
+@_register("uniform-q-moves-stay-in-shape", "rigidity")
 def _check_uniform_closure(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -825,7 +831,7 @@ def _check_uniform_closure(d: int, rng: random.Random) -> tuple:
 # uniform-symmetry
 
 
-@_register("uniform-implies-symmetric")
+@_register("uniform-implies-symmetric", "uniform-symmetry")
 def _check_uniform_symmetric(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _uniform_pairs(d):
@@ -839,7 +845,7 @@ def _check_uniform_symmetric(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("symmetric-non-uniform-scan")
+@_register("symmetric-non-uniform-scan", "uniform-symmetry")
 def _check_symmetric_scan(d: int, rng: random.Random) -> tuple:
     cases = 0
     witnesses = []
@@ -873,7 +879,7 @@ def _srt_pairs(total: int) -> list[tuple[Tableau, Tableau]]:
     return out
 
 
-@_register("pr-matches-word-shuffles")
+@_register("pr-matches-word-shuffles", "pr")
 def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -900,7 +906,7 @@ def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("pr-empty-unit")
+@_register("pr-empty-unit", "pr")
 def _check_pr_unit(d: int, rng: random.Random) -> tuple:
     cases = 0
     empty = make_tableau(straight(PARTITION, ()), {})
@@ -912,7 +918,7 @@ def _check_pr_unit(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("image-anti-morphism")
+@_register("image-anti-morphism", "pr")
 def _check_anti_morphism(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -929,7 +935,24 @@ def _check_anti_morphism(d: int, rng: random.Random) -> tuple:
 # ncqsym
 
 
-@_register("analogue-dual-route")
+def _qs_rs_by_set_compositions(alpha: Composition, m: int) -> TruncatedPolynomial:
+    """The analogue expanded over set compositions: each content beta
+    contributes its Kostka number times the factorials of its parts, once
+    per set composition of shape beta."""
+    n = sum(alpha)
+    total = TruncatedPolynomial(m, False)
+    by_shape = _set_comps_by_shape(n)
+    for beta in compositions_of(n):
+        k = kostka(alpha, beta)
+        if not k:
+            continue
+        weight = k * math.prod(math.factorial(p) for p in beta)
+        for pi in by_shape.get(beta, ()):
+            total = total + weight * m_pi_nc(pi, m)
+    return total
+
+
+@_register("analogue-dual-route", "ncqsym")
 def _check_qs_rs_routes(d: int, rng: random.Random) -> tuple:
     bound = min(d, 4)
     cases = 0
@@ -937,11 +960,12 @@ def _check_qs_rs_routes(d: int, rng: random.Random) -> tuple:
         for alpha in compositions_of(n):
             for m in (max(n - 1, 1), n or 1):
                 cases += 1
-                qs_rs(alpha, m)  # raises on internal route disagreement
+                if qs_rs(alpha, m) != _qs_rs_by_set_compositions(alpha, m):
+                    return cases, f"evaluation routes disagree for {alpha}, m={m}"
     return cases, None
 
 
-@_register("commuting-projection")
+@_register("commuting-projection", "ncqsym")
 def _check_chi_projection(d: int, rng: random.Random) -> tuple:
     bound = min(d, 4)
     cases = 0
@@ -956,7 +980,7 @@ def _check_chi_projection(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-analogue-sum")
+@_register("schur-analogue-sum", "ncqsym")
 def _check_s_rs(d: int, rng: random.Random) -> tuple:
     bound = min(d, 4)
     cases = 0
@@ -971,7 +995,7 @@ def _check_s_rs(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("block-order-sum")
+@_register("block-order-sum", "ncqsym")
 def _check_block_orderings(d: int, rng: random.Random) -> tuple:
     bound = min(d, 4)
     cases = 0
@@ -992,7 +1016,7 @@ def _check_block_orderings(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("lift-projects-back")
+@_register("lift-projects-back", "ncqsym")
 def _check_lift(d: int, rng: random.Random) -> tuple:
     bound = min(d, 4)
     cases = 0
@@ -1009,7 +1033,7 @@ def _check_lift(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("analogues-linearly-independent")
+@_register("analogues-linearly-independent", "ncqsym")
 def _check_independence(d: int, rng: random.Random) -> tuple:
     bound = min(d, 4)
     cases = 0
@@ -1025,7 +1049,7 @@ def _check_independence(d: int, rng: random.Random) -> tuple:
 # pieri-operator
 
 
-@_register("chain-descents-match-skew")
+@_register("chain-descents-match-skew", "pieri-operator")
 def _check_pieri_operator(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _interval_pairs(d):
@@ -1049,7 +1073,7 @@ def _straight_ssrts(size_bound: int, entry_bound: int):
         yield from enumerate_semistandard(straight(PARTITION, lam), entry_bound)
 
 
-@_register("column-sort-roundtrip")
+@_register("column-sort-roundtrip", "roundtrips")
 def _check_pack_unpack(d: int, rng: random.Random) -> tuple:
     bound = min(d, 5)
     cases = 0
@@ -1069,7 +1093,7 @@ def _check_pack_unpack(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("standardization-roundtrip")
+@_register("standardization-roundtrip", "roundtrips")
 def _check_standardization(d: int, rng: random.Random) -> tuple:
     bound = min(d, 5)
     cases = 0
@@ -1083,7 +1107,7 @@ def _check_standardization(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("chain-tableau-roundtrip")
+@_register("chain-tableau-roundtrip", "roundtrips")
 def _check_chain_roundtrip(d: int, rng: random.Random) -> tuple:
     bound = min(d, 7)
     cases = 0
@@ -1103,7 +1127,7 @@ def _check_chain_roundtrip(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("split-rejoin")
+@_register("split-rejoin", "roundtrips")
 def _check_split(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -1117,7 +1141,7 @@ def _check_split(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("insertion-via-column-sort")
+@_register("insertion-via-column-sort", "roundtrips")
 def _check_insert_compat(d: int, rng: random.Random) -> tuple:
     bound = min(d, 5)
     cases = 0
@@ -1131,7 +1155,7 @@ def _check_insert_compat(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("insertion-reconstructs-tableau")
+@_register("insertion-reconstructs-tableau", "roundtrips")
 def _check_insertion_identity(d: int, rng: random.Random) -> tuple:
     bound = min(d, 5)
     cases = 0
@@ -1147,7 +1171,7 @@ def _check_insertion_identity(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("rectification-preserves-descents")
+@_register("rectification-preserves-descents", "roundtrips")
 def _check_rect_descents(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -1160,7 +1184,7 @@ def _check_rect_descents(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("skew-column-sort-pairing")
+@_register("skew-column-sort-pairing", "roundtrips")
 def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
@@ -1201,7 +1225,7 @@ def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("serialization-roundtrip")
+@_register("serialization-roundtrip", "roundtrips")
 def _check_serialization(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _interval_pairs(min(d, 5)):
@@ -1219,107 +1243,37 @@ def _check_serialization(d: int, rng: random.Random) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# suite registry and runner
+# runner
 
 
-SUITES: dict[str, tuple[str, ...]] = {
-    "poset": (
-        "partial-sums-roundtrip",
-        "covers-shape",
-        "non-lattice-witness",
-        "chain-count-matches-brute-force",
-        "order-implies-reverse-containment",
-    ),
-    "bases": (
-        "fundamental-is-refinement-sum",
-        "basis-conversion-roundtrips",
-        "schur-content-polynomial",
-        "schur-inverts-to-single-term",
-        "schur-sum-over-rearrangements",
-        "monomial-symmetric-sum",
-        "complete-homogeneous-positivity",
-        "random-polynomial-roundtrip",
-        "rejects-non-quasisymmetric",
-        "coproduct-counit",
-        "coproduct-coassociative",
-        "coproduct-multiplicative",
-        "skew-coproduct-nonnegative",
-        "symmetry-detection",
-        "peel-orders-are-unitriangular",
-    ),
-    "duality": (
-        "skew-vanishing-matches-order",
-        "skew-coefficients-are-lr",
-    ),
-    "products": (
-        "forgetful-algebra-map",
-        "product-unit",
-        "product-associative",
-        "pieri-support-within-strips",
-    ),
-    "classical": (
-        "factorization-over-rearrangements",
-        "schur-product-matches-classical",
-        "classical-commutativity",
-    ),
-    "g-alpha": (
-        "restricted-graph-connected",
-        "knuth-moves-preserve-insertion",
-        "pq-moves-commute",
-    ),
-    "rigidity": (
-        "uniform-shapes-lack-rigid-pairs",
-        "uniform-q-moves-stay-in-shape",
-    ),
-    "uniform-symmetry": (
-        "uniform-implies-symmetric",
-        "symmetric-non-uniform-scan",
-    ),
-    "pr": (
-        "pr-matches-word-shuffles",
-        "pr-empty-unit",
-        "image-anti-morphism",
-    ),
-    "ncqsym": (
-        "analogue-dual-route",
-        "commuting-projection",
-        "schur-analogue-sum",
-        "block-order-sum",
-        "lift-projects-back",
-        "analogues-linearly-independent",
-    ),
-    "pieri-operator": ("chain-descents-match-skew",),
-    "roundtrips": (
-        "column-sort-roundtrip",
-        "standardization-roundtrip",
-        "chain-tableau-roundtrip",
-        "split-rejoin",
-        "insertion-via-column-sort",
-        "insertion-reconstructs-tableau",
-        "rectification-preserves-descents",
-        "skew-column-sort-pairing",
-        "serialization-roundtrip",
-    ),
-}
+SUITES["all"] = tuple(_CHECKS)
 
-SUITES["all"] = tuple(
-    dict.fromkeys(name for suite in SUITES.values() for name in suite)
-)
+
+def _require_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValueError(f"max degree must be nonnegative, not {max_degree}")
 
 
 def run_check(name: str, max_degree: int, seed: int) -> CheckResult:
+    """Run one check; any exception it raises, or a sweep of zero cases,
+    makes it fail.  Raises ``ValueError`` on a negative ``max_degree``."""
+    _require_degree(max_degree)
     fn = _CHECKS[name]
     rng = random.Random(f"{seed}/{name}")
     started = time.perf_counter()
     try:
         result = fn(max_degree, rng)
-    except Exception as exc:  # an internal dual-route assertion tripped
+    except Exception as exc:
         elapsed = time.perf_counter() - started
         return CheckResult(name, False, 0, elapsed, f"{type(exc).__name__}: {exc}")
     elapsed = time.perf_counter() - started
     cases, counterexample = result[0], result[1]
     note = result[2] if len(result) > 2 else None
-    return CheckResult(name, counterexample is None, cases, elapsed, counterexample, note)
+    if cases == 0:
+        empty = f"ran 0 cases at max degree {max_degree}"
+        note = empty if note is None else f"{note}; {empty}"
+    ok = counterexample is None and cases > 0
+    return CheckResult(name, ok, cases, elapsed, counterexample, note)
 
 
 def default_jobs() -> int:
@@ -1335,6 +1289,7 @@ def run_suite(
 ) -> dict:
     if suite not in SUITES:
         raise KeyError(suite)
+    _require_degree(max_degree)
     names = SUITES[suite]
     jobs = default_jobs() if jobs is None else max(1, jobs)
     started = time.perf_counter()

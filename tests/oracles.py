@@ -271,6 +271,19 @@ def column_reading_word(filling):
     return tuple(v for _, v in sorted((c, v) for (_, c), v in filling.items()))
 
 
+def classical_lr_semistandard(lam, mu, nu):
+    """Semistandard reverse fillings of nu/mu with entries at most len(lam)
+    whose column word inserts to the row-constant filling of ``lam`` (row
+    i constant len(lam) - i + 1)."""
+    ell = len(lam)
+    target = tuple(tuple([ell - i] * part) for i, part in enumerate(lam))
+    return sum(
+        1
+        for f in brute_ssrt(nu, mu, max(ell, 1))
+        if insert_word(column_reading_word(f)) == target
+    )
+
+
 def lr_by_rectification(alpha, beta, gamma):
     """Standard composition fillings of gamma over beta whose column word
     inserts to the same tableau as that of the canonical filling of alpha."""

@@ -201,11 +201,34 @@ def test_verify_command_small(capsys):
     assert all(c["ok"] for c in report["checks"])
 
 
+def test_verify_rejects_negative_degree(capsys):
+    code, out, err = run(capsys, "verify", "poset", "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max degree must be nonnegative, not -1\n"
+
+
+def test_verify_fails_a_check_with_zero_cases(capsys):
+    code, out, _ = run(capsys, "verify", "rigidity", "--max-degree", "3", "--jobs", "1")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    check = {c["name"]: c for c in report["checks"]}["uniform-q-moves-stay-in-shape"]
+    assert check["ok"] is False
+    assert check["cases"] == 0
+    assert check["note"] == "ran 0 cases at max degree 3"
+
+
 def test_bad_composition_token_exits_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["lr", "--alpha", "1,x", "--beta", "1"])
-    assert excinfo.value.code == 2
-    assert "not a positive integer" in capsys.readouterr().err
+    for argv in (
+        ["lr", "--alpha", "1,x", "--beta", "1"],
+        ["lr", "--alpha", "1,\u00b2", "--beta", "1"],
+        ["rsk", "--word", "\u00b2"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "not a positive integer" in capsys.readouterr().err
 
 
 def test_missing_file_exits_two(capsys):

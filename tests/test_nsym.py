@@ -14,7 +14,7 @@ from qschur.qsym import basis_element, convert, multiply, skew_qs_schur
 from qschur.tableaux import canonical_sct
 from qschur.verify import _rect_census
 
-from oracles import classical_lr_oracle, lr_by_rectification
+from oracles import classical_lr_oracle, classical_lr_semistandard, lr_by_rectification
 
 
 def S(alpha, coeff=1):
@@ -180,9 +180,9 @@ def test_classical_lr_matches_polynomial_reference():
             for nu in compositions_of(n):
                 if list(nu) != sorted(nu, reverse=True):
                     continue
-                assert classical_lr(lam, mu, nu) == classical_lr_oracle(
-                    lam, mu, nu
-                )
+                c = classical_lr(lam, mu, nu)
+                assert c == classical_lr_oracle(lam, mu, nu)
+                assert c == classical_lr_semistandard(lam, mu, nu)
 
 
 def test_classical_coefficients_refine_noncommutative_ones():
