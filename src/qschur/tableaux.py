@@ -125,7 +125,8 @@ class Tableau:
 
     Inner cells hold ``None``, skew cells hold positive integers.  Rows are
     padded to the outer row lengths so two tableaux are equal exactly when
-    their shapes and fillings agree.
+    their shapes and fillings agree, and :meth:`entry` reads a skew cell as
+    an in-range position of ``rows`` that does not hold ``None``.
     """
 
     shape: SkewShape
@@ -151,9 +152,11 @@ class Tableau:
         return self.shape.size
 
     def entry(self, r: int, c: int) -> int:
-        if not self.shape.in_skew(r, c):
+        row = self.rows[r - 1] if 1 <= r <= len(self.rows) else ()
+        x = row[c - 1] if 1 <= c <= len(row) else None
+        if x is None:
             raise KeyError(f"({r}, {c}) is not a skew cell")
-        return self.rows[r - 1][c - 1]  # type: ignore[return-value]
+        return x
 
     def entries(self) -> dict[Cell, int]:
         return {cell: self.entry(*cell) for cell in self.shape.cells}
@@ -174,16 +177,15 @@ class Tableau:
 
 
 def make_tableau(shape: SkewShape, entries: dict[Cell, int]) -> Tableau:
+    """Fill ``shape`` row by row: ``None`` on the inner cells of each row,
+    then ``entries``, which must cover the skew cells exactly."""
     if set(entries) != set(shape.cells):
         raise ValueError("entries must cover the skew cells exactly")
-    rows = tuple(
-        tuple(
-            entries[(r, c)] if shape.in_skew(r, c) else None
-            for c in range(1, shape.outer[r - 1] + 1)
-        )
-        for r in range(1, len(shape.outer) + 1)
-    )
-    return Tableau(shape, rows)
+    rows = []
+    for r, length in enumerate(shape.outer, start=1):
+        skip = shape.inner_in_row(r)
+        rows.append((None,) * skip + tuple(entries[(r, c)] for c in range(skip + 1, length + 1)))
+    return Tableau(shape, tuple(rows))
 
 
 def from_rows(kind: str, rows) -> Tableau:

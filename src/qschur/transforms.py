@@ -36,6 +36,11 @@ def _require_straight(t: Tableau, kind: str) -> None:
         raise ValueError(f"expected a straight {kind}-shape tableau")
 
 
+def _straight_tableau(kind: str, rows: list[list[int]]) -> Tableau:
+    shape = straight(kind, tuple(len(row) for row in rows))
+    return Tableau(shape, tuple(tuple(row) for row in rows))
+
+
 def pack_columns(t: Tableau) -> Tableau:
     """Sort each column into decreasing order, top-justified.
 
@@ -75,8 +80,7 @@ def unpack_columns(t: Tableau) -> Tableau:
                     break
             else:
                 raise ValueError(f"entry {e} in column {c} has no valid row")
-    shape = tuple(len(row) for row in rows)
-    return Tableau(straight(COMPOSITION, shape), tuple(tuple(r) for r in rows))
+    return _straight_tableau(COMPOSITION, rows)
 
 
 def pack_columns_skew(t: Tableau) -> Tableau:
@@ -148,49 +152,51 @@ def unpack_columns_skew(t: Tableau, beta: Composition) -> Tableau:
     return partner if t.is_standard() else destandardize(partner, tau)
 
 
-def insert_ssrt(t: Tableau, k: int) -> tuple[Tableau, tuple[int, int]]:
-    """Row-insert ``k`` into a straight partition filling.
-
-    Scanning each row, ``k`` bumps the first entry strictly smaller than
-    it, or lands at the end of the row.  Returns the new tableau and the
-    cell that was created.
-    """
-    _require_straight(t, PARTITION)
-    rows = [list(row) for row in t.rows]
-    cur = k
-    for r, row in enumerate(rows):
+def _row_insert(rows: list[list[int]], k: int) -> tuple[int, int]:
+    """Row-insert ``k`` into reverse rows in place: in each row it bumps the
+    first strictly smaller entry, or lands at the end.  Returns the new cell."""
+    for r, row in enumerate(rows, start=1):
         for i, x in enumerate(row):
-            if x < cur:
-                row[i], cur = cur, x
+            if x < k:
+                row[i], k = k, x
                 break
         else:
-            row.append(cur)
-            new_cell = (r + 1, len(row))
-            break
-    else:
-        rows.append([cur])
-        new_cell = (len(rows), 1)
-    shape = tuple(len(row) for row in rows)
-    return Tableau(straight(PARTITION, shape), tuple(tuple(r) for r in rows)), new_cell
+            row.append(k)
+            return r, len(row)
+    rows.append([k])
+    return len(rows), 1
+
+
+def insert_ssrt(t: Tableau, k: int) -> tuple[Tableau, tuple[int, int]]:
+    """Row-insert ``k`` (see :func:`_row_insert`) into a straight partition
+    filling; return the new tableau and the cell that was created."""
+    _require_straight(t, PARTITION)
+    rows = [list(row) for row in t.rows]
+    cell = _row_insert(rows, k)
+    return _straight_tableau(PARTITION, rows), cell
 
 
 def rsk(word: Word) -> tuple[Tableau, Tableau]:
-    """Insert a word letter by letter.
+    """Insert a word letter by letter into plain rows.
 
-    Returns (P, Q) where P is the insertion tableau (a straight partition
-    filling) and Q records, in the cell created at step t, the label t.
+    Returns (P, Q), each built once at the end: P is the insertion tableau
+    (a straight partition filling) and Q records, in the cell created at
+    step t, the label t.
     """
-    p = Tableau(straight(PARTITION, ()), ())
+    rows: list[list[int]] = []
     q_entries: dict[tuple[int, int], int] = {}
     for step, letter in enumerate(word, start=1):
-        p, cell = insert_ssrt(p, letter)
-        q_entries[cell] = step
-    q = make_tableau(straight(PARTITION, p.shape.outer), q_entries)
-    return p, q
+        q_entries[_row_insert(rows, letter)] = step
+    p = _straight_tableau(PARTITION, rows)
+    return p, make_tableau(p.shape, q_entries)
 
 
 def insertion_tableau(word: Word) -> Tableau:
-    return rsk(word)[0]
+    """The P tableau of :func:`rsk`, without a recording tableau."""
+    rows: list[list[int]] = []
+    for letter in word:
+        _row_insert(rows, letter)
+    return _straight_tableau(PARTITION, rows)
 
 
 def insert_ssct(t: Tableau, k: int) -> Tableau:
@@ -211,8 +217,7 @@ def insert_ssct(t: Tableau, k: int) -> Tableau:
         for row in rows:
             if len(row) == j - 1 and z <= row[j - 2]:
                 row.append(z)
-                shape = tuple(len(r) for r in rows)
-                return Tableau(straight(COMPOSITION, shape), tuple(tuple(r) for r in rows))
+                return _straight_tableau(COMPOSITION, rows)
             if len(row) >= j and row[j - 1] < z <= row[j - 2]:
                 row[j - 1], z = z, row[j - 1]
     p = 0
@@ -221,8 +226,7 @@ def insert_ssct(t: Tableau, k: int) -> Tableau:
     if p < len(rows) and rows[p][0] == z:
         raise ValueError(f"cannot start a new row: {z} repeats in the first column")
     rows.insert(p, [z])
-    shape = tuple(len(r) for r in rows)
-    return Tableau(straight(COMPOSITION, shape), tuple(tuple(r) for r in rows))
+    return _straight_tableau(COMPOSITION, rows)
 
 
 def rect(t: Tableau, cross_check: bool = False) -> Tableau:

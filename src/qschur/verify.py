@@ -883,6 +883,7 @@ def _srt_pairs(total: int) -> list[tuple[Tableau, Tableau]]:
 def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
     bound = min(d, 6)
     cases = 0
+    standard_counts: dict[Composition, int] = {}  # brute force once per shape
     for t1, t2 in _srt_pairs(bound):
         cases += 1
         terms = pr_product(t1, t2)
@@ -898,7 +899,10 @@ def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
         if frozenset(terms) != set(counts):
             return cases, f"terms differ from shuffle route at {t1.rows} * {t2.rows}"
         for t, mult in counts.items():
-            if mult != _brute_standard_count(straight(PARTITION, t.shape.outer)):
+            lam = t.shape.outer
+            if lam not in standard_counts:
+                standard_counts[lam] = _brute_standard_count(straight(PARTITION, lam))
+            if mult != standard_counts[lam]:
                 return cases, (
                     f"term {t.rows} of {t1.rows} * {t2.rows} appears {mult} times, "
                     "not once per standard filling of its shape"

@@ -8,6 +8,7 @@ to coefficients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -203,12 +204,18 @@ def schur_expand(poly, m):
     return out
 
 
-def classical_lr_oracle(lam, mu, nu):
+@functools.cache
+def _schur_product_expansion(lam, mu):
+    """Schur coefficients of s_lam * s_mu in |lam| + |mu| variables, computed
+    once per (lam, mu) pair; callers must not modify the returned dict."""
     m = sum(lam) + sum(mu)
-    if m == 0:
+    return schur_expand(poly_mul(schur_poly(lam, m), schur_poly(mu, m)), m)
+
+
+def classical_lr_oracle(lam, mu, nu):
+    if sum(lam) + sum(mu) == 0:
         return 1 if nu == () else 0
-    product = poly_mul(schur_poly(lam, m), schur_poly(mu, m))
-    return schur_expand(product, m).get(nu, 0)
+    return _schur_product_expansion(tuple(lam), tuple(mu)).get(tuple(nu), 0)
 
 
 # --- exact linear algebra --------------------------------------------------

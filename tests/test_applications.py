@@ -33,8 +33,7 @@ from qschur.qsym import (
     skew_qs_schur,
     to_polynomial,
 )
-from qschur.tableaux import COMPOSITION, PARTITION, content, from_rows, straight
-from qschur.tableaux import enumerate_semistandard
+from qschur.tableaux import PARTITION, from_rows
 
 from oracles import brute_ssct, filling_content, insert_word, shuffles
 

@@ -1,5 +1,3 @@
-import itertools
-
 from hypothesis import given, strategies as st
 
 from qschur.compositions import (

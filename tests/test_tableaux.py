@@ -1,14 +1,14 @@
-import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.compositions import compositions_of, interval_chains, leq, set_of
+from qschur.compositions import compositions_of, interval_chains, leq
 from qschur.tableaux import (
     COMPOSITION,
     PARTITION,
     SkewShape,
+    Tableau,
     canonical_sct,
     canonical_srt,
     chain_to_tableau,
@@ -276,6 +276,65 @@ def test_make_tableau_requires_exact_cover():
         make_tableau(shape, {(1, 1): 1})
     with pytest.raises(ValueError):
         make_tableau(shape, {(1, 1): 1, (1, 2): 2, (2, 1): 3, (3, 1): 4})
+
+
+def all_skew_shapes(max_size):
+    """Every skew shape of both kinds with at most ``max_size`` outer cells."""
+    shapes = []
+    for outer in comps_upto(max_size):
+        for inner in comps_upto(sum(outer)):
+            for kind in (PARTITION, COMPOSITION):
+                try:
+                    shapes.append(SkewShape(kind, outer, inner))
+                except ValueError:
+                    pass
+    return shapes
+
+
+def test_make_tableau_matches_cellwise_definition():
+    shapes = all_skew_shapes(5)
+    assert {sh.kind for sh in shapes} == {PARTITION, COMPOSITION}
+    for shape in shapes:
+        entries = {cell: i for i, cell in enumerate(shape.cells, start=1)}
+        rows = tuple(
+            tuple(
+                entries[(r, c)] if shape.in_skew(r, c) else None
+                for c in range(1, shape.outer[r - 1] + 1)
+            )
+            for r in range(1, len(shape.outer) + 1)
+        )
+        t = make_tableau(shape, entries)
+        assert t == Tableau(shape, rows)
+        assert t.rows == rows
+        for cell in shape.cells:
+            with pytest.raises(ValueError):
+                make_tableau(shape, {k: v for k, v in entries.items() if k != cell})
+        stray = (len(shape.outer) + 1, 1)
+        with pytest.raises(ValueError):
+            make_tableau(shape, {**entries, stray: 1})
+        if shape.inner:
+            r = len(shape.outer) if shape.kind == COMPOSITION else 1
+            with pytest.raises(ValueError):
+                make_tableau(shape, {**entries, (r, 1): 1})
+
+
+def test_entry_raises_key_error_off_the_skew_cells():
+    for shape in all_skew_shapes(5):
+        t = make_tableau(shape, {cell: 7 for cell in shape.cells})
+        width = max(shape.outer, default=0)
+        for r in range(-2, len(shape.outer) + 3):
+            for c in range(-2, width + 3):
+                if shape.in_skew(r, c):
+                    assert t.entry(r, c) == 7
+                else:
+                    with pytest.raises(KeyError):
+                        t.entry(r, c)
+    shape = SkewShape(COMPOSITION, (2, 3), (1,))
+    t = make_tableau(shape, {(1, 1): 4, (1, 2): 3, (2, 2): 2, (2, 3): 1})
+    for cell in [(2, 1), (0, 1), (1, 0), (1, 3), (0, 0), (-1, 2), (2, -1), (3, 1)]:
+        with pytest.raises(KeyError):
+            t.entry(*cell)
+    assert t.entry(2, 3) == 1
 
 
 def test_validate_classifications():

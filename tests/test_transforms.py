@@ -8,8 +8,7 @@ from qschur.tableaux import (
     COMPOSITION,
     PARTITION,
     SkewShape,
-    canonical_sct,
-    canonical_srt,
+    Tableau,
     column_word,
     descents,
     descent_composition,
@@ -72,11 +71,38 @@ def test_pack_unpack_inverse(alpha, m):
         assert unpack_columns(pack_columns(t)) == t
 
 
+def fold_insert_ssrt(word):
+    """P and Q by folding the public insert_ssrt letter by letter; Q is
+    returned as its rows, read off the recorded cells."""
+    p = Tableau(straight(PARTITION, ()), ())
+    recorded = {}
+    for step, letter in enumerate(word, start=1):
+        p, cell = insert_ssrt(p, letter)
+        recorded[cell] = step
+    q_rows = tuple(
+        tuple(recorded[(r, c)] for c in range(1, length + 1))
+        for r, length in enumerate(p.shape.outer, start=1)
+    )
+    return p, q_rows
+
+
 def test_insert_ssrt_agrees_with_reference():
-    for word in itertools.permutations((1, 2, 3, 4)):
-        assert insertion_tableau(word).rows == tuple(insert_word(word))
-    for word in [(2, 3, 1), (1, 1, 2, 1), (4, 2, 4, 3, 1)]:
-        assert insertion_tableau(word).rows == tuple(insert_word(word))
+    words = [w for n in range(7) for w in itertools.permutations(range(1, n + 1))]
+    words += [w for n in range(7) for w in itertools.product(range(1, 5), repeat=n)]
+    for word in words:
+        assert insertion_tableau(word).rows == insert_word(word)
+        p, q = rsk(word)
+        folded_p, folded_q_rows = fold_insert_ssrt(word)
+        assert p == folded_p == insertion_tableau(word)
+        assert q.shape == p.shape and q.rows == folded_q_rows
+
+
+def test_rsk_rejects_letters_that_are_not_positive():
+    for word in [(0,), (2, 0, 1), (1, -3)]:
+        with pytest.raises(ValueError):
+            rsk(word)
+        with pytest.raises(ValueError):
+            insertion_tableau(word)
 
 
 def test_rsk_recording_is_standard():
