@@ -25,6 +25,7 @@ from .compositions import (
     interval_chains,
     is_contained,
     partitions_of,
+    require_composition,
     underlying_partition,
 )
 from .qsym import (
@@ -300,9 +301,7 @@ class LabeledCover:
 
 
 def _cover_label(upper: Composition, step: ChainStep) -> tuple[int, int]:
-    row = 1 if step.kind == "prepend-row-1" else step.row
-    column = 1 if step.kind == "prepend-row-1" else step.column
-    return (-column, -(len(upper) - row + 1))
+    return (-step.column, -(len(upper) - step.row + 1))
 
 
 def labeled_chains(
@@ -310,6 +309,7 @@ def labeled_chains(
 ) -> tuple[tuple[LabeledCover, ...], ...]:
     """Descending saturated chains from ``gamma`` to ``beta``, with the
     label of each cover (negated column, negated row from the bottom)."""
+    require_composition(gamma, beta)
     out = []
     for steps in interval_chains(beta, gamma):
         current = beta
@@ -337,6 +337,7 @@ def descent_pieri_K(gamma: Composition, beta: Composition) -> GradedElement:
     It equals the skew quasi-Schur function of gamma over beta; the verify
     check chain-descents-match-skew compares the two.
     """
+    require_composition(gamma, beta)
     n = sum(gamma) - sum(beta)
     terms: dict = {}
     for chain in labeled_chains(gamma, beta):

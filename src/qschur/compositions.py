@@ -11,6 +11,11 @@ from ``beta``:
 * for each distinct part size ``k`` appearing in ``beta``, increment the
   *first* (leftmost) part of size ``k`` to ``k + 1``.
 
+:func:`covers` is the one statement of this rule: every chain walk, every
+applied step and every tableau grown from a chain reads its moves off it,
+and :func:`down_covers` is its inverse.  The public poset functions raise
+``ValueError`` on an argument that is not a composition.
+
 Saturated chains in an interval of this order are what standard
 composition tableaux encode, so the chain enumeration here is the engine
 behind tableau enumeration in :mod:`qschur.tableaux`, and
@@ -41,12 +46,21 @@ class ChainStep(NamedTuple):
     column: int
 
 
+# The new-top-row step: the only cover move that adds cell (1, 1).
+PREPEND = ChainStep("prepend-row-1", 1, 1)
+
+
 def is_weak_composition(alpha: tuple[int, ...]) -> bool:
     return all(isinstance(a, int) and a >= 0 for a in alpha)
 
 
 def is_composition(alpha: tuple[int, ...]) -> bool:
-    return all(isinstance(a, int) and a >= 1 for a in alpha)
+    # A plain loop: every public poset call runs this, and a generator
+    # inside all() costs about twice as much on short tuples.
+    for a in alpha:
+        if not (isinstance(a, int) and a >= 1):
+            return False
+    return True
 
 
 def require_composition(*alphas: tuple[int, ...]) -> None:
@@ -133,12 +147,20 @@ def is_rev_contained(alpha: Composition, beta: Composition) -> bool:
 def covers(beta: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
     """All compositions covering ``beta``, with the cell each move adds.
 
-    The prepend move comes first, then the increment moves by row.  The
-    increment move targets the first part of each distinct size, so the
-    number of covers is 1 + (number of distinct part sizes).
+    The prepend move comes first, then the increment moves by row, so the
+    added cells ascend in (row, column).  The increment move targets the
+    first part of each distinct size, so the number of covers is
+    1 + (number of distinct part sizes).
     """
+    require_composition(beta)
+    return _covers(beta)
+
+
+def _covers(beta: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
+    """:func:`covers` without the argument check, for walks that already
+    made it."""
     out: list[tuple[Composition, ChainStep]] = [
-        ((1,) + beta, ChainStep("prepend-row-1", 1, 1))
+        ((1,) + beta, PREPEND)
     ]
     seen: set[int] = set()
     for r, part in enumerate(beta):
@@ -156,9 +178,10 @@ def down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]
     shrink a part by one provided no *earlier* row has the shrunken size
     (otherwise re-growing would target that earlier row instead).
     """
+    require_composition(gamma)
     out: list[tuple[Composition, ChainStep]] = []
     if gamma and gamma[0] == 1:
-        out.append((gamma[1:], ChainStep("prepend-row-1", 1, 1)))
+        out.append((gamma[1:], PREPEND))
     for r, part in enumerate(gamma):
         if part >= 2 and all(gamma[i] != part - 1 for i in range(r)):
             beta = gamma[:r] + (part - 1,) + gamma[r + 1 :]
@@ -170,36 +193,49 @@ def is_cover(beta: Composition, gamma: Composition) -> bool:
     return any(g == gamma for g, _ in covers(beta))
 
 
-@cache
 def leq(beta: Composition, gamma: Composition) -> bool:
     """Order relation generated by :func:`covers` (reflexive closure)."""
+    require_composition(beta, gamma)
+    return _leq(beta, gamma)
+
+
+@cache
+def _leq(beta: Composition, gamma: Composition) -> bool:
+    """:func:`leq` without the argument check, memoized for the walks."""
     if beta == gamma:
         return True
     if sum(beta) >= sum(gamma) or not is_rev_contained(beta, gamma):
         return False
-    return any(leq(mid, gamma) for mid, _ in covers(beta))
+    return any(_leq(mid, gamma) for mid, _ in _covers(beta))
 
 
-@cache
 def interval_chains(
     beta: Composition, gamma: Composition
 ) -> tuple[tuple[ChainStep, ...], ...]:
     """All saturated chains from ``beta`` up to ``gamma``.
 
     Each chain is the sequence of added cells, in the order the diagram is
-    grown.  Chains are sorted lexicographically by their (row, column)
-    step sequences, which is a total order since the column determines the
-    move kind.
+    grown.  A depth-first walk up :func:`covers`, pruned to compositions
+    below ``gamma``, lists the chains; since the covers of a composition
+    come in ascending (row, column) order, the chains come out sorted
+    lexicographically by their (row, column) step sequences.  Nothing is
+    cached: the chains are built afresh on every call.
     """
-    if beta == gamma:
-        return ((),)
-    if sum(gamma) <= sum(beta) or not is_rev_contained(beta, gamma):
-        return ()
+    require_composition(beta, gamma)
     chains: list[tuple[ChainStep, ...]] = []
-    for delta, step in down_covers(gamma):
-        for chain in interval_chains(beta, delta):
-            chains.append(chain + (step,))
-    chains.sort(key=lambda ch: tuple((s.row, s.column) for s in ch))
+    path: list[ChainStep] = []
+
+    def walk(comp: Composition) -> None:
+        if comp == gamma:
+            chains.append(tuple(path))
+            return
+        for bigger, step in _covers(comp):
+            if _leq(bigger, gamma):
+                path.append(step)
+                walk(bigger)
+                path.pop()
+
+    walk(beta)
     return tuple(chains)
 
 
@@ -219,6 +255,9 @@ def chain_descents(
     up chain counts, so no chain is listed.  With ``top``, only
     compositions ``leq`` ``top`` are kept.
     """
+    require_composition(beta)
+    if top is not None:
+        require_composition(top)
     states: dict = {(beta, 0, ()): 1}
     moves: dict = {}  # composition -> (cover, column added) kept under top
     for _ in range(levels):
@@ -227,8 +266,8 @@ def chain_descents(
             if comp not in moves:
                 moves[comp] = [
                     (bigger, step.column)
-                    for bigger, step in covers(comp)
-                    if top is None or leq(bigger, top)
+                    for bigger, step in _covers(comp)
+                    if top is None or _leq(bigger, top)
                 ]
             for bigger, column in moves[comp]:
                 if not runs:
@@ -249,24 +288,13 @@ def chain_descents(
 
 
 def apply_step(beta: Composition, step: ChainStep) -> Composition:
-    """Apply one cover step to ``beta``, validating that it is legal."""
-    if step.kind == "prepend-row-1":
-        if (step.row, step.column) != (1, 1):
-            raise ValueError(f"prepend step must add cell (1, 1), got {step}")
-        return (1,) + beta
-    if step.kind != "extend-row":
-        raise ValueError(f"unknown step kind {step.kind!r}")
-    r = step.row - 1
-    if not 0 <= r < len(beta):
-        raise ValueError(f"step {step} does not fit composition {beta}")
-    part = beta[r]
-    if step.column != part + 1:
-        raise ValueError(f"step {step} does not extend row of length {part}")
-    if any(beta[i] == part for i in range(r)):
-        raise ValueError(
-            f"step {step} targets row {step.row} but an earlier row has size {part}"
-        )
-    return beta[:r] + (part + 1,) + beta[r + 1 :]
+    """The cover of ``beta`` that adds the cell of ``step``; raises
+    ``ValueError`` when no cover of ``beta`` adds that cell."""
+    require_composition(beta)
+    for gamma, legal in _covers(beta):
+        if legal == step:
+            return gamma
+    raise ValueError(f"step {step} is not a cover step of {beta}")
 
 
 def canonical_key(alpha: Composition) -> tuple[int, int, Composition]:

@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .compositions import (
+    PREPEND,
     ChainStep,
     Composition,
     apply_step,
@@ -33,6 +34,7 @@ from .compositions import (
     is_partition,
     is_rev_contained,
     refines,
+    require_composition,
     weak_compositions,
 )
 
@@ -398,22 +400,16 @@ def chain_to_tableau(beta: Composition, chain: tuple[ChainStep, ...]) -> Tableau
     The chain grows ``beta`` one cell at a time; the cell added at step t
     (1-based) receives entry n - t + 1.  Raises if any step is illegal.
     """
+    require_composition(beta)
     n = len(chain)
     current = beta
-    ids: list[object] = [("base", i) for i in range(len(beta))]
-    placed: list[tuple[object, int, int]] = []  # (row id, column, entry)
-    for t_idx, step in enumerate(chain, start=1):
-        entry = n - t_idx + 1
+    rows: list[list[int | None]] = [[None] * part for part in beta]
+    for t, step in enumerate(chain, start=1):
+        current = apply_step(current, step)
         if step.kind == "prepend-row-1":
-            current = apply_step(current, step)
-            ids.insert(0, ("new", t_idx))
-            placed.append((ids[0], 1, entry))
-        else:
-            current = apply_step(current, step)
-            placed.append((ids[step.row - 1], step.column, entry))
-    final_row = {rid: i + 1 for i, rid in enumerate(ids)}
-    entries = {(final_row[rid], col): entry for rid, col, entry in placed}
-    return make_tableau(SkewShape(COMPOSITION, current, beta), entries)
+            rows.insert(0, [])
+        rows[step.row - 1].append(n - t + 1)
+    return Tableau(SkewShape(COMPOSITION, current, beta), tuple(map(tuple, rows)))
 
 
 def tableau_to_chain(t: Tableau) -> tuple[ChainStep, ...]:
@@ -427,11 +423,7 @@ def tableau_to_chain(t: Tableau) -> tuple[ChainStep, ...]:
     for k in range(1, t.n + 1):
         r, c = pos[k]
         row = r - (len(outer) - len(current))
-        wanted = (
-            ChainStep("prepend-row-1", 1, 1)
-            if c == 1
-            else ChainStep("extend-row", row, c)
-        )
+        wanted = PREPEND if c == 1 else ChainStep("extend-row", row, c)
         legal = dict((step, smaller) for smaller, step in down_covers(current))
         if wanted not in legal or (c == 1 and row != 1):
             raise ValueError(f"entry {k} at cell ({r}, {c}) cannot be removed")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from .compositions import (
     ChainStep,
     Composition,
+    covers,
     underlying_partition,
 )
 from .tableaux import (
@@ -121,8 +122,8 @@ def unpack_columns_skew(t: Tableau, beta: Composition) -> Tableau:
 
     Requires the inner shape of ``t`` to be the underlying partition of
     ``beta``; the column sequence is replayed through the composition cover
-    order instead (column 1 prepends a row, column j > 1 extends the first
-    part of size j - 1).
+    order instead, each entry taking the cover of ``current`` whose added
+    cell lies in its column.
     """
     if t.shape.kind != PARTITION:
         raise ValueError("expected a partition-shape tableau")
@@ -135,19 +136,13 @@ def unpack_columns_skew(t: Tableau, beta: Composition) -> Tableau:
     current = beta
     steps: list[ChainStep] = []
     for j in seq:
-        if j == 1:
-            step = ChainStep("prepend-row-1", 1, 1)
+        for bigger, step in covers(current):
+            if step.column == j:
+                break
         else:
-            for r, part in enumerate(current):
-                if part == j - 1:
-                    step = ChainStep("extend-row", r + 1, j)
-                    break
-            else:
-                raise ValueError(f"column sequence {seq} does not grow from {beta}")
+            raise ValueError(f"column sequence {seq} does not grow from {beta}")
         steps.append(step)
-        current = (1,) + current if j == 1 else (
-            current[: step.row - 1] + (j,) + current[step.row :]
-        )
+        current = bigger
     partner = chain_to_tableau(beta, tuple(steps))
     return partner if t.is_standard() else destandardize(partner, tau)
 

@@ -42,33 +42,34 @@ def partition_cells(nu, mu):
     return cells, inner
 
 
-def is_ssct_filling(gamma, beta, filling):
-    """The three semistandard conditions, straight from the definition."""
+def ssct_conditions(gamma, beta):
+    """The three semistandard conditions, straight from the definition, as a
+    predicate on fillings of ``gamma`` over ``beta``."""
     cells, inner = composition_cells(gamma, beta)
     outer = {(r, c) for r, part in enumerate(gamma, start=1) for c in range(1, part + 1)}
 
-    def entry(cell):
-        return filling.get(cell)
-
-    # rows weakly decreasing
-    for r, c in cells:
-        if (r, c + 1) in filling and filling[(r, c + 1)] > filling[(r, c)]:
+    def holds(filling):
+        # rows weakly decreasing
+        for r, c in cells:
+            if (r, c + 1) in filling and filling[(r, c + 1)] > filling[(r, c)]:
+                return False
+        # first column strictly increasing downward
+        first = [filling[(r, 1)] for r in range(1, len(gamma) + 1) if (r, 1) in filling]
+        if any(a >= b for a, b in zip(first, first[1:])):
             return False
-    # first column strictly increasing downward
-    first = [filling[(r, 1)] for r in range(1, len(gamma) + 1) if (r, 1) in filling]
-    if any(a >= b for a, b in zip(first, first[1:])):
-        return False
-    # attacking triples
-    for i, k in outer:
-        for j in range(i + 1, len(gamma) + 1):
-            target = (j, k + 1)
-            if target not in filling or (i, k + 1) in inner:
-                continue  # (i, k) does not attack (j, k + 1)
-            if (i, k) in inner or filling[target] <= entry((i, k)):
-                right = (i, k + 1)
-                if right not in filling or not filling[target] < filling[right]:
-                    return False
-    return True
+        # attacking triples
+        for i, k in outer:
+            for j in range(i + 1, len(gamma) + 1):
+                target = (j, k + 1)
+                if target not in filling or (i, k + 1) in inner:
+                    continue  # (i, k) does not attack (j, k + 1)
+                if (i, k) in inner or filling[target] <= filling.get((i, k)):
+                    right = (i, k + 1)
+                    if right not in filling or not filling[target] < filling[right]:
+                        return False
+        return True
+
+    return holds
 
 
 def is_ssrt_filling(nu, mu, filling):
@@ -87,18 +88,45 @@ def _fillings(cells, max_entry):
 
 def brute_ssct(gamma, beta, max_entry):
     cells, _ = composition_cells(gamma, beta)
-    return [
-        f for f in _fillings(cells, max_entry) if is_ssct_filling(gamma, beta, f)
-    ]
+    holds = ssct_conditions(gamma, beta)
+    return [f for f in _fillings(cells, max_entry) if holds(f)]
 
 
 def brute_sct(gamma, beta):
     cells, _ = composition_cells(gamma, beta)
+    holds = ssct_conditions(gamma, beta)
     out = []
     for perm in itertools.permutations(range(1, len(cells) + 1)):
         f = dict(zip(cells, perm))
-        if is_ssct_filling(gamma, beta, f):
+        if holds(f):
             out.append(f)
+    return out
+
+
+def composition_covers(alpha):
+    """Each composition covering ``alpha`` with the (row, column) cell it
+    adds: a new top row of one cell, or one more cell at the end of a row
+    that no row above it matches in length."""
+    out = [((1,) + alpha, (1, 1))]
+    for r, part in enumerate(alpha):
+        if part not in alpha[:r]:
+            out.append((alpha[:r] + (part + 1,) + alpha[r + 1 :], (r + 1, part + 1)))
+    return out
+
+
+def chains_above(beta, levels):
+    """Every saturated chain ``levels`` covers up from ``beta``, as its list
+    of added cells, grouped by upper end: ``{gamma: [chain, ...]}``."""
+    out = {}
+
+    def walk(alpha, cells):
+        if len(cells) == levels:
+            out.setdefault(alpha, []).append(tuple(cells))
+            return
+        for bigger, cell in composition_covers(alpha):
+            walk(bigger, cells + [cell])
+
+    walk(beta, [])
     return out
 
 

@@ -1,7 +1,11 @@
+import pytest
 from hypothesis import given, strategies as st
 
+from qschur.applications import descent_pieri_K, labeled_chains
 from qschur.compositions import (
+    ChainStep,
     apply_step,
+    chain_descents,
     comp_of_set,
     compositions_of,
     covers,
@@ -15,8 +19,9 @@ from qschur.compositions import (
     underlying_partition,
     weak_compositions,
 )
+from qschur.tableaux import chain_to_tableau
 
-from oracles import brute_sct
+from oracles import brute_sct, chains_above
 
 compositions = st.lists(st.integers(1, 5), max_size=5).map(tuple)
 
@@ -150,6 +155,67 @@ def test_interval_chains_golden():
     assert len(interval_chains((1,), (2, 1))) == 1
     (chain,) = interval_chains((1,), (2, 1))
     assert [s.kind for s in chain] == ["prepend-row-1", "extend-row"]
+
+
+def test_interval_chains_match_brute_force_in_order():
+    comps = comps_upto(7)
+    for beta in comps:
+        above = {}
+        for levels in range(8 - sum(beta)):
+            above.update(chains_above(beta, levels))
+        for gamma in comps:
+            if sum(gamma) < sum(beta):
+                continue
+            chains = interval_chains(beta, gamma)
+            got = [tuple((s.row, s.column) for s in chain) for chain in chains]
+            assert got == sorted(above.get(gamma, []))
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert all(
+                (s.kind == "prepend-row-1") == (s.column == 1)
+                for chain in chains
+                for s in chain
+            )
+
+
+def test_apply_step_rejects_illegal_steps():
+    illegal = [
+        ((1,), ChainStep("grow", 1, 2)),  # unknown kind
+        ((1,), ChainStep("prepend-row-1", 2, 1)),  # prepend not at (1, 1)
+        ((1,), ChainStep("prepend-row-1", 1, 2)),
+        ((1, 1), ChainStep("extend-row", 3, 2)),  # row out of range
+        ((1,), ChainStep("extend-row", 0, 2)),
+        ((2,), ChainStep("extend-row", 1, 2)),  # wrong column
+        ((2,), ChainStep("extend-row", 1, 4)),
+        ((1, 1), ChainStep("extend-row", 2, 2)),  # an earlier row has size 1
+        ((2, 1, 2), ChainStep("extend-row", 3, 3)),
+    ]
+    for beta, step in illegal:
+        with pytest.raises(ValueError):
+            apply_step(beta, step)
+    with pytest.raises(ValueError):
+        chain_to_tableau((1, 1), (ChainStep("extend-row", 2, 2),))
+
+
+def test_poset_functions_reject_non_compositions():
+    step = ChainStep("extend-row", 1, 1)
+    calls = [
+        (leq, ((0, 1), (1, 1))),
+        (leq, ((1,), (1, -2))),
+        (covers, ((-1,),)),
+        (covers, ((1, "2"),)),
+        (down_covers, ((2, 0),)),
+        (apply_step, ((0, 1), step)),
+        (interval_chains, ((0, 1), (1, 1))),
+        (interval_chains, ((1,), (2, 0))),
+        (chain_descents, ((0, 1), 1)),
+        (chain_descents, ((1,), 1, (0, 2))),
+        (labeled_chains, ((1, 1), (0, 1))),
+        (descent_pieri_K, ((2,), (0, 1))),
+        (chain_to_tableau, ((0, "a"), ())),
+    ]
+    for f, args in calls:
+        with pytest.raises(ValueError, match="is not a composition"):
+            f(*args)
 
 
 def test_interval_chains_ascend():

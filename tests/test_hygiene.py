@@ -1,16 +1,33 @@
-"""Source hygiene: every imported name in the package and the tests is used.
+"""Source hygiene: every imported name in the package and the tests is used,
+and the package's memoized functions are exactly the ones named here.
 
-The scan reads each module's AST: a name bound by ``import`` or
+The import scan reads each module's AST: a name bound by ``import`` or
 ``from ... import`` must appear somewhere else in the module as a bare
 name or as the base of an attribute chain.  ``qschur/__init__.py`` is
 skipped because its imports are the package's re-exports, and
 ``from __future__`` imports are directives, not names.
+
+The cache scan lists every function decorated with ``functools.cache`` or
+``functools.lru_cache`` (bare, attribute or called form), so a new
+session-long cache has to be added to ``CACHES`` by name.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+CACHES = {
+    "applications._set_comps_by_shape",
+    "applications.knuth_class",
+    "applications.set_compositions",
+    "compositions._leq",
+    "qsym._all_lower",
+    "qsym._comps",
+    "qsym._schur_in_monomial",
+    "qsym.qs_schur",
+    "qsym.skew_qs_schur",
+}
 
 
 def scanned_files():
@@ -48,3 +65,41 @@ def test_no_unused_imports():
         for line, name in unused_imports(p.read_text())
     ]
     assert unused == []
+
+
+def cached_functions(source):
+    def name_of(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Attribute):
+            return decorator.attr
+        return getattr(decorator, "id", None)
+
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(name_of(d) in ("cache", "lru_cache") for d in node.decorator_list)
+    )
+
+
+def test_scan_finds_every_cache_form():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@cache\ndef a(): pass\n"
+        "@functools.cache\ndef b(): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(): pass\n"
+        "@functools.lru_cache\ndef d(): pass\n"
+        "class K:\n    @staticmethod\n    @cache\n    def e(): pass\n"
+        "@property\ndef f(): pass\n"
+    )
+    assert cached_functions(source) == ["a", "b", "c", "d", "e"]
+
+
+def test_caches_are_the_named_ones():
+    found = {
+        f"{p.stem}.{name}"
+        for p in (ROOT / "src" / "qschur").glob("*.py")
+        for name in cached_functions(p.read_text())
+    }
+    assert found == CACHES
