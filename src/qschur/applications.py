@@ -21,19 +21,19 @@ from .compositions import (
     Composition,
     apply_step,
     comp_of_set,
-    compositions_of,
     interval_chains,
     is_contained,
     partitions_of,
     require_composition,
-    underlying_partition,
 )
 from .qsym import (
     GradedElement,
     TruncatedPolynomial,
+    _rearrangements,
     basis_element,
     convert,
     let_variables_commute,
+    linear,
 )
 from .tableaux import (
     COMPOSITION,
@@ -171,10 +171,9 @@ def nsym_image(t: Tableau) -> GradedElement:
 
 
 def nsym_image_sum(terms: Iterable[Tableau]) -> GradedElement:
-    total = GradedElement("NSym", "S_star")
-    for t in terms:
-        total = total + nsym_image(t)
-    return total
+    return GradedElement(
+        "NSym", "S_star", linear(Counter(terms), lambda t: nsym_image(t).terms)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +221,20 @@ def qs_rs(alpha: Composition, m: int) -> TruncatedPolynomial:
     the product of the content factorials.  The verify check
     analogue-dual-route compares it with the set-composition expansion.
     """
-    terms: dict[tuple[int, ...], int] = {}
+    terms = []
     for t in enumerate_semistandard(straight(COMPOSITION, alpha), m):
         values = sorted(t.entries().values())
         repeats = math.prod(math.factorial(k) for k in Counter(values).values())
-        for word in set(itertools.permutations(values)):
-            terms[word] = terms.get(word, 0) + repeats
+        terms.extend((word, repeats) for word in set(itertools.permutations(values)))
     return TruncatedPolynomial(m, False, terms)
 
 
 def s_rs(lam: Composition, m: int) -> TruncatedPolynomial:
     """Schur analogue in noncommuting variables: sum of :func:`qs_rs` over
     all rearrangements of ``lam``."""
-    total = TruncatedPolynomial(m, False)
-    for alpha in compositions_of(sum(lam)):
-        if underlying_partition(alpha) == tuple(lam):
-            total = total + qs_rs(alpha, m)
-    return total
+    return TruncatedPolynomial(
+        m, False, linear(_rearrangements(tuple(lam)), lambda a: qs_rs(a, m).terms)
+    )
 
 
 def chi_nc(p: TruncatedPolynomial) -> TruncatedPolynomial:
@@ -255,15 +251,15 @@ def lift(f: GradedElement) -> GradedElement:
     if f.ring != "QSym":
         raise ValueError("lift applies to QSym elements")
     f = convert(f, "M")
-    terms: dict = {}
-    for alpha, c in f.terms.items():
+
+    def spread(alpha) -> dict:
         n = sum(alpha)
         factor = Fraction(
             math.prod(math.factorial(p) for p in alpha), math.factorial(n)
         )
-        for pi in _set_comps_by_shape(n).get(alpha, ()):
-            terms[pi] = terms.get(pi, 0) + c * factor
-    return GradedElement("NCQSym", "M_Pi", terms)
+        return dict.fromkeys(_set_comps_by_shape(n).get(alpha, ()), factor)
+
+    return GradedElement("NCQSym", "M_Pi", linear(f.terms, spread))
 
 
 def project(f: GradedElement) -> GradedElement:
@@ -271,20 +267,17 @@ def project(f: GradedElement) -> GradedElement:
     sizes."""
     if (f.ring, f.basis) != ("NCQSym", "M_Pi"):
         raise ValueError("project applies to NCQSym elements")
-    terms: dict = {}
-    for pi, c in f.terms.items():
-        alpha = shape_of_blocks(pi)
-        terms[alpha] = terms.get(alpha, 0) + c
-    return GradedElement("QSym", "M", terms)
+    return GradedElement(
+        "QSym", "M", linear(f.terms, lambda pi: {shape_of_blocks(pi): 1})
+    )
 
 
 def ncqsym_to_polynomial(f: GradedElement, m: int) -> TruncatedPolynomial:
     if (f.ring, f.basis) != ("NCQSym", "M_Pi"):
         raise ValueError("expected an NCQSym element")
-    total = TruncatedPolynomial(m, False)
-    for pi, c in f.terms.items():
-        total = total + c * m_pi_nc(pi, m)
-    return total
+    return TruncatedPolynomial(
+        m, False, linear(f.terms, lambda pi: m_pi_nc(pi, m).terms)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +332,7 @@ def descent_pieri_K(gamma: Composition, beta: Composition) -> GradedElement:
     """
     require_composition(gamma, beta)
     n = sum(gamma) - sum(beta)
-    terms: dict = {}
+    terms: Counter = Counter()
     for chain in labeled_chains(gamma, beta):
         labels = [cover.label for cover in chain]
         des = {
@@ -347,6 +340,5 @@ def descent_pieri_K(gamma: Composition, beta: Composition) -> GradedElement:
             for i in range(len(labels) - 1)
             if not _label_precedes(labels[i], labels[i + 1])
         }
-        tau = comp_of_set(des, n)
-        terms[tau] = terms.get(tau, 0) + 1
+        terms[comp_of_set(des, n)] += 1
     return GradedElement("QSym", "L", terms)

@@ -19,11 +19,10 @@ from .compositions import (
     canonical_key,
     chain_descents,
     is_contained,
-    leq,
     require_composition,
     underlying_partition,
 )
-from .qsym import GradedElement, _l_to_s, skew_qs_schur
+from .qsym import GradedElement, _l_to_s, linear, skew_qs_schur
 from .tableaux import (
     COMPOSITION,
     PARTITION,
@@ -75,11 +74,10 @@ def multiply_nc(f: GradedElement, g: GradedElement) -> GradedElement:
     for h in (f, g):
         if (h.ring, h.basis) != ("NSym", "S_star"):
             raise ValueError("expected NSym elements in the dual quasi-Schur basis")
-    total = GradedElement("NSym", "S_star")
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            total = total + (ca * cb) * product_nc_schur(a, b)
-    return total
+    terms = linear(
+        f.terms, lambda a: linear(g.terms, lambda b: product_nc_schur(a, b).terms)
+    )
+    return GradedElement("NSym", "S_star", terms)
 
 
 def pieri(kind: str, n: int, beta: Composition) -> GradedElement:
@@ -123,7 +121,7 @@ def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
     which = 0 if kind == "row" else 1
     predicted = []
     for gamma in chain_descents(beta, n):
-        if leq(beta, gamma) and strip_kind(SkewShape(COMPOSITION, gamma, beta))[which]:
+        if strip_kind(SkewShape(COMPOSITION, gamma, beta))[which]:
             predicted.append(gamma)
     predicted.sort(key=canonical_key)
     support = sorted(product.terms, key=canonical_key)
@@ -145,11 +143,9 @@ def forget(f: GradedElement) -> GradedElement:
     if f.ring != "NSym":
         raise ValueError("the forgetful map applies to NSym elements")
     basis = "s" if f.basis == "S_star" else "h"
-    terms: dict = {}
-    for alpha, c in f.terms.items():
-        lam = underlying_partition(alpha)
-        terms[lam] = terms.get(lam, 0) + c
-    return GradedElement("Sym", basis, terms)
+    return GradedElement(
+        "Sym", basis, linear(f.terms, lambda alpha: {underlying_partition(alpha): 1})
+    )
 
 
 def classical_lr(lam: Composition, mu: Composition, nu: Composition) -> int:

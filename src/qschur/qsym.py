@@ -1,7 +1,11 @@
 """Graded ring elements, truncated polynomial models, and basis changes.
 
 Elements are sparse integer (or Fraction) combinations over a tagged
-basis.  Ring/basis tags:
+basis.  One core holds their arithmetic: ``_Combination``, the base of
+:class:`GradedElement` and :class:`TruncatedPolynomial`, adds, negates and
+scales terms within one space and drops zero coefficients, and every
+linear map given on a basis is extended through :func:`linear`.
+Ring/basis tags:
 
 * ``QSym``: ``M`` (monomial), ``L`` (fundamental), ``S`` (quasi-Schur) —
   indexed by compositions;
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -56,55 +61,87 @@ def index_key(index):
     return (index_degree(index), len(index), index)
 
 
-class GradedElement:
+def _accumulate(pairs) -> dict:
+    """Sum the coefficients of repeated indices and drop the zeros."""
+    acc: dict = {}
+    for index, coeff in pairs:
+        if coeff:
+            acc[index] = acc.get(index, 0) + coeff
+    return {i: c for i, c in acc.items() if c}
+
+
+def linear(terms: dict, image) -> dict:
+    """The linear extension of ``image``: the sum of c * image(i) over the
+    terms (i, c), where ``image(i)`` is a dict index -> coefficient.
+
+    The result is a dict with zeros dropped, never raw pairs: ``_peel``
+    copies its input with ``dict(...)``, which keeps only the last of
+    repeated indices.
+    """
+    return _accumulate(
+        (j, c * k) for i, c in terms.items() for j, k in image(i).items()
+    )
+
+
+class _Combination:
+    """A finitely supported combination index -> nonzero coefficient in one
+    space; :class:`GradedElement` and :class:`TruncatedPolynomial` name the
+    space through ``_space``, the arguments that rebuild one of their kind.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        self.terms = _accumulate(terms.items() if isinstance(terms, dict) else terms)
+
+    def _space(self) -> tuple:
+        raise NotImplementedError
+
+    def _like(self, terms):
+        return type(self)(*self._space(), terms)
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError(f"mixing {self._space()} with {other._space()}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(itertools.chain(self.terms.items(), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, scalar):
+        return self._like({i: scalar * c for i, c in self.terms.items()})
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and other._space() == self._space()
+            and self.terms == other.terms
+        )
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class GradedElement(_Combination):
     """A finitely supported combination of basis elements of one ring."""
 
-    __slots__ = ("ring", "basis", "terms")
+    __slots__ = ("ring", "basis")
 
     def __init__(self, ring: str, basis: str, terms=()):
         if basis not in RING_BASES.get(ring, ()):
             raise ValueError(f"basis {basis!r} does not belong to ring {ring!r}")
         self.ring = ring
         self.basis = basis
-        acc: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for index, coeff in items:
-            if coeff:
-                acc[index] = acc.get(index, 0) + coeff
-        self.terms = {i: c for i, c in acc.items() if c}
+        super().__init__(terms)
 
-    def _like(self, terms) -> "GradedElement":
-        return GradedElement(self.ring, self.basis, terms)
-
-    def _check_compatible(self, other: "GradedElement") -> None:
-        if (self.ring, self.basis) != (other.ring, other.basis):
-            raise ValueError(
-                f"mixing {self.ring}/{self.basis} with {other.ring}/{other.basis}"
-            )
-
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        self._check_compatible(other)
-        return self._like(list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        self._check_compatible(other)
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "GradedElement":
-        return self._like({i: scalar * c for i, c in self.terms.items()})
-
-    def __neg__(self) -> "GradedElement":
-        return (-1) * self
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedElement)
-            and (self.ring, self.basis) == (other.ring, other.basis)
-            and self.terms == other.terms
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _space(self) -> tuple:
+        return self.ring, self.basis
 
     def __hash__(self):
         return hash((self.ring, self.basis, frozenset(self.terms.items())))
@@ -130,10 +167,6 @@ class GradedElement:
         return self.terms.get(index, 0)
 
 
-def element(ring: str, basis: str, terms=()) -> GradedElement:
-    return GradedElement(ring, basis, terms)
-
-
 def basis_element(ring: str, basis: str, index, coeff=1) -> GradedElement:
     return GradedElement(ring, basis, {index: coeff})
 
@@ -142,60 +175,28 @@ def zero(ring: str, basis: str) -> GradedElement:
     return GradedElement(ring, basis)
 
 
-class TruncatedPolynomial:
+class TruncatedPolynomial(_Combination):
     """A polynomial in x_1..x_m, commutative or word-valued."""
 
-    __slots__ = ("m", "commutative", "terms")
+    __slots__ = ("m", "commutative")
 
     def __init__(self, m: int, commutative: bool, terms=()):
         self.m = m
         self.commutative = commutative
-        acc: dict = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for mono, coeff in items:
-            if coeff:
-                acc[mono] = acc.get(mono, 0) + coeff
-        self.terms = {k: c for k, c in acc.items() if c}
+        super().__init__(terms)
 
-    def _like(self, terms) -> "TruncatedPolynomial":
-        return TruncatedPolynomial(self.m, self.commutative, terms)
-
-    def _check(self, other: "TruncatedPolynomial") -> None:
-        if self.m != other.m or self.commutative != other.commutative:
-            raise ValueError("polynomial models do not match")
-
-    def __add__(self, other):
-        self._check(other)
-        return self._like(list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other):
-        self._check(other)
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        return self._like({k: scalar * c for k, c in self.terms.items()})
+    def _space(self) -> tuple:
+        return self.m, self.commutative
 
     def __mul__(self, other):
         self._check(other)
-        out: dict = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                if self.commutative:
-                    key = tuple(x + y for x, y in zip(a, b))
-                else:
-                    key = a + b
-                out[key] = out.get(key, 0) + ca * cb
-        return self._like(out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedPolynomial)
-            and (self.m, self.commutative) == (other.m, other.commutative)
-            and self.terms == other.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
+        pairs = itertools.product(self.terms.items(), other.terms.items())
+        if self.commutative:
+            return self._like(
+                (tuple(map(operator.add, a, b)), ca * cb)
+                for (a, ca), (b, cb) in pairs
+            )
+        return self._like((a + b, ca * cb) for (a, ca), (b, cb) in pairs)
 
     def __repr__(self):
         kind = "comm" if self.commutative else "words"
@@ -213,14 +214,14 @@ def let_variables_commute(p: TruncatedPolynomial) -> TruncatedPolynomial:
     """Abelianization: each word becomes its exponent vector."""
     if p.commutative:
         return p
-    out: dict = {}
-    for word, c in p.terms.items():
+
+    def exponents(word):
         exps = [0] * p.m
         for x in word:
             exps[x - 1] += 1
-        key = tuple(exps)
-        out[key] = out.get(key, 0) + c
-    return TruncatedPolynomial(p.m, True, out)
+        return {tuple(exps): 1}
+
+    return TruncatedPolynomial(p.m, True, linear(p.terms, exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +269,21 @@ def _strong_refinements(alpha: Composition):
 
 
 def _l_to_m(terms: dict) -> dict:
-    out: dict = {}
-    for alpha, c in terms.items():
-        for beta in _strong_refinements(alpha):
-            out[beta] = out.get(beta, 0) + c
-    return out
+    return linear(terms, lambda alpha: dict.fromkeys(_strong_refinements(alpha), 1))
 
 
 def _m_to_l(terms: dict) -> dict:
-    out: dict = {}
-    for alpha, c in terms.items():
-        for beta in _strong_refinements(alpha):
-            sign = -1 if (len(beta) - len(alpha)) % 2 else 1
-            out[beta] = out.get(beta, 0) + sign * c
-    return out
+    def signed_refinements(alpha):
+        return {
+            beta: -1 if (len(beta) - len(alpha)) % 2 else 1
+            for beta in _strong_refinements(alpha)
+        }
+
+    return linear(terms, signed_refinements)
 
 
 def _s_to_l(terms: dict) -> dict:
-    out: dict = {}
-    for alpha, c in terms.items():
-        for delta, k in qs_schur(alpha).terms.items():
-            out[delta] = out.get(delta, 0) + c * k
-    return out
+    return linear(terms, lambda alpha: qs_schur(alpha).terms)
 
 
 def _peel(terms: dict, key, expansion) -> dict:
@@ -334,16 +328,17 @@ def _l_to_s(terms: dict) -> dict:
 
 @cache
 def _schur_in_monomial(lam: Composition) -> dict:
-    """m-basis expansion of the Schur function of ``lam`` (as a dict)."""
-    total = zero("QSym", "M")
-    for alpha in _comps(sum(lam)):
-        if underlying_partition(alpha) == lam:
-            total = total + convert(qs_schur(alpha), "M")
-    out = {}
-    for index, c in total.terms.items():
-        if is_partition(index):
-            out[index] = c
-    return out
+    """m-basis expansion of the Schur function of ``lam`` (as a dict): the
+    sum of the quasi-Schur functions of the rearrangements of ``lam``."""
+    total = _l_to_m(_s_to_l(_rearrangements(lam)))
+    return {index: c for index, c in total.items() if is_partition(index)}
+
+
+def _rearrangements(lam: Composition) -> dict:
+    """Each composition whose parts sort to ``lam``, with coefficient 1."""
+    return dict.fromkeys(
+        (alpha for alpha in _comps(sum(lam)) if underlying_partition(alpha) == lam), 1
+    )
 
 
 def _distinct_rearrangements(lam: Composition) -> int:
@@ -379,11 +374,7 @@ def convert(f: GradedElement, basis: str) -> GradedElement:
         return GradedElement("QSym", basis, routes[(f.basis, basis)](f.terms))
     if f.ring == "Sym":
         if (f.basis, basis) == ("s", "m"):
-            out: dict = {}
-            for lam, c in f.terms.items():
-                for mu, k in _schur_in_monomial(lam).items():
-                    out[mu] = out.get(mu, 0) + c * k
-            return GradedElement("Sym", "m", out)
+            return GradedElement("Sym", "m", linear(f.terms, _schur_in_monomial))
         if (f.basis, basis) == ("m", "s"):
             return GradedElement(
                 "Sym", "s", _peel(f.terms, _m_to_s_key, _schur_in_monomial)
@@ -400,12 +391,7 @@ def sym_to_qsym(f: GradedElement) -> GradedElement:
         raise ValueError("expand h through to_polynomial; inclusion needs m or s")
     if f.basis == "s":
         f = convert(f, "m")
-    terms: dict = {}
-    for lam, c in f.terms.items():
-        for alpha in _comps(sum(lam)):
-            if underlying_partition(alpha) == lam:
-                terms[alpha] = terms.get(alpha, 0) + c
-    return GradedElement("QSym", "M", terms)
+    return GradedElement("QSym", "M", linear(f.terms, _rearrangements))
 
 
 # ---------------------------------------------------------------------------
@@ -416,31 +402,32 @@ def to_polynomial(f: GradedElement, m: int) -> TruncatedPolynomial:
     """Evaluate ``f`` at (x_1, ..., x_m, 0, 0, ...)."""
     if f.ring == "Sym":
         if f.basis == "h":
-            out = TruncatedPolynomial(m, True, {})
-            for lam, c in f.terms.items():
+
+            def h_product(lam):
                 prod = TruncatedPolynomial(m, True, {(0,) * m: 1})
                 for part in lam:
-                    factor = TruncatedPolynomial(
-                        m, True, {g: 1 for g in weak_compositions(part, m)}
+                    prod = prod * TruncatedPolynomial(
+                        m, True, dict.fromkeys(weak_compositions(part, m), 1)
                     )
-                    prod = prod * factor
-                out = out + c * prod
-            return out
+                return prod.terms
+
+            return TruncatedPolynomial(m, True, linear(f.terms, h_product))
         f = sym_to_qsym(f)
     if f.ring != "QSym":
         raise ValueError(f"no polynomial model for ring {f.ring}")
     f = convert(f, "M")
-    terms: dict = {}
-    for alpha, c in f.terms.items():
-        if len(alpha) > m:
-            continue
-        for positions in itertools.combinations(range(m), len(alpha)):
-            exps = [0] * m
-            for p, part in zip(positions, alpha):
-                exps[p] = part
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + c
-    return TruncatedPolynomial(m, True, terms)
+    return TruncatedPolynomial(
+        m, True, linear(f.terms, lambda alpha: dict.fromkeys(_placements(alpha, m), 1))
+    )
+
+
+def _placements(alpha: Composition, m: int):
+    """The exponent vectors in m variables whose nonzero entries read ``alpha``."""
+    for positions in itertools.combinations(range(m), len(alpha)):
+        exps = [0] * m
+        for p, part in zip(positions, alpha):
+            exps[p] = part
+        yield tuple(exps)
 
 
 def from_polynomial(p: TruncatedPolynomial, n: int) -> GradedElement:
@@ -466,13 +453,7 @@ def from_polynomial(p: TruncatedPolynomial, n: int) -> GradedElement:
         seen.setdefault(alpha, exps)
     terms: dict = {}
     for alpha, witness in seen.items():
-        placements = []
-        for positions in itertools.combinations(range(p.m), len(alpha)):
-            exps = [0] * p.m
-            for pos, part in zip(positions, alpha):
-                exps[pos] = part
-            placements.append(tuple(exps))
-        coeffs = {key: p.terms.get(key, 0) for key in placements}
+        coeffs = {key: p.terms.get(key, 0) for key in _placements(alpha, p.m)}
         values = set(coeffs.values())
         if len(values) > 1:
             good = seen[alpha]
@@ -533,29 +514,20 @@ def coproduct(f: GradedElement) -> dict:
     """
     if f.ring != "QSym":
         raise ValueError("coproduct implemented on QSym")
-    out: dict = {}
 
-    def add(left, right, c):
-        if c:
-            out[(left, right)] = out.get((left, right), 0) + c
-            if not out[(left, right)]:
-                del out[(left, right)]
+    def split(alpha) -> dict:
+        if f.basis == "S":
+            return {
+                (idx, beta): k
+                for beta in _all_lower(alpha)
+                for idx, k in convert(skew_qs_schur(alpha, beta), "S").terms.items()
+            }
+        cuts = _deconcatenations(alpha)
+        if f.basis == "L":
+            cuts = itertools.chain(cuts, _near_deconcatenations(alpha))
+        return dict.fromkeys(cuts, 1)
 
-    for alpha, c in f.terms.items():
-        if f.basis == "M":
-            for left, right in _deconcatenations(alpha):
-                add(left, right, c)
-        elif f.basis == "L":
-            for left, right in _deconcatenations(alpha):
-                add(left, right, c)
-            for left, right in _near_deconcatenations(alpha):
-                add(left, right, c)
-        else:
-            for beta in _all_lower(alpha):
-                skew = convert(skew_qs_schur(alpha, beta), "S")
-                for idx, k in skew.terms.items():
-                    add(idx, beta, c * k)
-    return out
+    return linear(f.terms, split)
 
 
 @cache

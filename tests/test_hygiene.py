@@ -10,6 +10,12 @@ skipped because its imports are the package's re-exports, and
 The cache scan lists every function decorated with ``functools.cache`` or
 ``functools.lru_cache`` (bare, attribute or called form), so a new
 session-long cache has to be added to ``CACHES`` by name.
+
+The accumulation scan lists every function that adds into a dict by hand,
+reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
+``qsym._accumulate`` and ``qsym.linear``; the other names in
+``ACCUMULATORS`` are the chain walk and the peel, hot loops kept as they
+are, and ``verify``'s own oracle arithmetic.
 """
 
 import ast
@@ -27,6 +33,15 @@ CACHES = {
     "qsym._schur_in_monomial",
     "qsym.qs_schur",
     "qsym.skew_qs_schur",
+}
+
+ACCUMULATORS = {
+    "compositions.chain_descents",
+    "qsym._accumulate",
+    "qsym._peel",
+    "verify._check_bialgebra",
+    "verify._check_coassociativity",
+    "verify._check_factorization",
 }
 
 
@@ -103,3 +118,56 @@ def test_caches_are_the_named_ones():
         for name in cached_functions(p.read_text())
     }
     assert found == CACHES
+
+
+def accumulating_functions(source):
+    """Innermost enclosing function (``<module>`` at top level) of each
+    ``x.get(k, 0) + ...`` or ``x.get(k, 0) - ...``."""
+
+    def reads_zero_default(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == 0
+        )
+
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Add, ast.Sub))
+            and reads_zero_default(node.left)
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_every_hand_accumulation():
+    source = (
+        "def a(d, k):\n    d[k] = d.get(k, 0) + 1\n"
+        "def b(d, k, c):\n    v = d.get(k, 0) - c\n"
+        "def c(d, k):\n"
+        "    def inner():\n        d[k] = d.get(k, 0) + 2\n"
+        "    return d.get(k, 1) + d.get(k) + (d.get(k, 0) * 2)\n"
+        "d = {}\nd[1] = d.get(1, 0) + 1\n"
+    )
+    assert accumulating_functions(source) == ["<module>", "a", "b", "inner"]
+
+
+def test_hand_accumulations_are_the_named_ones():
+    found = {
+        f"{p.stem}.{name}"
+        for p in (ROOT / "src" / "qschur").glob("*.py")
+        for name in accumulating_functions(p.read_text())
+    }
+    assert found == ACCUMULATORS

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qschur.compositions import compositions_of, leq, refines
 from qschur.qsym import (
     GradedElement,
+    TruncatedPolynomial,
     basis_element,
     commutative_monomial,
     convert,
@@ -16,6 +17,7 @@ from qschur.qsym import (
     element_to_json,
     from_polynomial,
     is_symmetric,
+    linear,
     multiply,
     qs_schur,
     schur_expansion,
@@ -275,3 +277,78 @@ def test_element_json_round_trip():
         {"index": [2, 1], "coeff": {"numerator": 1, "denominator": 2}},
     ]
     assert element_from_json(json.loads(json.dumps(d))) == f
+
+
+# ---------------------------------------------------------------------------
+# element arithmetic: one space per sum, zeros dropped
+
+
+def test_element_arithmetic_rejects_mixed_spaces():
+    m, l = M((1, 2)), basis_element("QSym", "L", (1, 2))
+    sym = basis_element("Sym", "m", (2, 1))
+    for a, b in [(m, l), (l, m), (m, sym), (sym, m)]:
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+
+
+def test_polynomial_arithmetic_rejects_mixed_models():
+    p = TruncatedPolynomial(2, True, {(1, 0): 1})
+    others = [
+        TruncatedPolynomial(3, True, {(1, 0, 0): 1}),
+        TruncatedPolynomial(2, False, {(1,): 1}),
+    ]
+    for q in others:
+        for a, b in [(p, q), (q, p)]:
+            with pytest.raises(ValueError):
+                a + b
+            with pytest.raises(ValueError):
+                a * b
+
+
+def test_element_never_equals_polynomial_with_same_terms():
+    f = GradedElement("QSym", "M", {(1, 1): 1})
+    p = TruncatedPolynomial(2, True, {(1, 1): 1})
+    assert f.terms == p.terms
+    assert f != p and p != f
+    assert GradedElement("QSym", "M") != TruncatedPolynomial(0, True)
+
+
+def test_cancellation_drops_zeros():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    f = M((1,)) + M((2,), half)
+    g = M((1,)) + M((2,), third)
+    assert (f - g).terms == {(2,): Fraction(1, 6)}
+    assert not (f - f) and (f - f).terms == {}
+    pairs = [((1,), 1), ((2,), half), ((1,), -1), ((2,), half), ((3,), 0)]
+    assert GradedElement("QSym", "M", pairs).terms == {(2,): 1}
+    p = TruncatedPolynomial(1, True, {(1,): third, (2,): 1})
+    q = TruncatedPolynomial(1, True, {(1,): third})
+    assert (p - q).terms == {(2,): 1}
+    assert (p - p).terms == {} and not (p - p)
+    assert (0 * p).terms == {}
+
+
+def test_equal_elements_hash_equal():
+    a = GradedElement("QSym", "M", [((2, 1), 1), ((3,), Fraction(1, 2))])
+    b = M((3,), Fraction(1, 2)) + M((2, 1)) + M((1, 2)) - M((1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(zero("QSym", "M")) == hash(M((1,)) - M((1,)))
+
+
+def test_polynomial_negation():
+    p = TruncatedPolynomial(2, False, {(1, 2): 3, (2,): Fraction(-1, 2)})
+    assert (-p).terms == {(1, 2): -3, (2,): Fraction(1, 2)}
+    assert -p == (-1) * p
+    assert not (p + (-p))
+
+
+def test_linear_extension_sums_images_and_drops_zeros():
+    def image(i):
+        return {(9,): 1, i: Fraction(1, 2)}
+
+    assert linear({(1,): 2, (2,): -2}, image) == {(1,): 1, (2,): -1}
+    assert linear({(1,): 2, (2,): 1}, image) == {(9,): 3, (1,): 1, (2,): Fraction(1, 2)}
+    assert linear({}, image) == {}
