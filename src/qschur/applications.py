@@ -26,6 +26,7 @@ from .compositions import (
     partitions_of,
     require_composition,
 )
+from .nsym import _rect_census
 from .qsym import (
     GradedElement,
     TruncatedPolynomial,
@@ -38,12 +39,9 @@ from .qsym import (
 from .tableaux import (
     COMPOSITION,
     PARTITION,
-    SkewShape,
     Tableau,
-    column_word,
     content,
     enumerate_semistandard,
-    enumerate_standard,
     make_tableau,
     straight,
     validate,
@@ -98,7 +96,9 @@ def pr_product(t1: Tableau, t2: Tableau) -> tuple[Tableau, ...]:
 
     Terms are the standard fillings ``t`` of partition shape that restrict
     to ``t1`` (shifted up by the size of ``t2``) on the inner shape and
-    whose remaining skew part has column word inserting to ``t2``.
+    whose remaining skew part has column word inserting to ``t2``.  Those
+    skew parts are the class of ``t2`` in the rectification census of each
+    outer shape (:func:`~qschur.nsym._rect_census`).
     """
     _require_straight_srt(t1)
     _require_straight_srt(t2)
@@ -109,9 +109,7 @@ def pr_product(t1: Tableau, t2: Tableau) -> tuple[Tableau, ...]:
     for nu in partitions_of(t1.shape.size + n):
         if not is_contained(mu, nu):
             continue
-        for s in enumerate_standard(SkewShape(PARTITION, nu, mu)):
-            if insertion_tableau(column_word(s)) != t2:
-                continue
+        for s in _rect_census(nu, mu).get(t2, ()):
             filling = dict(shifted)
             filling.update(s.entries())
             out.append(make_tableau(straight(PARTITION, nu), filling))
@@ -130,14 +128,23 @@ def _shuffles(u: tuple[int, ...], v: tuple[int, ...]) -> Iterable[tuple[int, ...
 
 
 @cache
+def _knuth_classes(n: int) -> dict[Tableau, tuple[tuple[int, ...], ...]]:
+    """The permutations of 1..n grouped by insertion tableau, each group in
+    lexicographic order.  Callers must not modify the returned dict."""
+    classes: dict[Tableau, list[tuple[int, ...]]] = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        classes.setdefault(insertion_tableau(w), []).append(w)
+    return {t: tuple(words) for t, words in classes.items()}
+
+
 def knuth_class(t: Tableau) -> tuple[tuple[int, ...], ...]:
-    """All permutation words whose insertion tableau is ``t``."""
+    """All permutation words whose insertion tableau is ``t``, in
+    lexicographic order, looked up in the classes of its size
+    (:func:`_knuth_classes`).  Every standard reverse filling is the
+    insertion tableau of some permutation, so the lookup never misses.
+    """
     _require_straight_srt(t)
-    return tuple(
-        w
-        for w in itertools.permutations(range(1, t.shape.size + 1))
-        if insertion_tableau(w) == t
-    )
+    return _knuth_classes(t.shape.size)[t]
 
 
 def pr_product_words(t1: Tableau, t2: Tableau) -> tuple[Counter, int]:

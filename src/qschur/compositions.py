@@ -64,9 +64,11 @@ def is_composition(alpha: tuple[int, ...]) -> bool:
 
 
 def require_composition(*alphas: tuple[int, ...]) -> None:
-    """Raise ``ValueError`` naming the first argument that is not a composition."""
+    """Raise ``ValueError`` naming the first argument that is not a
+    composition, a tuple of positive ints (a list is rejected too, since the
+    memoized poset functions key on their arguments)."""
     for alpha in alphas:
-        if not is_composition(alpha):
+        if not (isinstance(alpha, tuple) and is_composition(alpha)):
             raise ValueError(f"{alpha} is not a composition")
 
 

@@ -7,18 +7,23 @@ come from one walk over saturated chains up from beta
 (:func:`~qschur.compositions.chain_descents`) and a triangular basis change
 into S.  The forgetful map onto symmetric functions and the classical
 Littlewood-Richardson coefficients, which the products refine, live here
-too.
+too.  The classical coefficients read off a rectification census: the
+standard reverse fillings of each skew partition shape, grouped by the
+insertion tableau of their column word, so each filling is inserted once
+however many targets are asked about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .compositions import (
     Composition,
     canonical_key,
     chain_descents,
     is_contained,
+    is_partition,
     require_composition,
     underlying_partition,
 )
@@ -27,6 +32,7 @@ from .tableaux import (
     COMPOSITION,
     PARTITION,
     SkewShape,
+    Tableau,
     canonical_srt,
     column_word,
     enumerate_standard,
@@ -148,16 +154,30 @@ def forget(f: GradedElement) -> GradedElement:
     )
 
 
+@cache
+def _rect_census(
+    nu: Composition, mu: Composition
+) -> dict[Tableau, tuple[Tableau, ...]]:
+    """The standard reverse fillings of nu/mu grouped by the insertion
+    tableau of their column word, each group in :func:`enumerate_standard`
+    order.  Callers must not modify the returned dict."""
+    census: dict[Tableau, list[Tableau]] = {}
+    for t in enumerate_standard(SkewShape(PARTITION, nu, mu)):
+        census.setdefault(insertion_tableau(column_word(t)), []).append(t)
+    return {p: tuple(group) for p, group in census.items()}
+
+
 def classical_lr(lam: Composition, mu: Composition, nu: Composition) -> int:
     """Classical Littlewood-Richardson coefficient: the number of standard
     reverse fillings of nu/mu whose column word inserts to the canonical
-    standard filling of ``lam``.
+    standard filling of ``lam``, read off :func:`_rect_census`.
+
+    Raises ``ValueError`` when an argument is not a partition (a weakly
+    decreasing tuple of positive ints).
     """
+    for part in (lam, mu, nu):
+        if not (isinstance(part, tuple) and is_partition(part)):
+            raise ValueError(f"{part} is not a partition")
     if sum(lam) + sum(mu) != sum(nu) or not is_contained(mu, nu):
         return 0
-    target = canonical_srt(lam)
-    return sum(
-        1
-        for t in enumerate_standard(SkewShape(PARTITION, nu, mu))
-        if insertion_tableau(column_word(t)) == target
-    )
+    return len(_rect_census(nu, mu).get(canonical_srt(lam), ()))

@@ -105,10 +105,14 @@ class _Combination:
             raise ValueError(f"mixing {self._space()} with {other._space()}")
 
     def __add__(self, other):
+        if not isinstance(other, _Combination):
+            return NotImplemented
         self._check(other)
         return self._like(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
+        if not isinstance(other, _Combination):
+            return NotImplemented
         return self + (-other)
 
     def __rmul__(self, scalar):
@@ -189,6 +193,8 @@ class TruncatedPolynomial(_Combination):
         return self.m, self.commutative
 
     def __mul__(self, other):
+        if not isinstance(other, _Combination):
+            return NotImplemented
         self._check(other)
         pairs = itertools.product(self.terms.items(), other.terms.items())
         if self.commutative:

@@ -1,9 +1,11 @@
 """Brute-force reference implementations used to pin down expected values.
 
-Everything here is written directly from the defining conditions and knows
-nothing about the package internals: tableaux are dicts mapping (row, column)
-cells to entries, polynomials are dicts mapping exponent vectors (or words)
-to coefficients.
+Everything here but the last section is written directly from the defining
+conditions and knows nothing about the package internals: tableaux are dicts
+mapping (row, column) cells to entries, polynomials are dicts mapping
+exponent vectors (or words) to coefficients.  The last section keeps the
+package's former per-target routes, built from its own tableaux, as the
+oracles of the rectification censuses that replaced them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,19 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+
+from qschur.compositions import is_contained, partitions_of
+from qschur.tableaux import (
+    PARTITION,
+    SkewShape,
+    Tableau,
+    canonical_srt,
+    column_word,
+    enumerate_standard,
+    make_tableau,
+    straight,
+)
+from qschur.transforms import insertion_tableau
 
 
 def composition_cells(gamma, beta):
@@ -338,3 +353,46 @@ def shuffles(u, v):
         yield (u[0],) + tail
     for tail in shuffles(u, v[1:]):
         yield (v[0],) + tail
+
+
+# --- per-target filter routes ----------------------------------------------
+# classical_lr, pr_product and knuth_class as they were before the
+# censuses: enumerate every filling (or permutation) and keep those that
+# insert to the one target asked about.
+
+
+def classical_lr_by_filter(lam, mu, nu):
+    if sum(lam) + sum(mu) != sum(nu) or not is_contained(mu, nu):
+        return 0
+    target = canonical_srt(lam)
+    return sum(
+        1
+        for t in enumerate_standard(SkewShape(PARTITION, nu, mu))
+        if insertion_tableau(column_word(t)) == target
+    )
+
+
+def pr_product_by_filter(t1, t2):
+    n = t2.shape.size
+    mu = t1.shape.outer
+    shifted = {cell: t1.entry(*cell) + n for cell in t1.shape.cells}
+    out = []
+    for nu in partitions_of(t1.shape.size + n):
+        if not is_contained(mu, nu):
+            continue
+        for s in enumerate_standard(SkewShape(PARTITION, nu, mu)):
+            if insertion_tableau(column_word(s)) != t2:
+                continue
+            filling = dict(shifted)
+            filling.update(s.entries())
+            out.append(make_tableau(straight(PARTITION, nu), filling))
+    out.sort(key=Tableau.sort_key)
+    return tuple(out)
+
+
+def knuth_class_by_filter(t):
+    return tuple(
+        w
+        for w in itertools.permutations(range(1, t.shape.size + 1))
+        if insertion_tableau(w) == t
+    )

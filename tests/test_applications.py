@@ -24,7 +24,7 @@ from qschur.applications import (
     set_compositions,
     shape_of_blocks,
 )
-from qschur.compositions import compositions_of
+from qschur.compositions import compositions_of, partitions_of
 from qschur.nsym import product_nc_schur
 from qschur.qsym import (
     GradedElement,
@@ -33,9 +33,16 @@ from qschur.qsym import (
     skew_qs_schur,
     to_polynomial,
 )
-from qschur.tableaux import PARTITION, from_rows
+from qschur.tableaux import PARTITION, enumerate_standard, from_rows, straight
 
-from oracles import brute_ssct, filling_content, insert_word, shuffles
+from oracles import (
+    brute_ssct,
+    filling_content,
+    insert_word,
+    knuth_class_by_filter,
+    pr_product_by_filter,
+    shuffles,
+)
 
 
 def test_pr_product_golden():
@@ -110,6 +117,35 @@ def test_knuth_classes_partition_permutations():
         t = from_rows(PARTITION, [list(r) for r in rows])
         covered.update(knuth_class(t))
     assert covered == set(seen)
+
+
+def test_pr_product_census_matches_filter_route():
+    srts = [
+        [
+            t
+            for lam in partitions_of(n)
+            for t in enumerate_standard(straight(PARTITION, lam))
+        ]
+        for n in range(7)
+    ]
+    for a in range(7):
+        for b in range(7 - a):
+            for t1 in srts[a]:
+                for t2 in srts[b]:
+                    assert pr_product(t1, t2) == pr_product_by_filter(t1, t2)
+
+
+def test_knuth_class_lookup_matches_filter_route():
+    for n in range(7):
+        covered = []
+        for lam in partitions_of(n):
+            fillings = enumerate_standard(straight(PARTITION, lam))
+            for t in fillings:
+                words = knuth_class(t)
+                assert words == knuth_class_by_filter(t)
+                assert len(words) == len(fillings)
+                covered.extend(words)
+        assert sorted(covered) == list(itertools.permutations(range(1, n + 1)))
 
 
 def test_pr_product_rejects_skew_input():

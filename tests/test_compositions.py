@@ -212,6 +212,15 @@ def test_poset_functions_reject_non_compositions():
         (labeled_chains, ((1, 1), (0, 1))),
         (descent_pieri_K, ((2,), (0, 1))),
         (chain_to_tableau, ((0, "a"), ())),
+        # a list is not a composition, even with positive parts
+        (leq, ([1], [2])),
+        (leq, ((1,), [2])),
+        (covers, ([1, 1],)),
+        (down_covers, ([2],)),
+        (apply_step, ([1], step)),
+        (interval_chains, ([1], [2])),
+        (interval_chains, ((1,), [1, 1])),
+        (chain_descents, ([1], 1)),
     ]
     for f, args in calls:
         with pytest.raises(ValueError, match="is not a composition"):

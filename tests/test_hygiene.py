@@ -24,10 +24,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CACHES = {
+    "applications._knuth_classes",
     "applications._set_comps_by_shape",
-    "applications.knuth_class",
     "applications.set_compositions",
     "compositions._leq",
+    "nsym._rect_census",
     "qsym._all_lower",
     "qsym._comps",
     "qsym._schur_in_monomial",

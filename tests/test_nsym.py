@@ -1,6 +1,11 @@
 import pytest
 
-from qschur.compositions import compositions_of, leq, underlying_partition
+from qschur.compositions import (
+    compositions_of,
+    leq,
+    partitions_of,
+    underlying_partition,
+)
 from qschur.nsym import (
     classical_lr,
     forget,
@@ -14,7 +19,12 @@ from qschur.qsym import basis_element, convert, multiply, skew_qs_schur
 from qschur.tableaux import canonical_sct
 from qschur.verify import _rect_census
 
-from oracles import classical_lr_oracle, classical_lr_semistandard, lr_by_rectification
+from oracles import (
+    classical_lr_by_filter,
+    classical_lr_oracle,
+    classical_lr_semistandard,
+    lr_by_rectification,
+)
 
 
 def S(alpha, coeff=1):
@@ -170,6 +180,31 @@ def test_classical_lr_goldens():
     assert classical_lr((2,), (1, 1), (2, 2)) == 0
     assert classical_lr((2, 1), (2, 1), (3, 2, 1)) == 2
     assert classical_lr((2,), (1,), (4,)) == 0
+
+
+def test_classical_lr_rejects_non_partitions():
+    calls = [
+        ((2,), (1, 1), (3, 0, 1)),
+        ((2,), (1, 1), (1, 3)),
+        ((1, 2), (1,), (2, 2)),
+        ([2], (1, 1), (3, 1)),
+        ((2,), [1, 1], (3, 1)),
+        ((2,), (1, 1), [3, 1]),
+    ]
+    for args in calls:
+        with pytest.raises(ValueError, match="is not a partition"):
+            classical_lr(*args)
+
+
+def test_classical_lr_census_matches_filter_route():
+    parts = [lam for n in range(7) for lam in partitions_of(n)]
+    for nu in parts:
+        for lam in parts:
+            for mu in parts:
+                if sum(lam) + sum(mu) == sum(nu):
+                    assert classical_lr(lam, mu, nu) == classical_lr_by_filter(
+                        lam, mu, nu
+                    )
 
 
 def test_classical_lr_matches_polynomial_reference():

@@ -307,6 +307,22 @@ def test_polynomial_arithmetic_rejects_mixed_models():
                 a * b
 
 
+def test_arithmetic_with_a_non_element_raises_type_error():
+    f = M((1, 2))
+    p = TruncatedPolynomial(2, True, {(1, 0): 1})
+    for operation in (
+        lambda: f + 0,
+        lambda: f - 0,
+        lambda: p + 0,
+        lambda: p - 0,
+        lambda: p * 2,
+        lambda: sum([f, f]),
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    assert 2 * p == p + p
+
+
 def test_element_never_equals_polynomial_with_same_terms():
     f = GradedElement("QSym", "M", {(1, 1): 1})
     p = TruncatedPolynomial(2, True, {(1, 1): 1})
