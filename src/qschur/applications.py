@@ -23,6 +23,7 @@ from .compositions import (
     comp_of_set,
     interval_chains,
     is_contained,
+    is_weak_composition,
     partitions_of,
     require_composition,
 )
@@ -211,10 +212,17 @@ def m_pi_sym(pi: SetComposition, m: int) -> TruncatedPolynomial:
 
 def kostka(alpha: Composition, beta: tuple[int, ...]) -> int:
     """Number of semistandard composition fillings of ``alpha`` with
-    content ``beta``."""
+    content ``beta``.
+
+    Raises ``ValueError`` unless ``alpha`` is a composition and ``beta`` a
+    weak composition (a sequence of non-negative ints).
+    """
+    require_composition(alpha)
+    beta = tuple(beta)
+    if not is_weak_composition(beta):
+        raise ValueError(f"{beta} is not a weak composition")
     if sum(alpha) != sum(beta):
         return 0
-    beta = tuple(beta)
     m = len(beta)
     shape = straight(COMPOSITION, alpha)
     return sum(1 for t in enumerate_semistandard(shape, m) if content(t, m) == beta)

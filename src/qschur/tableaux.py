@@ -16,10 +16,9 @@ first column strictly increases and a triple rule governs the rest.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterator
 
 from .compositions import (
@@ -30,12 +29,12 @@ from .compositions import (
     comp_of_set,
     down_covers,
     interval_chains,
+    is_composition,
     is_contained,
     is_partition,
     is_rev_contained,
     refines,
     require_composition,
-    weak_compositions,
 )
 
 Cell = tuple[int, int]
@@ -46,6 +45,13 @@ COMPOSITION = "composition"
 
 @dataclass(frozen=True)
 class SkewShape:
+    """A skew diagram ``outer/inner`` of one kind.
+
+    ``outer`` and ``inner`` must be tuples of positive ints (a list is
+    rejected with ``ValueError``): shapes are hashable, and the enumerators
+    below are memoized on them.
+    """
+
     kind: str
     outer: Composition
     inner: Composition = ()
@@ -54,7 +60,7 @@ class SkewShape:
         if self.kind not in (PARTITION, COMPOSITION):
             raise ValueError(f"unknown shape kind {self.kind!r}")
         for name, comp in (("outer", self.outer), ("inner", self.inner)):
-            if not all(isinstance(p, int) and p >= 1 for p in comp):
+            if not (isinstance(comp, tuple) and is_composition(comp)):
                 raise ValueError(f"{name} shape {comp} is not a composition")
         if self.kind == PARTITION:
             if not (is_partition(self.outer) and is_partition(self.inner)):
@@ -162,12 +168,6 @@ class Tableau:
 
     def entries(self) -> dict[Cell, int]:
         return {cell: self.entry(*cell) for cell in self.shape.cells}
-
-    def map_entries(self, f) -> "Tableau":
-        rows = tuple(
-            tuple(x if x is None else f(x) for x in row) for row in self.rows
-        )
-        return Tableau(self.shape, rows)
 
     def is_standard(self) -> bool:
         vals = sorted(self.entry(*cell) for cell in self.shape.cells)
@@ -351,15 +351,17 @@ def destandardize(that: Tableau, tau: tuple[int, ...]) -> Tableau:
         raise ValueError(f"content {tau} has weight {sum(tau)}, need {that.n}")
     if not refines(tau, descent_composition(that)):
         raise ValueError(f"{tau} does not refine the descent composition")
-    bounds = list(itertools.accumulate(tau))
+    return _relabel(that, tau)
 
-    def value(p: int) -> int:
-        for v, bound in enumerate(bounds, start=1):
-            if p <= bound:
-                return v
-        raise AssertionError
 
-    return that.map_entries(value)
+def _relabel(that: Tableau, tau: tuple[int, ...]) -> Tableau:
+    """Replace each standard label of ``that`` by its value under content
+    ``tau``, through a label-to-value table; ``tau`` is not checked."""
+    table = [0]
+    for v, part in enumerate(tau, start=1):
+        table += [v] * part
+    rows = tuple(tuple(x if x is None else table[x] for x in row) for row in that.rows)
+    return Tableau(that.shape, rows)
 
 
 def canonical_sct(alpha: Composition) -> Tableau:
@@ -462,8 +464,13 @@ def _srt_fillings(nu: Composition, mu: Composition) -> Iterator[dict[Cell, int]]
     yield from walk(nu, 1)
 
 
+@cache
 def enumerate_standard(shape: SkewShape) -> tuple[Tableau, ...]:
-    """All standard reverse fillings of ``shape``, sorted canonically."""
+    """All standard reverse fillings of ``shape``, sorted canonically.
+
+    Memoized per shape: every call on an equal shape returns the same
+    tuple of frozen tableaux.
+    """
     if shape.kind == COMPOSITION:
         out = [
             chain_to_tableau(shape.inner, chain)
@@ -499,23 +506,59 @@ def _ssrt_fillings(shape: SkewShape, max_entry: int) -> Iterator[Tableau]:
     yield from fill(0)
 
 
+def _contents(cuts: tuple[int, ...], n: int, length: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions of ``n`` with ``length`` parts whose partial sums
+    pass through every point of the increasing tuple ``cuts`` (a subset of
+    [n-1]), in the order of :func:`~qschur.compositions.weak_compositions`.
+
+    These are exactly the contents refining the composition that ``cuts``
+    cuts ``n`` into.
+    """
+
+    def grow(total: int, parts: int, i: int) -> Iterator[tuple[int, ...]]:
+        # ``total`` is the sum so far, ``parts`` the parts still to place
+        # and ``cuts[i]`` the next point the partial sums must hit.
+        if parts == 1:
+            if i == len(cuts):
+                yield (n - total,)
+            return
+        target = cuts[i] if i < len(cuts) else n
+        for first in range(target - total + 1):
+            j = i + 1 if total + first == target and i < len(cuts) else i
+            if len(cuts) - j <= parts - 2:
+                for rest in grow(total + first, parts - 1, j):
+                    yield (first,) + rest
+
+    if length == 0:
+        if n == 0:
+            yield ()
+        return
+    yield from grow(0, length, 0)
+
+
+@lru_cache(maxsize=None, typed=True)
 def enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard reverse fillings with entries at most ``max_entry``.
 
     Composition shapes go through standardization: each standard filling is
-    destandardized at every weak content of length ``max_entry`` refining
-    its descent composition, which hits every semistandard filling exactly
-    once.  Partition shapes are filled directly.
+    relabelled at every weak content of length ``max_entry`` whose partial
+    sums pass through its descent set, which hits every semistandard
+    filling exactly once.  Partition shapes are filled directly.
+
+    ``max_entry`` must be a non-negative ``int`` (else ``ValueError``).
+    Memoized per (shape, max_entry), keyed by type too so that ``2.0`` is
+    checked rather than served the entry of ``2``: every call on an equal
+    pair returns the same tuple of frozen tableaux.
     """
+    if isinstance(max_entry, bool) or not isinstance(max_entry, int) or max_entry < 0:
+        raise ValueError(f"max_entry must be a non-negative int, got {max_entry!r}")
     if shape.kind == PARTITION:
         out = list(_ssrt_fillings(shape, max_entry))
     else:
         out = []
         for that in enumerate_standard(shape):
-            des = descent_composition(that)
-            for tau in weak_compositions(that.n, max_entry):
-                if refines(tau, des):
-                    out.append(destandardize(that, tau))
+            cuts = tuple(sorted(descents(that)))
+            out.extend(_relabel(that, tau) for tau in _contents(cuts, that.n, max_entry))
     return tuple(sorted(out, key=Tableau.sort_key))
 
 

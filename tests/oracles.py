@@ -3,9 +3,9 @@
 Everything here but the last section is written directly from the defining
 conditions and knows nothing about the package internals: tableaux are dicts
 mapping (row, column) cells to entries, polynomials are dicts mapping
-exponent vectors (or words) to coefficients.  The last section keeps the
-package's former per-target routes, built from its own tableaux, as the
-oracles of the rectification censuses that replaced them.
+exponent vectors (or words) to coefficients.  The last two sections keep
+the package's former routes, built from its own tableaux, as the oracles
+of the faster routes that replaced them.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ import functools
 import itertools
 from fractions import Fraction
 
-from qschur.compositions import is_contained, partitions_of
+from qschur.compositions import is_contained, partitions_of, refines, weak_compositions
 from qschur.tableaux import (
     PARTITION,
     SkewShape,
     Tableau,
     canonical_srt,
     column_word,
+    descent_composition,
+    destandardize,
     enumerate_standard,
     make_tableau,
     straight,
@@ -396,3 +398,20 @@ def knuth_class_by_filter(t):
         for w in itertools.permutations(range(1, t.shape.size + 1))
         if insertion_tableau(w) == t
     )
+
+
+# --- semistandard composition fillings by refinement -------------------------
+# enumerate_semistandard on a composition shape as it was before contents
+# were generated from descent sets: every weak content filtered by refines,
+# then the public, checking destandardize.
+
+
+def ssct_by_refinement(shape, max_entry):
+    out = []
+    for that in enumerate_standard(shape):
+        des = descent_composition(that)
+        for tau in weak_compositions(that.n, max_entry):
+            if refines(tau, des):
+                out.append(destandardize(that, tau))
+    out.sort(key=Tableau.sort_key)
+    return tuple(out)

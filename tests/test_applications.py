@@ -192,6 +192,15 @@ def test_kostka_counts_fillings_with_content():
     assert kostka((2, 1), (1, 1)) == 0
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [((1,), (2, -1)), ((2, 1), (1, 1.0, 1)), ((2, 1), (3, "0")), ((2, -1), (2,)), ([1], (1,))],
+)
+def test_kostka_rejects_bad_input(alpha, beta):
+    with pytest.raises(ValueError):
+        kostka(alpha, beta)
+
+
 def test_kostka_matches_brute_enumeration():
     for alpha in [(2, 1), (1, 2), (3,), (1, 1, 1), (2, 2)]:
         n = sum(alpha)

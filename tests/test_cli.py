@@ -95,6 +95,13 @@ def test_enumerate_semistandard_requires_bound(capsys):
     assert "--max-entry is required for ssct" in err
 
 
+def test_enumerate_semistandard_rejects_negative_bound(capsys):
+    code, out, err = run(capsys, "enumerate", "ssct", "--outer", "2,1", "--max-entry", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_entry must be a non-negative int, got -1\n"
+
+
 def test_enumerate_chains(capsys):
     code, out, _ = run(capsys, "enumerate", "chains", "--outer", "2,1", "--inner", "1")
     assert code == 0

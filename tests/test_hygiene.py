@@ -34,6 +34,8 @@ CACHES = {
     "qsym._schur_in_monomial",
     "qsym.qs_schur",
     "qsym.skew_qs_schur",
+    "tableaux.enumerate_semistandard",
+    "tableaux.enumerate_standard",
 }
 
 ACCUMULATORS = {

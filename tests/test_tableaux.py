@@ -1,14 +1,22 @@
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.compositions import compositions_of, interval_chains, leq
+from qschur.compositions import (
+    compositions_of,
+    interval_chains,
+    leq,
+    refines,
+    weak_compositions,
+)
 from qschur.tableaux import (
     COMPOSITION,
     PARTITION,
     SkewShape,
     Tableau,
+    _contents,
     canonical_sct,
     canonical_srt,
     chain_to_tableau,
@@ -34,7 +42,7 @@ from qschur.tableaux import (
     validate,
 )
 
-from oracles import brute_sct, brute_srt, brute_ssct, brute_ssrt
+from oracles import brute_sct, brute_srt, brute_ssct, brute_ssrt, ssct_by_refinement
 
 small_compositions = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
 
@@ -52,6 +60,14 @@ def test_skew_shape_validation():
         SkewShape(COMPOSITION, (1, 2), (3,))
     with pytest.raises(ValueError):
         SkewShape(PARTITION, (2, 1), (1, 2))
+
+
+@pytest.mark.parametrize("kind", [PARTITION, COMPOSITION])
+def test_skew_shape_rejects_lists(kind):
+    with pytest.raises(ValueError):
+        SkewShape(kind, [2, 1])
+    with pytest.raises(ValueError):
+        SkewShape(kind, (2, 1), [1])
 
 
 def test_uniform_shapes():
@@ -161,6 +177,44 @@ def test_enumerate_semistandard_matches_brute_force():
             assert {tuple(sorted(t.entries().items())) for t in ours} == {
                 tuple(sorted(f.items())) for f in reference
             }
+
+
+def test_enumerate_semistandard_matches_refinement_route():
+    shapes = [
+        SkewShape(COMPOSITION, gamma, beta)
+        for gamma in comps_upto(6)
+        for beta in comps_upto(sum(gamma))
+        if leq(beta, gamma)
+    ]
+    assert len(shapes) == 454
+    for shape in shapes:
+        for m in range(5):
+            assert enumerate_semistandard(shape, m) == ssct_by_refinement(shape, m)
+
+
+def test_contents_are_the_refining_weak_compositions():
+    for n in range(8):
+        for des in compositions_of(n):
+            cuts = tuple(itertools.accumulate(des))[:-1]
+            for length in range(5):
+                expected = [t for t in weak_compositions(n, length) if refines(t, des)]
+                assert list(_contents(cuts, n, length)) == expected
+
+
+def test_enumerators_are_memoized():
+    shape = SkewShape(COMPOSITION, (1, 4, 3), (1, 2))
+    equal = SkewShape(COMPOSITION, (1, 4, 3), (1, 2))
+    assert enumerate_standard(shape) is enumerate_standard(equal)
+    assert enumerate_semistandard(shape, 3) is enumerate_semistandard(shape, 3)
+
+
+@pytest.mark.parametrize("kind", [PARTITION, COMPOSITION])
+@pytest.mark.parametrize("bad", [-1, 2.0, "2", None, True])
+def test_enumerate_semistandard_rejects_bad_max_entry(kind, bad):
+    shape = straight(kind, (2, 1))
+    assert len(enumerate_semistandard(shape, 2)) > 0  # 2.0 must not hit this entry
+    with pytest.raises(ValueError):
+        enumerate_semistandard(shape, bad)
 
 
 def test_enumerate_standard_matches_brute_force():
