@@ -191,10 +191,6 @@ def down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]
     return tuple(out)
 
 
-def is_cover(beta: Composition, gamma: Composition) -> bool:
-    return any(g == gamma for g, _ in covers(beta))
-
-
 def leq(beta: Composition, gamma: Composition) -> bool:
     """Order relation generated by :func:`covers` (reflexive closure)."""
     require_composition(beta, gamma)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Iterator
 
 from .compositions import (
@@ -388,14 +388,6 @@ def canonical_srt(lam: Composition) -> Tableau:
     return Tableau(straight(PARTITION, lam), tuple(rows))
 
 
-def row_constant_srt(lam: Composition) -> Tableau:
-    """The reverse filling of partition ``lam`` whose row ``i`` is constant
-    ``len(lam) - i + 1``; its content is ``reverse(lam)``."""
-    ell = len(lam)
-    rows = tuple(tuple([ell - i] * lam[i]) for i in range(ell))
-    return Tableau(straight(PARTITION, lam), rows)
-
-
 def chain_to_tableau(beta: Composition, chain: tuple[ChainStep, ...]) -> Tableau:
     """The standard composition tableau encoding a saturated chain.
 
@@ -536,7 +528,6 @@ def _contents(cuts: tuple[int, ...], n: int, length: int) -> Iterator[tuple[int,
     yield from grow(0, length, 0)
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard reverse fillings with entries at most ``max_entry``.
 
@@ -546,12 +537,17 @@ def enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, .
     filling exactly once.  Partition shapes are filled directly.
 
     ``max_entry`` must be a non-negative ``int`` (else ``ValueError``).
-    Memoized per (shape, max_entry), keyed by type too so that ``2.0`` is
-    checked rather than served the entry of ``2``: every call on an equal
-    pair returns the same tuple of frozen tableaux.
+    Memoized per (shape, max_entry): every call on an equal pair returns the
+    same tuple of frozen tableaux.
     """
     if isinstance(max_entry, bool) or not isinstance(max_entry, int) or max_entry < 0:
         raise ValueError(f"max_entry must be a non-negative int, got {max_entry!r}")
+    return _enumerate_semistandard(shape, max_entry)
+
+
+@cache
+def _enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
+    """:func:`enumerate_semistandard` without the argument check, memoized."""
     if shape.kind == PARTITION:
         out = list(_ssrt_fillings(shape, max_entry))
     else:

@@ -224,36 +224,15 @@ def insert_ssct(t: Tableau, k: int) -> Tableau:
     return _straight_tableau(COMPOSITION, rows)
 
 
-def rect(t: Tableau, cross_check: bool = False) -> Tableau:
+def rect(t: Tableau) -> Tableau:
     """Rectify a composition filling to a straight one.
 
     Computed by inserting the column word into an empty partition filling
-    and unpacking its columns.  With ``cross_check`` the same word is also
-    folded through :func:`insert_ssct` and the results must agree.
+    and unpacking its columns.
     """
     if t.shape.kind != COMPOSITION:
         raise ValueError("rectification applies to composition-shape tableaux")
-    word = column_word(t)
-    out = unpack_columns(insertion_tableau(word))
-    if cross_check:
-        alt = Tableau(straight(COMPOSITION, ()), ())
-        for letter in word:
-            alt = insert_ssct(alt, letter)
-        if alt != out:
-            raise AssertionError(
-                f"rectification mismatch for {word}: {out.rows} vs {alt.rows}"
-            )
-    return out
-
-
-def c_shape(t: Tableau, cross_check: bool = False) -> Composition:
-    """Shape of the rectification."""
-    return rect(t, cross_check=cross_check).shape.outer
-
-
-def p_shape(t: Tableau) -> Composition:
-    """Partition shape of the insertion tableau of the column word."""
-    return insertion_tableau(column_word(t)).shape.outer
+    return unpack_columns(insertion_tableau(column_word(t)))
 
 
 def word_c_shape(word: Word) -> Composition:
@@ -310,29 +289,6 @@ def c_equivalent(w1: Word, w2: Word) -> bool:
     if q1 != q2:
         return False
     return unpack_columns(p1).shape.outer == unpack_columns(p2).shape.outer
-
-
-def c_class(word: Word) -> frozenset[Word]:
-    """The equivalence class of ``word`` under :func:`c_equivalent`.
-
-    Explored by dual Knuth moves restricted to words of the same rectified
-    shape; dual moves preserve the recording tableau, and the restricted
-    move graph reaches the whole class.
-    """
-    target = word_c_shape(word)
-    seen = {word}
-    frontier = [word]
-    while frontier:
-        w = frontier.pop()
-        for k in range(1, len(w) - 1):
-            try:
-                nxt = q_move(w, k)
-            except ValueError:
-                continue
-            if nxt not in seen and word_c_shape(nxt) == target:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
 
 
 def standard_words_of_shape(alpha: Composition) -> frozenset[Word]:

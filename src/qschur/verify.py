@@ -1,10 +1,15 @@
 """Exhaustive identity checks at bounded degree, grouped into named suites.
 
 Every check sweeps a finite family of cases and either passes or returns a
-counterexample payload; a check that sweeps no case fails.  Bounds that the
-identities themselves fix (entry caps, permutation sizes) are capped
-internally; everything else scales with the requested maximum degree, which
-must be nonnegative.  Each check names its suite where it is registered.
+counterexample payload; a check that sweeps no case fails.  Each check is
+registered with its suite and, where a full sweep would grow too costly,
+a degree cap: :func:`run_check` hands it ``min(max_degree, cap)`` and
+reports that number as ``effective_degree`` next to ``cases``.  Uncapped
+checks sweep the requested maximum degree, which must be nonnegative;
+fixed-size witnesses declare cap 0, since they do not scale at all.  Where
+a check compares a library function with a second route (rectification
+against a fold of :func:`insert_ssct`, products against the rectification
+census), the second route lives here, not in the library.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from .nsym import (
 from .qsym import (
     GradedElement,
     TruncatedPolynomial,
+    _accumulate,
     _l_to_s_key,
     _m_to_s_key,
     _schur_in_monomial,
@@ -130,6 +136,7 @@ class CheckResult:
     name: str
     ok: bool
     cases: int
+    effective_degree: int
     seconds: float
     counterexample: str | None = None
     note: str | None = None
@@ -139,6 +146,7 @@ class CheckResult:
             "name": self.name,
             "ok": self.ok,
             "cases": self.cases,
+            "effective_degree": self.effective_degree,
             "seconds": round(self.seconds, 3),
             "counterexample": self.counterexample,
             "note": self.note,
@@ -147,14 +155,20 @@ class CheckResult:
 
 CheckFn = Callable[[int, random.Random], tuple]
 _CHECKS: dict[str, CheckFn] = {}
+CAPS: dict[str, int] = {}
 SUITES: dict[str, tuple[str, ...]] = {}
 
 
-def _register(name: str, suite: str) -> Callable[[CheckFn], CheckFn]:
-    """Record a check under ``name`` and append it to ``SUITES[suite]``."""
+def _register(
+    name: str, suite: str, cap: int | None = None
+) -> Callable[[CheckFn], CheckFn]:
+    """Record a check under ``name``, append it to ``SUITES[suite]`` and
+    declare the highest degree it sweeps (``None``: the requested one)."""
 
     def wrap(fn: CheckFn) -> CheckFn:
         _CHECKS[name] = fn
+        if cap is not None:
+            CAPS[name] = cap
         SUITES[suite] = SUITES.get(suite, ()) + (name,)
         return fn
 
@@ -181,6 +195,12 @@ def _interval_pairs(d: int) -> list[tuple[Composition, Composition]]:
 
 def _m_element(alpha: Composition) -> GradedElement:
     return basis_element("QSym", "M", alpha)
+
+
+def _poly_sum(m: int, commutative: bool, polys) -> TruncatedPolynomial:
+    """The sum of ``polys``, accumulated in one pass over their terms."""
+    terms = itertools.chain.from_iterable(p.terms.items() for p in polys)
+    return TruncatedPolynomial(m, commutative, terms)
 
 
 def _brute_standard_count(shape: SkewShape) -> int:
@@ -217,10 +237,10 @@ def _exact_rank(rows: list[dict]) -> int:
 # poset
 
 
-@_register("partial-sums-roundtrip", "poset")
+@_register("partial-sums-roundtrip", "poset", cap=10)
 def _check_partial_sums(d: int, rng: random.Random) -> tuple:
     cases = 0
-    for n in range(min(d, 10) + 1):
+    for n in range(d + 1):
         for alpha in compositions_of(n):
             cases += 1
             if comp_of_set(set_of(alpha), n) != alpha:
@@ -255,7 +275,7 @@ def _check_covers_shape(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("non-lattice-witness", "poset")
+@_register("non-lattice-witness", "poset", cap=0)
 def _check_non_lattice(d: int, rng: random.Random) -> tuple:
     pair = ((2, 2, 2), (2, 3, 2))
     lower = [
@@ -273,11 +293,10 @@ def _check_non_lattice(d: int, rng: random.Random) -> tuple:
     return 1, None
 
 
-@_register("chain-count-matches-brute-force", "poset")
+@_register("chain-count-matches-brute-force", "poset", cap=6)
 def _check_chain_counts(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for gamma in _comps_upto(bound):
+    for gamma in _comps_upto(d):
         for beta in _comps_upto(sum(gamma)):
             if not is_rev_contained(beta, gamma):
                 continue
@@ -289,8 +308,7 @@ def _check_chain_counts(d: int, rng: random.Random) -> tuple:
                     f"interval {beta} .. {gamma}: {got} chains but "
                     f"{expected} standard fillings"
                 )
-    note = f"capped at degree {bound}" if d > bound else None
-    return cases, None, note
+    return cases, None
 
 
 @_register("order-implies-reverse-containment", "poset")
@@ -344,9 +362,8 @@ def _check_schur_content(d: int, rng: random.Random) -> tuple:
     for alpha in _comps_upto(d):
         cases += 1
         m = max(sum(alpha), 1)
-        direct = TruncatedPolynomial(m, True)
-        for t in enumerate_semistandard(straight(COMPOSITION, alpha), m):
-            direct = direct + commutative_monomial(m, content(t, m))
+        fillings = enumerate_semistandard(straight(COMPOSITION, alpha), m)
+        direct = TruncatedPolynomial(m, True, Counter(content(t, m) for t in fillings))
         if to_polynomial(qs_schur(alpha), m) != direct:
             return cases, f"content sum mismatch for {alpha}"
     return cases, None
@@ -369,10 +386,10 @@ def _check_schur_sum(d: int, rng: random.Random) -> tuple:
     for lam in _parts_upto(d):
         cases += 1
         m = max(sum(lam), 1)
-        total = TruncatedPolynomial(m, True)
-        for alpha in compositions_of(sum(lam)):
-            if underlying_partition(alpha) == lam:
-                total = total + to_polynomial(qs_schur(alpha), m)
+        rearranged = [
+            a for a in compositions_of(sum(lam)) if underlying_partition(a) == lam
+        ]
+        total = _poly_sum(m, True, (to_polynomial(qs_schur(a), m) for a in rearranged))
         if to_polynomial(basis_element("Sym", "s", lam), m) != total:
             return cases, f"Schur sum fails for {lam}"
     return cases, None
@@ -384,19 +401,21 @@ def _check_monomial_symmetric(d: int, rng: random.Random) -> tuple:
     for lam in _parts_upto(d):
         cases += 1
         m = max(sum(lam), 1)
-        total = TruncatedPolynomial(m, True)
-        for alpha in compositions_of(sum(lam)):
-            if underlying_partition(alpha) == lam:
-                total = total + to_polynomial(_m_element(alpha), m)
+        rearranged = [
+            a for a in compositions_of(sum(lam)) if underlying_partition(a) == lam
+        ]
+        total = _poly_sum(
+            m, True, (to_polynomial(_m_element(a), m) for a in rearranged)
+        )
         if to_polynomial(basis_element("Sym", "m", lam), m) != total:
             return cases, f"monomial sum fails for {lam}"
     return cases, None
 
 
-@_register("complete-homogeneous-positivity", "bases")
+@_register("complete-homogeneous-positivity", "bases", cap=5)
 def _check_h_positive(d: int, rng: random.Random) -> tuple:
     cases = 0
-    for lam in _parts_upto(min(d, 5)):
+    for lam in _parts_upto(d):
         cases += 1
         n = sum(lam)
         p = to_polynomial(basis_element("Sym", "h", lam), max(n, 1))
@@ -408,10 +427,10 @@ def _check_h_positive(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("random-polynomial-roundtrip", "bases")
+@_register("random-polynomial-roundtrip", "bases", cap=6)
 def _check_from_polynomial(d: int, rng: random.Random) -> tuple:
     cases = 0
-    comps = _comps_upto(min(d, 6))[1:] or [()]
+    comps = _comps_upto(d)[1:] or [()]
     for _ in range(20):
         cases += 1
         chosen = rng.sample(comps, k=min(4, len(comps)))
@@ -424,7 +443,7 @@ def _check_from_polynomial(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("rejects-non-quasisymmetric", "bases")
+@_register("rejects-non-quasisymmetric", "bases", cap=0)
 def _check_rejection(d: int, rng: random.Random) -> tuple:
     p = commutative_monomial(2, (1, 0))
     try:
@@ -449,49 +468,43 @@ def _check_counit(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("coproduct-coassociative", "bases")
+@_register("coproduct-coassociative", "bases", cap=6)
 def _check_coassociativity(d: int, rng: random.Random) -> tuple:
     cases = 0
-    for alpha in _comps_upto(min(d, 6)):
+    for alpha in _comps_upto(d):
         for basis in ("M", "L"):
             cases += 1
             delta = coproduct(basis_element("QSym", basis, alpha))
-            lhs: dict = {}
-            rhs: dict = {}
+            lhs = []
+            rhs = []
             for (a, b), c in delta.items():
                 for (x, y), c2 in coproduct(basis_element("QSym", basis, a)).items():
-                    key = (x, y, b)
-                    lhs[key] = lhs.get(key, 0) + c * c2
+                    lhs.append(((x, y, b), c * c2))
                 for (x, y), c2 in coproduct(basis_element("QSym", basis, b)).items():
-                    key = (a, x, y)
-                    rhs[key] = rhs.get(key, 0) + c * c2
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
+                    rhs.append(((a, x, y), c * c2))
+            if _accumulate(lhs) != _accumulate(rhs):
                 return cases, f"coassociativity fails for {basis}_{alpha}"
     return cases, None
 
 
-@_register("coproduct-multiplicative", "bases")
+@_register("coproduct-multiplicative", "bases", cap=3)
 def _check_bialgebra(d: int, rng: random.Random) -> tuple:
-    small = _comps_upto(min(d, 3))
+    small = _comps_upto(d)
     cases = 0
     for alpha in small:
         for beta in small:
             cases += 1
             f, g = _m_element(alpha), _m_element(beta)
             lhs = coproduct(multiply(f, g))
-            rhs: dict = {}
+            rhs = []
             for (l1, r1), c1 in coproduct(f).items():
                 for (l2, r2), c2 in coproduct(g).items():
                     left = multiply(_m_element(l1), _m_element(l2))
                     right = multiply(_m_element(r1), _m_element(r2))
                     for li, cl in left.terms.items():
                         for ri, cr in right.terms.items():
-                            key = (li, ri)
-                            rhs[key] = rhs.get(key, 0) + c1 * c2 * cl * cr
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
+                            rhs.append(((li, ri), c1 * c2 * cl * cr))
+            if lhs != _accumulate(rhs):
                 return cases, f"coproduct not multiplicative at {alpha}, {beta}"
     return cases, None
 
@@ -587,12 +600,11 @@ def _check_duality(d: int, rng: random.Random) -> tuple:
 # products
 
 
-@_register("forgetful-algebra-map", "products")
+@_register("forgetful-algebra-map", "products", cap=6)
 def _check_forgetful(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for alpha in _comps_upto(bound):
-        for beta in _comps_upto(bound - sum(alpha)):
+    for alpha in _comps_upto(d):
+        for beta in _comps_upto(d - sum(alpha)):
             cases += 1
             lhs = convert(forget(product_nc_schur(alpha, beta)), "m")
             rhs = multiply(
@@ -616,15 +628,14 @@ def _check_product_unit(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("product-associative", "products")
+@_register("product-associative", "products", cap=5)
 def _check_product_associative(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 5)
     cases = 0
     triples = [
         (a, b, c)
-        for a in _comps_upto(bound)
-        for b in _comps_upto(bound - sum(a))
-        for c in _comps_upto(bound - sum(a) - sum(b))
+        for a in _comps_upto(d)
+        for b in _comps_upto(d - sum(a))
+        for c in _comps_upto(d - sum(a) - sum(b))
     ]
     for a, b, c in triples:
         cases += 1
@@ -655,17 +666,15 @@ def _check_pieri_support(d: int, rng: random.Random) -> tuple:
 # classical
 
 
-@_register("factorization-over-rearrangements", "classical")
+@_register("factorization-over-rearrangements", "classical", cap=6)
 def _check_factorization(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for alpha in _comps_upto(bound):
-        for beta in _comps_upto(bound - sum(alpha)):
+    for alpha in _comps_upto(d):
+        for beta in _comps_upto(d - sum(alpha)):
             product = product_nc_schur(alpha, beta)
-            grouped: dict = {}
-            for gamma, c in product.terms.items():
-                nu = underlying_partition(gamma)
-                grouped[nu] = grouped.get(nu, 0) + c
+            grouped = _accumulate(
+                (underlying_partition(gamma), c) for gamma, c in product.terms.items()
+            )
             lam = underlying_partition(alpha)
             mu = underlying_partition(beta)
             for nu in partitions_of(sum(alpha) + sum(beta)):
@@ -677,12 +686,11 @@ def _check_factorization(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-product-matches-classical", "classical")
+@_register("schur-product-matches-classical", "classical", cap=6)
 def _check_schur_product(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for lam in _parts_upto(bound):
-        for mu in _parts_upto(bound - sum(lam)):
+    for lam in _parts_upto(d):
+        for mu in _parts_upto(d - sum(lam)):
             cases += 1
             product = multiply(
                 basis_element("Sym", "s", lam), basis_element("Sym", "s", mu)
@@ -700,12 +708,11 @@ def _check_schur_product(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("classical-commutativity", "classical")
+@_register("classical-commutativity", "classical", cap=6)
 def _check_classical_symmetry(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for lam in _parts_upto(bound):
-        for mu in _parts_upto(bound - sum(lam)):
+    for lam in _parts_upto(d):
+        for mu in _parts_upto(d - sum(lam)):
             for nu in partitions_of(sum(lam) + sum(mu)):
                 cases += 1
                 if classical_lr(lam, mu, nu) != classical_lr(mu, lam, nu):
@@ -728,11 +735,10 @@ def _check_connectivity(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("knuth-moves-preserve-insertion", "g-alpha")
+@_register("knuth-moves-preserve-insertion", "g-alpha", cap=6)
 def _check_knuth_moves(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for n in range(bound + 1):
+    for n in range(d + 1):
         for word in itertools.permutations(range(1, n + 1)):
             p_tab, q_tab = rsk(word)
             word_descents = {i for i in range(1, n) if word[i - 1] > word[i]}
@@ -761,11 +767,10 @@ def _check_knuth_moves(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("pq-moves-commute", "g-alpha")
+@_register("pq-moves-commute", "g-alpha", cap=6)
 def _check_move_commutation(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for n in range(bound + 1):
+    for n in range(d + 1):
         for word in itertools.permutations(range(1, n + 1)):
             for i in range(1, n - 1):
                 for j in range(1, n - 1):
@@ -805,11 +810,10 @@ def _check_uniform_rigidity(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("uniform-q-moves-stay-in-shape", "rigidity")
+@_register("uniform-q-moves-stay-in-shape", "rigidity", cap=6)
 def _check_uniform_closure(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for beta, gamma in _uniform_pairs(bound):
+    for beta, gamma in _uniform_pairs(d):
         shape = SkewShape(COMPOSITION, gamma, beta)
         words = {column_word(t) for t in enumerate_standard(shape)}
         n = sum(gamma) - sum(beta)
@@ -879,12 +883,11 @@ def _srt_pairs(total: int) -> list[tuple[Tableau, Tableau]]:
     return out
 
 
-@_register("pr-matches-word-shuffles", "pr")
+@_register("pr-matches-word-shuffles", "pr", cap=6)
 def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
     standard_counts: dict[Composition, int] = {}  # brute force once per shape
-    for t1, t2 in _srt_pairs(bound):
+    for t1, t2 in _srt_pairs(d):
         cases += 1
         terms = pr_product(t1, t2)
         if len(set(terms)) != len(terms):
@@ -910,11 +913,11 @@ def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("pr-empty-unit", "pr")
+@_register("pr-empty-unit", "pr", cap=5)
 def _check_pr_unit(d: int, rng: random.Random) -> tuple:
     cases = 0
     empty = make_tableau(straight(PARTITION, ()), {})
-    for lam in _parts_upto(min(d, 5)):
+    for lam in _parts_upto(d):
         for t in enumerate_standard(straight(PARTITION, lam)):
             cases += 1
             if pr_product(t, empty) != (t,) or pr_product(empty, t) != (t,):
@@ -922,11 +925,10 @@ def _check_pr_unit(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("image-anti-morphism", "pr")
+@_register("image-anti-morphism", "pr", cap=6)
 def _check_anti_morphism(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for t1, t2 in _srt_pairs(bound):
+    for t1, t2 in _srt_pairs(d):
         cases += 1
         lhs = nsym_image_sum(pr_product(t1, t2))
         rhs = multiply_nc(nsym_image(t2), nsym_image(t1))
@@ -944,23 +946,21 @@ def _qs_rs_by_set_compositions(alpha: Composition, m: int) -> TruncatedPolynomia
     contributes its Kostka number times the factorials of its parts, once
     per set composition of shape beta."""
     n = sum(alpha)
-    total = TruncatedPolynomial(m, False)
     by_shape = _set_comps_by_shape(n)
+    summands = []
     for beta in compositions_of(n):
         k = kostka(alpha, beta)
         if not k:
             continue
         weight = k * math.prod(math.factorial(p) for p in beta)
-        for pi in by_shape.get(beta, ()):
-            total = total + weight * m_pi_nc(pi, m)
-    return total
+        summands.extend(weight * m_pi_nc(pi, m) for pi in by_shape.get(beta, ()))
+    return _poly_sum(m, False, summands)
 
 
-@_register("analogue-dual-route", "ncqsym")
+@_register("analogue-dual-route", "ncqsym", cap=4)
 def _check_qs_rs_routes(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 4)
     cases = 0
-    for n in range(bound + 1):
+    for n in range(d + 1):
         for alpha in compositions_of(n):
             for m in (max(n - 1, 1), n or 1):
                 cases += 1
@@ -969,11 +969,10 @@ def _check_qs_rs_routes(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("commuting-projection", "ncqsym")
+@_register("commuting-projection", "ncqsym", cap=4)
 def _check_chi_projection(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 4)
     cases = 0
-    for n in range(bound + 1):
+    for n in range(d + 1):
         for alpha in compositions_of(n):
             cases += 1
             m = max(n, 1)
@@ -984,11 +983,10 @@ def _check_chi_projection(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-analogue-sum", "ncqsym")
+@_register("schur-analogue-sum", "ncqsym", cap=4)
 def _check_s_rs(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 4)
     cases = 0
-    for lam in _parts_upto(bound):
+    for lam in _parts_upto(d):
         cases += 1
         n = sum(lam)
         m = max(n, 1)
@@ -999,11 +997,10 @@ def _check_s_rs(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("block-order-sum", "ncqsym")
+@_register("block-order-sum", "ncqsym", cap=4)
 def _check_block_orderings(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 4)
     cases = 0
-    for n in range(bound + 1):
+    for n in range(d + 1):
         by_partition: dict = {}
         for pi in set_compositions(n):
             key = frozenset(pi)
@@ -1012,19 +1009,16 @@ def _check_block_orderings(d: int, rng: random.Random) -> tuple:
             rep = tuple(sorted(key, key=min))
             for m in range(1, 4):
                 cases += 1
-                total = TruncatedPolynomial(m, False)
-                for pi in group:
-                    total = total + m_pi_nc(pi, m)
+                total = _poly_sum(m, False, (m_pi_nc(pi, m) for pi in group))
                 if total != m_pi_sym(rep, m):
                     return cases, f"orderings of {rep} do not sum to m_pi at m={m}"
     return cases, None
 
 
-@_register("lift-projects-back", "ncqsym")
+@_register("lift-projects-back", "ncqsym", cap=4)
 def _check_lift(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 4)
     cases = 0
-    for n in range(bound + 1):
+    for n in range(d + 1):
         for alpha in compositions_of(n):
             cases += 1
             f = _m_element(alpha)
@@ -1037,11 +1031,10 @@ def _check_lift(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("analogues-linearly-independent", "ncqsym")
+@_register("analogues-linearly-independent", "ncqsym", cap=4)
 def _check_independence(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 4)
     cases = 0
-    for n in range(1, bound + 1):
+    for n in range(1, d + 1):
         cases += 1
         rows = [qs_rs(alpha, n).terms for alpha in compositions_of(n)]
         if _exact_rank(rows) != len(rows):
@@ -1077,11 +1070,10 @@ def _straight_ssrts(size_bound: int, entry_bound: int):
         yield from enumerate_semistandard(straight(PARTITION, lam), entry_bound)
 
 
-@_register("column-sort-roundtrip", "roundtrips")
+@_register("column-sort-roundtrip", "roundtrips", cap=5)
 def _check_pack_unpack(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 5)
     cases = 0
-    for t in _straight_sscts(bound, 4):
+    for t in _straight_sscts(d, 4):
         cases += 1
         packed = pack_columns(t)
         if validate(packed) not in ("SSRT", "SRT"):
@@ -1090,18 +1082,17 @@ def _check_pack_unpack(d: int, rng: random.Random) -> tuple:
             return cases, f"packing {t.rows} lands on {packed.shape.outer}"
         if unpack_columns(packed) != t:
             return cases, f"unpack(pack) moves {t.rows}"
-    for s in _straight_ssrts(bound, 4):
+    for s in _straight_ssrts(d, 4):
         cases += 1
         if pack_columns(unpack_columns(s)) != s:
             return cases, f"pack(unpack) moves {s.rows}"
     return cases, None
 
 
-@_register("standardization-roundtrip", "roundtrips")
+@_register("standardization-roundtrip", "roundtrips", cap=5)
 def _check_standardization(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 5)
     cases = 0
-    for t in itertools.chain(_straight_sscts(bound, 4), _straight_ssrts(bound, 4)):
+    for t in itertools.chain(_straight_sscts(d, 4), _straight_ssrts(d, 4)):
         cases += 1
         std, tau = standardize(t)
         if not std.is_standard():
@@ -1111,11 +1102,10 @@ def _check_standardization(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("chain-tableau-roundtrip", "roundtrips")
+@_register("chain-tableau-roundtrip", "roundtrips", cap=7)
 def _check_chain_roundtrip(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 7)
     cases = 0
-    for beta, gamma in _interval_pairs(bound):
+    for beta, gamma in _interval_pairs(d):
         for chain in interval_chains(beta, gamma):
             cases += 1
             t = chain_to_tableau(beta, chain)
@@ -1131,11 +1121,10 @@ def _check_chain_roundtrip(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("split-rejoin", "roundtrips")
+@_register("split-rejoin", "roundtrips", cap=6)
 def _check_split(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for gamma in _comps_upto(bound):
+    for gamma in _comps_upto(d):
         for t in enumerate_standard(straight(COMPOSITION, gamma)):
             for k in range(t.n + 1):
                 cases += 1
@@ -1145,11 +1134,10 @@ def _check_split(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("insertion-via-column-sort", "roundtrips")
+@_register("insertion-via-column-sort", "roundtrips", cap=5)
 def _check_insert_compat(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 5)
     cases = 0
-    for t in _straight_sscts(bound, 4):
+    for t in _straight_sscts(d, 4):
         for k in range(1, 6):
             cases += 1
             direct = insert_ssct(t, k)
@@ -1159,40 +1147,54 @@ def _check_insert_compat(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("insertion-reconstructs-tableau", "roundtrips")
+def _rect_mismatch(t: Tableau, rectified: Tableau) -> str | None:
+    """Rectification's second route, the column word of ``t`` folded through
+    :func:`insert_ssct` from the empty filling, against ``rectified``."""
+    alt = Tableau(straight(COMPOSITION, ()), ())
+    for letter in column_word(t):
+        alt = insert_ssct(alt, letter)
+    if alt != rectified:
+        return f"rect of {t.rows} is {rectified.rows}, insert_ssct gives {alt.rows}"
+    return None
+
+
+@_register("insertion-reconstructs-tableau", "roundtrips", cap=6)
 def _check_insertion_identity(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 5)
     cases = 0
-    for s in _straight_ssrts(bound, 4):
+    for s in _straight_ssrts(d, 4):
         cases += 1
         if insertion_tableau(column_word(s)) != s:
             return cases, f"column word of {s.rows} inserts elsewhere"
-    for gamma in _comps_upto(min(d, 6)):
+    for gamma in _comps_upto(d):
         for t in enumerate_standard(straight(COMPOSITION, gamma)):
             cases += 1
-            if rect(t, cross_check=True) != t:
+            rectified = rect(t)
+            if mismatch := _rect_mismatch(t, rectified):
+                return cases, mismatch
+            if rectified != t:
                 return cases, f"straight {t.rows} does not rectify to itself"
     return cases, None
 
 
-@_register("rectification-preserves-descents", "roundtrips")
+@_register("rectification-preserves-descents", "roundtrips", cap=6)
 def _check_rect_descents(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for beta, gamma in _interval_pairs(bound):
+    for beta, gamma in _interval_pairs(d):
         shape = SkewShape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
             cases += 1
-            if descents(t) != descents(rect(t, cross_check=True)):
+            rectified = rect(t)
+            if mismatch := _rect_mismatch(t, rectified):
+                return cases, mismatch
+            if descents(t) != descents(rectified):
                 return cases, f"descents change under rectification: {t.rows}"
     return cases, None
 
 
-@_register("skew-column-sort-pairing", "roundtrips")
+@_register("skew-column-sort-pairing", "roundtrips", cap=6)
 def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
-    bound = min(d, 6)
     cases = 0
-    for beta, gamma in _interval_pairs(bound):
+    for beta, gamma in _interval_pairs(d):
         shape = SkewShape(COMPOSITION, gamma, beta)
         mu = underlying_partition(beta)
         for t in enumerate_semistandard(shape, 3):
@@ -1211,7 +1213,7 @@ def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
             if colseq(t) != colseq(pack_columns_skew(t)):
                 return cases, f"skew packing changes colseq of {t.rows}"
     # counting form: SSCT over beta with fixed partition closure vs SSRT
-    for nu in _parts_upto(bound):
+    for nu in _parts_upto(d):
         for beta in _comps_upto(sum(nu)):
             mu = underlying_partition(beta)
             if len(mu) > len(nu) or any(m > n for m, n in zip(mu, nu)):
@@ -1229,16 +1231,16 @@ def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("serialization-roundtrip", "roundtrips")
+@_register("serialization-roundtrip", "roundtrips", cap=5)
 def _check_serialization(d: int, rng: random.Random) -> tuple:
     cases = 0
-    for beta, gamma in _interval_pairs(min(d, 5)):
+    for beta, gamma in _interval_pairs(d):
         shape = SkewShape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
             cases += 1
             if tableau_from_json(json.loads(json.dumps(to_json_dict(t)))) != t:
                 return cases, f"tableau JSON roundtrip fails for {t.rows}"
-    for alpha in _comps_upto(min(d, 5)):
+    for alpha in _comps_upto(d):
         for f in (qs_schur(alpha), lift(_m_element(alpha))):
             cases += 1
             if element_from_json(json.loads(json.dumps(element_to_json(f)))) != f:
@@ -1259,17 +1261,21 @@ def _require_degree(max_degree: int) -> None:
 
 
 def run_check(name: str, max_degree: int, seed: int) -> CheckResult:
-    """Run one check; any exception it raises, or a sweep of zero cases,
+    """Run one check at its effective degree, ``max_degree`` clamped to the
+    check's declared cap; any exception it raises, or a sweep of zero cases,
     makes it fail.  Raises ``ValueError`` on a negative ``max_degree``."""
     _require_degree(max_degree)
     fn = _CHECKS[name]
+    degree = min(max_degree, CAPS.get(name, max_degree))
     rng = random.Random(f"{seed}/{name}")
     started = time.perf_counter()
     try:
-        result = fn(max_degree, rng)
+        result = fn(degree, rng)
     except Exception as exc:
         elapsed = time.perf_counter() - started
-        return CheckResult(name, False, 0, elapsed, f"{type(exc).__name__}: {exc}")
+        return CheckResult(
+            name, False, 0, degree, elapsed, f"{type(exc).__name__}: {exc}"
+        )
     elapsed = time.perf_counter() - started
     cases, counterexample = result[0], result[1]
     note = result[2] if len(result) > 2 else None
@@ -1277,7 +1283,7 @@ def run_check(name: str, max_degree: int, seed: int) -> CheckResult:
         empty = f"ran 0 cases at max degree {max_degree}"
         note = empty if note is None else f"{note}; {empty}"
     ok = counterexample is None and cases > 0
-    return CheckResult(name, ok, cases, elapsed, counterexample, note)
+    return CheckResult(name, ok, cases, degree, elapsed, counterexample, note)
 
 
 def default_jobs() -> int:

@@ -1,11 +1,12 @@
 """Brute-force reference implementations used to pin down expected values.
 
-Everything here but the last section is written directly from the defining
-conditions and knows nothing about the package internals: tableaux are dicts
-mapping (row, column) cells to entries, polynomials are dicts mapping
-exponent vectors (or words) to coefficients.  The last two sections keep
-the package's former routes, built from its own tableaux, as the oracles
-of the faster routes that replaced them.
+Everything before the per-target filter routes is written directly from
+the defining conditions and knows nothing about the package internals:
+tableaux are dicts mapping (row, column) cells to entries, polynomials are
+dicts mapping exponent vectors (or words) to coefficients.  The sections
+from there on are built from the package's own tableaux: its former routes,
+kept as the oracles of the faster routes that replaced them, and small
+helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from qschur.compositions import is_contained, partitions_of, refines, weak_compositions
 from qschur.tableaux import (
+    COMPOSITION,
     PARTITION,
     SkewShape,
     Tableau,
@@ -27,7 +29,7 @@ from qschur.tableaux import (
     make_tableau,
     straight,
 )
-from qschur.transforms import insertion_tableau
+from qschur.transforms import insert_ssct, insertion_tableau, q_move, word_c_shape
 
 
 def composition_cells(gamma, beta):
@@ -415,3 +417,43 @@ def ssct_by_refinement(shape, max_entry):
                 out.append(destandardize(that, tau))
     out.sort(key=Tableau.sort_key)
     return tuple(out)
+
+
+# --- rectification by composition insertion and test-only helpers ------------
+
+
+def rect_by_ssct_insertion(t):
+    """Rectification's second route: the column word of ``t`` folded
+    through ``insert_ssct``, starting from the empty filling."""
+    out = Tableau(straight(COMPOSITION, ()), ())
+    for letter in column_word(t):
+        out = insert_ssct(out, letter)
+    return out
+
+
+def c_class(word):
+    """The words C-equivalent to ``word`` (same recording tableau, same
+    rectified shape), explored by dual Knuth moves restricted to words of
+    the same rectified shape; dual moves preserve the recording tableau."""
+    target = word_c_shape(word)
+    seen = {word}
+    frontier = [word]
+    while frontier:
+        w = frontier.pop()
+        for k in range(1, len(w) - 1):
+            try:
+                nxt = q_move(w, k)
+            except ValueError:
+                continue
+            if nxt not in seen and word_c_shape(nxt) == target:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def row_constant_srt(lam):
+    """The reverse filling of partition ``lam`` whose row ``i`` is constant
+    ``len(lam) - i + 1``; its content is ``reverse(lam)``."""
+    ell = len(lam)
+    rows = tuple(tuple([ell - i] * lam[i]) for i in range(ell))
+    return Tableau(straight(PARTITION, lam), rows)

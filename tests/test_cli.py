@@ -5,6 +5,8 @@ import pytest
 from qschur.cli import main, parse_composition
 from qschur.tableaux import COMPOSITION, PARTITION, from_rows, to_json_dict
 
+from oracles import rect_by_ssct_insertion
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -117,15 +119,22 @@ def test_rsk_command(capsys):
 
 
 def test_rect_command(tmp_path, capsys):
-    path = write_tableau(
-        tmp_path,
-        "t.json",
-        COMPOSITION,
-        [[4, 3, 1], [8, 6], [None, None, 7, 5, 2], [None, None, None], [None, 9]],
-    )
-    code, out, _ = run(capsys, "rect", "--tableau", path, "--cross-check")
+    rows = [[4, 3, 1], [8, 6], [None, None, 7, 5, 2], [None, None, None], [None, 9]]
+    path = write_tableau(tmp_path, "t.json", COMPOSITION, rows)
+    code, out, _ = run(capsys, "rect", "--tableau", path)
     assert code == 0
+    assert json.loads(out) == to_json_dict(
+        rect_by_ssct_insertion(from_rows(COMPOSITION, rows))
+    )
     assert json.loads(out)["rows"] == [[4, 3, 1], [8, 7, 5, 2], [9, 6]]
+
+
+def test_rect_has_no_cross_check_flag(tmp_path, capsys):
+    path = write_tableau(tmp_path, "t.json", COMPOSITION, [[1], [3, 2]])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rect", "--tableau", path, "--cross-check"])
+    assert excinfo.value.code == 2
+    assert "--cross-check" in capsys.readouterr().err
 
 
 def test_rho_round_trip(tmp_path, capsys):
@@ -223,6 +232,7 @@ def test_verify_fails_a_check_with_zero_cases(capsys):
     check = {c["name"]: c for c in report["checks"]}["uniform-q-moves-stay-in-shape"]
     assert check["ok"] is False
     assert check["cases"] == 0
+    assert check["effective_degree"] == 3
     assert check["note"] == "ran 0 cases at max degree 3"
 
 

@@ -15,7 +15,12 @@ The accumulation scan lists every function that adds into a dict by hand,
 reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
 ``qsym._accumulate`` and ``qsym.linear``; the other names in
 ``ACCUMULATORS`` are the chain walk and the peel, hot loops kept as they
-are, and ``verify``'s own oracle arithmetic.
+are.
+
+The cap scan keeps ``verify``'s degree caps where the checks are
+registered: no function in ``verify.py`` but ``run_check`` may call
+``min(...)`` on the degree, the argument named ``d`` (in the checks and
+their helpers) or ``max_degree`` (in the runner).
 """
 
 import ast
@@ -34,7 +39,7 @@ CACHES = {
     "qsym._schur_in_monomial",
     "qsym.qs_schur",
     "qsym.skew_qs_schur",
-    "tableaux.enumerate_semistandard",
+    "tableaux._enumerate_semistandard",
     "tableaux.enumerate_standard",
 }
 
@@ -42,9 +47,6 @@ ACCUMULATORS = {
     "compositions.chain_descents",
     "qsym._accumulate",
     "qsym._peel",
-    "verify._check_bialgebra",
-    "verify._check_coassociativity",
-    "verify._check_factorization",
 }
 
 
@@ -174,3 +176,48 @@ def test_hand_accumulations_are_the_named_ones():
         for name in accumulating_functions(p.read_text())
     }
     assert found == ACCUMULATORS
+
+
+DEGREE_NAMES = {"d", "max_degree"}
+
+
+def degree_clamps(source):
+    """Innermost enclosing function (``<module>`` at top level) of each
+    ``min(...)`` call whose arguments mention ``d`` or ``max_degree``."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "min"
+            and any(
+                isinstance(sub, ast.Name) and sub.id in DEGREE_NAMES
+                for arg in node.args
+                for sub in ast.walk(arg)
+            )
+        ):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_every_degree_clamp():
+    source = (
+        "def a(d, rng):\n    bound = min(d, 6)\n"
+        "def b(d, rng):\n    return range(min(d - 1, 4) + 1)\n"
+        "def c(d, rng):\n    return min(4, len(rng)), min(x for x in (1, 2))\n"
+        "def run_check(name, max_degree):\n    return min(max_degree, 3)\n"
+        "k = min(max_degree, 2)\n"
+    )
+    assert degree_clamps(source) == ["<module>", "a", "b", "run_check"]
+
+
+def test_only_run_check_clamps_the_degree():
+    source = (ROOT / "src" / "qschur" / "verify.py").read_text()
+    assert degree_clamps(source) == ["run_check"]

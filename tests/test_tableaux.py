@@ -31,7 +31,6 @@ from qschur.tableaux import (
     from_rows,
     join_split,
     make_tableau,
-    row_constant_srt,
     split_tableau,
     standardize,
     straight,
@@ -42,7 +41,14 @@ from qschur.tableaux import (
     validate,
 )
 
-from oracles import brute_sct, brute_srt, brute_ssct, brute_ssrt, ssct_by_refinement
+from oracles import (
+    brute_sct,
+    brute_srt,
+    brute_ssct,
+    brute_ssrt,
+    row_constant_srt,
+    ssct_by_refinement,
+)
 
 small_compositions = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
 
@@ -209,7 +215,7 @@ def test_enumerators_are_memoized():
 
 
 @pytest.mark.parametrize("kind", [PARTITION, COMPOSITION])
-@pytest.mark.parametrize("bad", [-1, 2.0, "2", None, True])
+@pytest.mark.parametrize("bad", [-1, 2.0, "2", None, True, [2]])
 def test_enumerate_semistandard_rejects_bad_max_entry(kind, bad):
     shape = straight(kind, (2, 1))
     assert len(enumerate_semistandard(shape, 2)) > 0  # 2.0 must not hit this entry

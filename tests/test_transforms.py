@@ -19,9 +19,7 @@ from qschur.tableaux import (
     validate,
 )
 from qschur.transforms import (
-    c_class,
     c_equivalent,
-    c_shape,
     insert_ssct,
     insert_ssrt,
     insertion_tableau,
@@ -39,7 +37,7 @@ from qschur.transforms import (
     word_c_shape,
 )
 
-from oracles import insert_word
+from oracles import c_class, insert_word, rect_by_ssct_insertion
 
 
 def comps_upto(d):
@@ -158,9 +156,10 @@ def test_rect_golden():
     )
     assert t.shape.outer == (3, 2, 5, 3, 2)
     assert t.shape.inner == (2, 3, 1)
-    r = rect(t, cross_check=True)
+    r = rect(t)
+    assert r == rect_by_ssct_insertion(t)
     assert r.rows == ((4, 3, 1), (8, 7, 5, 2), (9, 6))
-    assert c_shape(t) == (3, 4, 2)
+    assert r.shape.outer == (3, 4, 2)
     assert descent_composition(t) == (1, 3, 2, 2, 1)
     assert descent_composition(r) == (1, 3, 2, 2, 1)
 
@@ -168,13 +167,15 @@ def test_rect_golden():
 def test_rect_fixes_straight_tableaux():
     for alpha in comps_upto(5):
         for t in enumerate_standard(straight(COMPOSITION, alpha)):
-            assert rect(t, cross_check=True) == t
+            assert rect(t) == rect_by_ssct_insertion(t) == t
 
 
 def test_rect_preserves_descents():
     shape = SkewShape(COMPOSITION, (1, 4, 3), (1, 2))
     for t in enumerate_standard(shape):
-        assert descents(rect(t, cross_check=True)) == descents(t)
+        r = rect(t)
+        assert r == rect_by_ssct_insertion(t)
+        assert descents(r) == descents(t)
 
 
 def test_skew_pack_round_trip():

@@ -2,6 +2,7 @@ import pytest
 
 from qschur import verify
 from qschur.qsym import TruncatedPolynomial
+from qschur.tableaux import COMPOSITION, from_rows
 from qschur.verify import _CHECKS, SUITES, run_check
 
 README_SUITES = [
@@ -47,3 +48,41 @@ def test_analogue_dual_route_reports_disagreement(monkeypatch):
 def test_run_check_rejects_negative_degree():
     with pytest.raises(ValueError, match="nonnegative"):
         run_check("covers-shape", -1, 17)
+
+
+def test_effective_degree_is_the_degree_clamped_to_the_cap():
+    assert verify.CAPS["analogues-linearly-independent"] == 4
+    at_cap = run_check("analogues-linearly-independent", 4, 17)
+    above = run_check("analogues-linearly-independent", 5, 17)
+    assert at_cap.ok and above.ok
+    assert above.cases == at_cap.cases
+    assert at_cap.effective_degree == above.effective_degree == 4
+    assert above.to_json()["effective_degree"] == 4
+
+    assert "covers-shape" not in verify.CAPS
+    uncapped = run_check("covers-shape", 5, 17)
+    assert uncapped.effective_degree == 5
+    assert uncapped.cases > run_check("covers-shape", 4, 17).cases
+
+    for name in ("non-lattice-witness", "rejects-non-quasisymmetric"):
+        assert verify.CAPS[name] == 0
+        assert run_check(name, 5, 17).effective_degree == 0
+
+
+def test_rectification_routes_report_disagreement(monkeypatch):
+    real = verify.rect
+
+    def perturbed(t):
+        if t.rows == ((1,), (3, 2)):
+            return from_rows(COMPOSITION, [[2, 1], [3]])
+        return real(t)
+
+    monkeypatch.setattr(verify, "rect", perturbed)
+    for name in ("insertion-reconstructs-tableau", "rectification-preserves-descents"):
+        result = run_check(name, 3, 17)
+        assert not result.ok
+        assert result.cases > 0
+        assert result.counterexample == (
+            "rect of ((1,), (3, 2)) is ((2, 1), (3,)), "
+            "insert_ssct gives ((1,), (3, 2))"
+        )
