@@ -43,7 +43,6 @@ from .tableaux import (
     Tableau,
     content,
     enumerate_semistandard,
-    make_tableau,
     straight,
     validate,
 )
@@ -99,21 +98,26 @@ def pr_product(t1: Tableau, t2: Tableau) -> tuple[Tableau, ...]:
     to ``t1`` (shifted up by the size of ``t2``) on the inner shape and
     whose remaining skew part has column word inserting to ``t2``.  Those
     skew parts are the class of ``t2`` in the rectification census of each
-    outer shape (:func:`~qschur.nsym._rect_census`).
+    outer shape (:func:`~qschur.nsym._rect_census`).  Row r of a term is
+    row r of ``t1``, shifted, followed by the skew part of row r of its
+    census filling.
     """
     _require_straight_srt(t1)
     _require_straight_srt(t2)
     n = t2.shape.size
     mu = t1.shape.outer
-    shifted = {cell: t1.entry(*cell) + n for cell in t1.shape.cells}
+    shifted = [tuple(x + n for x in row) for row in t1.rows]
     out = []
     for nu in partitions_of(t1.shape.size + n):
         if not is_contained(mu, nu):
             continue
+        shape = straight(PARTITION, nu)
         for s in _rect_census(nu, mu).get(t2, ()):
-            filling = dict(shifted)
-            filling.update(s.entries())
-            out.append(make_tableau(straight(PARTITION, nu), filling))
+            rows = tuple(
+                top + row[len(top) :]
+                for top, row in itertools.zip_longest(shifted, s.rows, fillvalue=())
+            )
+            out.append(Tableau(shape, rows))
     out.sort(key=Tableau.sort_key)
     return tuple(out)
 

@@ -12,6 +12,13 @@ Cells are (row, column), 1-based, English orientation (row 1 on top).
 Fillings are *reverse*: rows weakly decrease left to right.  On partition
 shapes columns strictly decrease top to bottom; on composition shapes the
 first column strictly increases and a triple rule governs the rest.
+
+A :class:`Tableau` keeps its filling as rows padded with ``None`` on the
+inner cells, and the operations here read fillings from those rows and
+build new ones as rows.  Standard fillings come from saturated chains (of
+the composition poset for composition shapes, of partition containment for
+partition shapes); semistandard fillings of either kind are standard
+fillings relabelled at every content refining their descent composition.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .compositions import (
     is_contained,
     is_partition,
     is_rev_contained,
+    is_weak_composition,
     refines,
     require_composition,
 )
@@ -133,8 +141,9 @@ class Tableau:
 
     Inner cells hold ``None``, skew cells hold positive integers.  Rows are
     padded to the outer row lengths so two tableaux are equal exactly when
-    their shapes and fillings agree, and :meth:`entry` reads a skew cell as
-    an in-range position of ``rows`` that does not hold ``None``.
+    their shapes and fillings agree, and a skew cell is an in-range position
+    of ``rows`` that does not hold ``None``: :meth:`entry` reads one,
+    :meth:`entries` reads them all from the rows.
     """
 
     shape: SkewShape
@@ -167,11 +176,17 @@ class Tableau:
         return x
 
     def entries(self) -> dict[Cell, int]:
-        return {cell: self.entry(*cell) for cell in self.shape.cells}
+        """Every skew cell with its entry, in row-major order (the order of
+        ``shape.cells``), read off the padded rows."""
+        return {
+            (r, c): x
+            for r, row in enumerate(self.rows, start=1)
+            for c, x in enumerate(row, start=1)
+            if x is not None
+        }
 
     def is_standard(self) -> bool:
-        vals = sorted(self.entry(*cell) for cell in self.shape.cells)
-        return vals == list(range(1, self.n + 1))
+        return sorted(self.entries().values()) == list(range(1, self.n + 1))
 
     def sort_key(self):
         rows = tuple(tuple(0 if x is None else x for x in row) for row in self.rows)
@@ -222,12 +237,11 @@ def from_rows(kind: str, rows) -> Tableau:
 
 
 def _row_runs_ok(t: Tableau) -> bool:
-    for r in range(1, len(t.shape.outer) + 1):
-        lo = t.shape.inner_in_row(r) + 1
-        hi = t.shape.outer[r - 1]
-        for c in range(lo, hi):
-            if t.entry(r, c) < t.entry(r, c + 1):
-                return False
+    """Every row weakly decreases along its skew cells (the ``None`` of the
+    inner cells form a prefix, which ``Tableau`` checks)."""
+    for row in t.rows:
+        if any(a is not None and a < b for a, b in zip(row, row[1:])):
+            return False
     return True
 
 
@@ -276,7 +290,7 @@ def validate(t: Tableau) -> str:
 
 def content(t: Tableau, max_entry: int | None = None) -> tuple[int, ...]:
     """Multiplicity of each value 1..max as a weak composition."""
-    counts = Counter(t.entry(*cell) for cell in t.shape.cells)
+    counts = Counter(t.entries().values())
     top = max(counts, default=0)
     if max_entry is not None:
         if top > max_entry:
@@ -285,21 +299,25 @@ def content(t: Tableau, max_entry: int | None = None) -> tuple[int, ...]:
     return tuple(counts.get(v, 0) for v in range(1, top + 1))
 
 
+def _columns(t: Tableau) -> list[list[int]]:
+    """The entries of each column top to bottom, column 1 first; a column
+    without skew cells is an empty list."""
+    cols: list[list[int]] = [[] for _ in range(max(t.shape.outer, default=0))]
+    for row in t.rows:
+        for c, x in enumerate(row):
+            if x is not None:
+                cols[c].append(x)
+    return cols
+
+
 def column_word(t: Tableau) -> tuple[int, ...]:
     """Entries of each column in increasing order, columns left to right."""
-    cols: dict[int, list[int]] = {}
-    for (r, c) in t.shape.cells:
-        cols.setdefault(c, []).append(t.entry(r, c))
-    out: list[int] = []
-    for c in sorted(cols):
-        out.extend(sorted(cols[c]))
-    return tuple(out)
+    return tuple(x for col in _columns(t) for x in sorted(col))
 
 
 def _positions(t: Tableau) -> dict[int, Cell]:
     pos = {}
-    for cell in t.shape.cells:
-        v = t.entry(*cell)
+    for cell, v in t.entries().items():
         if v in pos:
             raise ValueError("tableau is not standard (repeated entry)")
         pos[v] = cell
@@ -335,8 +353,8 @@ def standardize(t: Tableau) -> tuple[Tableau, tuple[int, ...]]:
     entries the one in the larger column receives the smaller label, which
     is the unique choice keeping composition fillings valid.
     """
-    order = sorted(t.shape.cells, key=lambda cell: (t.entry(*cell), -cell[1]))
-    labels = {cell: i for i, cell in enumerate(order, start=1)}
+    order = sorted(t.entries().items(), key=lambda item: (item[1], -item[0][1]))
+    labels = {cell: i for i, (cell, _) in enumerate(order, start=1)}
     return make_tableau(t.shape, labels), content(t)
 
 
@@ -345,8 +363,11 @@ def destandardize(that: Tableau, tau: tuple[int, ...]) -> Tableau:
 
     ``tau`` must be a weak composition of n refining the descent
     composition of ``that``; standard label p becomes the value v with
-    tau_1 + ... + tau_{v-1} < p <= tau_1 + ... + tau_v.
+    tau_1 + ... + tau_{v-1} < p <= tau_1 + ... + tau_v.  Anything else,
+    including a tuple with a negative or non-int part, raises ``ValueError``.
     """
+    if not (isinstance(tau, tuple) and is_weak_composition(tau)):
+        raise ValueError(f"content {tau!r} is not a tuple of non-negative ints")
     if sum(tau) != that.n:
         raise ValueError(f"content {tau} has weight {sum(tau)}, need {that.n}")
     if not refines(tau, descent_composition(that)):
@@ -476,28 +497,6 @@ def enumerate_standard(shape: SkewShape) -> tuple[Tableau, ...]:
     return tuple(sorted(out, key=Tableau.sort_key))
 
 
-def _ssrt_fillings(shape: SkewShape, max_entry: int) -> Iterator[Tableau]:
-    cells = shape.cells
-    entries: dict[Cell, int] = {}
-
-    def fill(i: int) -> Iterator[Tableau]:
-        if i == len(cells):
-            yield make_tableau(shape, dict(entries))
-            return
-        r, c = cells[i]
-        hi = max_entry
-        if shape.in_skew(r, c - 1):
-            hi = min(hi, entries[(r, c - 1)])
-        if shape.in_skew(r - 1, c):
-            hi = min(hi, entries[(r - 1, c)] - 1)
-        for v in range(1, hi + 1):
-            entries[(r, c)] = v
-            yield from fill(i + 1)
-        entries.pop((r, c), None)
-
-    yield from fill(0)
-
-
 def _contents(cuts: tuple[int, ...], n: int, length: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions of ``n`` with ``length`` parts whose partial sums
     pass through every point of the increasing tuple ``cuts`` (a subset of
@@ -531,10 +530,10 @@ def _contents(cuts: tuple[int, ...], n: int, length: int) -> Iterator[tuple[int,
 def enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """All semistandard reverse fillings with entries at most ``max_entry``.
 
-    Composition shapes go through standardization: each standard filling is
+    Both shape kinds go through standardization: each standard filling is
     relabelled at every weak content of length ``max_entry`` whose partial
     sums pass through its descent set, which hits every semistandard
-    filling exactly once.  Partition shapes are filled directly.
+    filling exactly once.
 
     ``max_entry`` must be a non-negative ``int`` (else ``ValueError``).
     Memoized per (shape, max_entry): every call on an equal pair returns the
@@ -548,13 +547,10 @@ def enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, .
 @cache
 def _enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
     """:func:`enumerate_semistandard` without the argument check, memoized."""
-    if shape.kind == PARTITION:
-        out = list(_ssrt_fillings(shape, max_entry))
-    else:
-        out = []
-        for that in enumerate_standard(shape):
-            cuts = tuple(sorted(descents(that)))
-            out.extend(_relabel(that, tau) for tau in _contents(cuts, that.n, max_entry))
+    out = []
+    for that in enumerate_standard(shape):
+        cuts = tuple(sorted(descents(that)))
+        out.extend(_relabel(that, tau) for tau in _contents(cuts, that.n, max_entry))
     return tuple(sorted(out, key=Tableau.sort_key))
 
 
@@ -565,56 +561,47 @@ def split_tableau(t: Tableau, k: int) -> tuple[Tableau, Tableau]:
     shape over the enlarged base occupied by the inner shape together with
     entries above k; ``lower`` keeps entries k+1..n, shifted down by k, on
     that enlarged base over the original inner shape.  The two reassemble
-    to ``t``.
+    to ``t``.  Both halves are sliced from the rows of ``t``: row r of the
+    base holds the cells of row r that are inner or hold an entry above k.
     """
     if validate(t) != "SCT":
         raise ValueError("split needs an SCT")
     if not 0 <= k <= t.n:
         raise ValueError(f"split point {k} outside 0..{t.n}")
-    sh = t.shape
-    ell = len(sh.outer)
-    base_len = [
-        sh.inner_in_row(r)
-        + sum(1 for c in range(1, sh.outer[r - 1] + 1) if sh.in_skew(r, c) and t.entry(r, c) > k)
-        for r in range(1, ell + 1)
-    ]
-    for r in range(1, ell + 1):
-        for c in range(sh.inner_in_row(r) + 1, sh.outer[r - 1] + 1):
-            big = t.entry(r, c) > k
-            if big != (c <= base_len[r - 1]):
-                raise ValueError("entries above the split are not left-justified")
-    first = next((i for i, b in enumerate(base_len) if b), ell)
+    base_len = []
+    for row in t.rows:
+        m = sum(1 for x in row if x is None or x > k)
+        if not all(x is None or x > k for x in row[:m]):
+            raise ValueError("entries above the split are not left-justified")
+        base_len.append(m)
+    first = next((i for i, b in enumerate(base_len) if b), len(base_len))
     if any(b == 0 for b in base_len[first:]):
         raise ValueError("rows above the split are not bottom-aligned")
     mid = tuple(base_len[first:])
-    upper_entries = {
-        (r, c): t.entry(r, c)
-        for (r, c) in sh.cells
-        if t.entry(r, c) <= k
-    }
-    upper = make_tableau(SkewShape(COMPOSITION, sh.outer, mid), upper_entries)
-    drop = ell - len(mid)
-    lower_entries = {
-        (r - drop, c): t.entry(r, c) - k
-        for (r, c) in sh.cells
-        if t.entry(r, c) > k
-    }
-    lower = make_tableau(SkewShape(COMPOSITION, mid, sh.inner), lower_entries)
-    return upper, lower
+    upper_rows = tuple((None,) * m + row[m:] for row, m in zip(t.rows, base_len))
+    lower_rows = tuple(
+        tuple(x if x is None else x - k for x in row[:m])
+        for row, m in zip(t.rows[first:], mid)
+    )
+    return (
+        Tableau(SkewShape(COMPOSITION, t.shape.outer, mid), upper_rows),
+        Tableau(SkewShape(COMPOSITION, mid, t.shape.inner), lower_rows),
+    )
 
 
 def join_split(upper: Tableau, lower: Tableau) -> Tableau:
-    """Reassemble the two halves produced by :func:`split_tableau`."""
+    """Reassemble the two halves produced by :func:`split_tableau`: the
+    bottom rows of ``upper`` take the rows of ``lower``, shifted up by
+    ``upper.n``, in place of their inner cells."""
     if upper.shape.inner != lower.shape.outer:
         raise ValueError("halves do not share the middle shape")
     k = upper.n
     drop = len(upper.shape.outer) - len(lower.shape.outer)
-    entries = upper.entries()
-    for (r, c), v in lower.entries().items():
-        entries[(r + drop, c)] = v + k
-    return make_tableau(
-        SkewShape(COMPOSITION, upper.shape.outer, lower.shape.inner), entries
+    rows = upper.rows[:drop] + tuple(
+        tuple(x if x is None else x + k for x in low) + up[len(low) :]
+        for up, low in zip(upper.rows[drop:], lower.rows)
     )
+    return Tableau(SkewShape(COMPOSITION, upper.shape.outer, lower.shape.inner), rows)
 
 
 def to_json_dict(t: Tableau) -> dict:

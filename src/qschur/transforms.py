@@ -19,6 +19,7 @@ from .tableaux import (
     PARTITION,
     SkewShape,
     Tableau,
+    _columns,
     chain_to_tableau,
     colseq,
     column_word,
@@ -49,15 +50,9 @@ def pack_columns(t: Tableau) -> Tableau:
     underlying partition shape; inverse of :func:`unpack_columns`.
     """
     _require_straight(t, COMPOSITION)
-    cols: dict[int, list[int]] = {}
-    for (r, c) in t.shape.cells:
-        cols.setdefault(c, []).append(t.entry(r, c))
-    for col in cols.values():
-        col.sort(reverse=True)
+    cols = [sorted(col, reverse=True) for col in _columns(t)]
     lam = underlying_partition(t.shape.outer)
-    rows = tuple(
-        tuple(cols[c][r] for c in range(1, lam[r] + 1)) for r in range(len(lam))
-    )
+    rows = tuple(tuple(cols[c][r] for c in range(lam[r])) for r in range(len(lam)))
     return Tableau(straight(PARTITION, lam), rows)
 
 
@@ -69,12 +64,10 @@ def unpack_columns(t: Tableau) -> Tableau:
     the right current length whose last entry can sit to its left.
     """
     _require_straight(t, PARTITION)
-    cols: dict[int, list[int]] = {}
-    for (r, c) in t.shape.cells:
-        cols.setdefault(c, []).append(t.entry(r, c))
-    rows = [[e] for e in sorted(cols.get(1, []))]
-    for c in range(2, len(cols) + 1):
-        for e in sorted(cols[c], reverse=True):
+    cols = _columns(t) or [[]]
+    rows = [[e] for e in sorted(cols[0])]
+    for c, col in enumerate(cols[1:], start=2):
+        for e in sorted(col, reverse=True):
             for row in rows:
                 if len(row) == c - 1 and row[-1] >= e:
                     row.append(e)
@@ -235,10 +228,6 @@ def rect(t: Tableau) -> Tableau:
     return unpack_columns(insertion_tableau(column_word(t)))
 
 
-def word_c_shape(word: Word) -> Composition:
-    return unpack_columns(insertion_tableau(word)).shape.outer
-
-
 def p_move(word: Word, k: int) -> Word:
     """Elementary Knuth move on positions k, k+1, k+2 (1-based).
 
@@ -278,17 +267,6 @@ def q_move(word: Word, k: int) -> Word:
     out = list(word)
     out[left], out[right] = out[right], out[left]
     return tuple(out)
-
-
-def c_equivalent(w1: Word, w2: Word) -> bool:
-    """Same recording tableau and same rectified composition shape."""
-    if len(w1) != len(w2):
-        return False
-    p1, q1 = rsk(w1)
-    p2, q2 = rsk(w2)
-    if q1 != q2:
-        return False
-    return unpack_columns(p1).shape.outer == unpack_columns(p2).shape.outer
 
 
 def standard_words_of_shape(alpha: Composition) -> frozenset[Word]:

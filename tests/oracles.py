@@ -28,8 +28,9 @@ from qschur.tableaux import (
     enumerate_standard,
     make_tableau,
     straight,
+    validate,
 )
-from qschur.transforms import insert_ssct, insertion_tableau, q_move, word_c_shape
+from qschur.transforms import insert_ssct, insertion_tableau, q_move, unpack_columns
 
 
 def composition_cells(gamma, beta):
@@ -419,6 +420,72 @@ def ssct_by_refinement(shape, max_entry):
     return tuple(out)
 
 
+# --- semistandard reverse fillings by backtracking ---------------------------
+# enumerate_semistandard on a partition shape as it was before both kinds
+# were relabelled from standard fillings: the skew cells filled one at a
+# time in row-major order, each value bounded by its left and upper
+# neighbours.  Values are tried in increasing order, so the fillings come
+# out in Tableau.sort_key order without sorting.
+
+
+def ssrt_by_backtracking(shape, max_entry):
+    cells = shape.cells
+    entries = {}
+
+    def fill(i):
+        if i == len(cells):
+            yield make_tableau(shape, dict(entries))
+            return
+        r, c = cells[i]
+        hi = max_entry
+        if shape.in_skew(r, c - 1):
+            hi = min(hi, entries[(r, c - 1)])
+        if shape.in_skew(r - 1, c):
+            hi = min(hi, entries[(r - 1, c)] - 1)
+        for v in range(1, hi + 1):
+            entries[(r, c)] = v
+            yield from fill(i + 1)
+        entries.pop((r, c), None)
+
+    return tuple(fill(0))
+
+
+# --- splitting by cells --------------------------------------------------------
+# split_tableau as it was before it sliced rows: every cell read one at a
+# time, both halves gathered as cell dicts and filled in by make_tableau.
+
+
+def split_by_cells(t, k):
+    if validate(t) != "SCT":
+        raise ValueError("split needs an SCT")
+    if not 0 <= k <= t.n:
+        raise ValueError(f"split point {k} outside 0..{t.n}")
+    sh = t.shape
+    ell = len(sh.outer)
+    base_len = [
+        sh.inner_in_row(r)
+        + sum(1 for c in range(1, sh.outer[r - 1] + 1) if sh.in_skew(r, c) and t.entry(r, c) > k)
+        for r in range(1, ell + 1)
+    ]
+    for r in range(1, ell + 1):
+        for c in range(sh.inner_in_row(r) + 1, sh.outer[r - 1] + 1):
+            big = t.entry(r, c) > k
+            if big != (c <= base_len[r - 1]):
+                raise ValueError("entries above the split are not left-justified")
+    first = next((i for i, b in enumerate(base_len) if b), ell)
+    if any(b == 0 for b in base_len[first:]):
+        raise ValueError("rows above the split are not bottom-aligned")
+    mid = tuple(base_len[first:])
+    upper_entries = {(r, c): t.entry(r, c) for (r, c) in sh.cells if t.entry(r, c) <= k}
+    upper = make_tableau(SkewShape(COMPOSITION, sh.outer, mid), upper_entries)
+    drop = ell - len(mid)
+    lower_entries = {
+        (r - drop, c): t.entry(r, c) - k for (r, c) in sh.cells if t.entry(r, c) > k
+    }
+    lower = make_tableau(SkewShape(COMPOSITION, mid, sh.inner), lower_entries)
+    return upper, lower
+
+
 # --- rectification by composition insertion and test-only helpers ------------
 
 
@@ -429,6 +496,12 @@ def rect_by_ssct_insertion(t):
     for letter in column_word(t):
         out = insert_ssct(out, letter)
     return out
+
+
+def word_c_shape(word):
+    """The composition shape that ``word`` rectifies to: its insertion
+    tableau with the columns unpacked."""
+    return unpack_columns(insertion_tableau(word)).shape.outer
 
 
 def c_class(word):

@@ -17,6 +17,12 @@ reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
 ``ACCUMULATORS`` are the chain walk and the peel, hot loops kept as they
 are.
 
+The private-helper scan fails on a module-level, undecorated ``_name``
+function in the package that nothing else in the package references: a
+bare name, an attribute or an imported name anywhere but in that
+function's own body.  Decorated functions, such as ``verify``'s
+``_check_*`` functions registered through ``_register``, count as used.
+
 The cap scan keeps ``verify``'s degree caps where the checks are
 registered: no function in ``verify.py`` but ``run_check`` may call
 ``min(...)`` on the degree, the argument named ``d`` (in the checks and
@@ -221,3 +227,74 @@ def test_scan_finds_every_degree_clamp():
 def test_only_run_check_clamps_the_degree():
     source = (ROOT / "src" / "qschur" / "verify.py").read_text()
     assert degree_clamps(source) == ["run_check"]
+
+
+def private_functions(source):
+    """Module-level, undecorated functions whose names start with ``_``."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.decorator_list
+    ]
+
+
+def referenced_names(source):
+    """Bare names, attribute names and imported names of a module, leaving
+    out what each module-level function says about itself in its body."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = None
+        if name is not None and name != owner:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for node in ast.parse(source).body:
+        is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        visit(node, node.name if is_function else None)
+    return found
+
+
+def uncalled_private_functions(sources):
+    """``module.name`` of every private function in ``sources`` (module
+    name to source) that no module references."""
+    used = set().union(*(referenced_names(source) for source in sources.values()))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name in private_functions(source)
+        if name not in used
+    )
+
+
+def test_scan_finds_every_uncalled_private_function():
+    sources = {
+        "a": (
+            "def _called(): pass\n"
+            "def _dead(): pass\n"
+            "def _only_itself(n): return _only_itself(n - 1)\n"
+            "def _imported(): pass\n"
+            "def _by_attribute(): pass\n"
+            "@register\ndef _check_x(): pass\n"
+            "class K:\n    def _method(self): pass\n"
+            "def public():\n    def _nested(): pass\n    return _called()\n"
+        ),
+        "b": "from a import _imported\nimport a\nx = a._by_attribute\n",
+    }
+    assert uncalled_private_functions(sources) == ["a._dead", "a._only_itself"]
+
+
+def test_every_private_function_is_called():
+    sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qschur").glob("*.py")}
+    assert any(private_functions(source) for source in sources.values())
+    assert uncalled_private_functions(sources) == []

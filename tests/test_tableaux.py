@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qschur.compositions import (
     compositions_of,
     interval_chains,
+    is_contained,
     leq,
+    partitions_of,
     refines,
     weak_compositions,
 )
@@ -46,8 +48,11 @@ from oracles import (
     brute_srt,
     brute_ssct,
     brute_ssrt,
+    column_reading_word,
     row_constant_srt,
+    split_by_cells,
     ssct_by_refinement,
+    ssrt_by_backtracking,
 )
 
 small_compositions = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
@@ -55,6 +60,25 @@ small_compositions = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tup
 
 def comps_upto(d):
     return [a for n in range(d + 1) for a in compositions_of(n)]
+
+
+def skew_shapes_upto(d):
+    """Every skew shape of both kinds whose outer shape has at most d cells."""
+    composition = [
+        SkewShape(COMPOSITION, gamma, beta)
+        for gamma in comps_upto(d)
+        for beta in comps_upto(sum(gamma))
+        if leq(beta, gamma)
+    ]
+    partition = [
+        SkewShape(PARTITION, nu, mu)
+        for n in range(d + 1)
+        for nu in partitions_of(n)
+        for k in range(n + 1)
+        for mu in partitions_of(k)
+        if is_contained(mu, nu)
+    ]
+    return composition + partition
 
 
 def test_skew_shape_validation():
@@ -107,6 +131,15 @@ def test_canonical_sct_descents_small():
 def test_canonical_srt_golden():
     assert canonical_srt((3, 2, 2, 1)).rows == ((8, 7, 6), (5, 4), (3, 2), (1,))
     assert row_constant_srt((3, 2, 2, 1)).rows == ((4, 4, 4), (3, 3), (2, 2), (1,))
+
+
+@pytest.mark.parametrize("kind", [PARTITION, COMPOSITION])
+@pytest.mark.parametrize("tau", [(-1, 3), (1.0, 1.0), (2, -1, 1)])
+def test_destandardize_rejects_non_contents(kind, tau):
+    (that,) = enumerate_standard(straight(kind, (2,)))
+    assert destandardize(that, (0, 2)).rows == ((2, 2),)
+    with pytest.raises(ValueError):
+        destandardize(that, tau)
 
 
 def test_row_constant_standardizes_to_canonical():
@@ -164,6 +197,13 @@ def test_content_and_descents_agree_with_definition():
                     expected.add(i)
             assert descents(t) == frozenset(expected)
             assert sum(descent_composition(t)) == n
+    # the row readings agree with reading one cell at a time
+    for shape in skew_shapes_upto(5):
+        for t in enumerate_semistandard(shape, 3):
+            by_cell = {cell: t.entry(*cell) for cell in shape.cells}
+            assert t.entries() == by_cell
+            assert list(t.entries()) == list(shape.cells)
+            assert column_word(t) == column_reading_word(by_cell)
 
 
 def test_enumerate_semistandard_matches_brute_force():
@@ -196,6 +236,14 @@ def test_enumerate_semistandard_matches_refinement_route():
     for shape in shapes:
         for m in range(5):
             assert enumerate_semistandard(shape, m) == ssct_by_refinement(shape, m)
+
+
+def test_enumerate_semistandard_matches_backtracking():
+    shapes = [shape for shape in skew_shapes_upto(6) if shape.kind == PARTITION]
+    assert len(shapes) == 230
+    for shape in shapes:
+        for m in range(5):
+            assert enumerate_semistandard(shape, m) == ssrt_by_backtracking(shape, m)
 
 
 def test_contents_are_the_refining_weak_compositions():
@@ -302,6 +350,20 @@ def test_split_and_rejoin():
                 assert join_split(upper, lower) == t
                 assert upper.n == k
                 assert lower.n == t.n - k
+
+
+def test_split_matches_cell_route():
+    splits = 0
+    for shape in skew_shapes_upto(6):
+        if shape.kind != COMPOSITION:
+            continue
+        for t in enumerate_standard(shape):
+            for k in range(t.n + 1):
+                assert split_tableau(t, k) == split_by_cells(t, k)
+                splits += 1
+    assert splits == 2709
+    with pytest.raises(ValueError):
+        split_tableau(canonical_sct((2, 1)), 4)
 
 
 def test_split_lower_is_standardized():

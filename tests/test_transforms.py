@@ -19,7 +19,6 @@ from qschur.tableaux import (
     validate,
 )
 from qschur.transforms import (
-    c_equivalent,
     insert_ssct,
     insert_ssrt,
     insertion_tableau,
@@ -34,10 +33,9 @@ from qschur.transforms import (
     standard_words_of_shape,
     unpack_columns,
     unpack_columns_skew,
-    word_c_shape,
 )
 
-from oracles import c_class, insert_word, rect_by_ssct_insertion
+from oracles import c_class, insert_word, rect_by_ssct_insertion, word_c_shape
 
 
 def comps_upto(d):
@@ -204,11 +202,6 @@ def test_q_move_golden():
     moved = q_move((2, 4, 3, 1), 2)
     assert sorted(moved) == [1, 2, 3, 4]
     assert rsk(moved)[1] == rsk((2, 4, 3, 1))[1]
-
-
-def test_c_equivalence_golden():
-    assert not c_equivalent((3, 4, 2, 1), (2, 4, 3, 1))
-    assert c_equivalent((2, 4, 3, 1), (1, 4, 3, 2))
 
 
 def test_c_class_members_share_shape_and_q():
