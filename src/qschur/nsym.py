@@ -31,11 +31,11 @@ from .qsym import GradedElement, _l_to_s, linear, skew_qs_schur
 from .tableaux import (
     COMPOSITION,
     PARTITION,
-    SkewShape,
     Tableau,
     canonical_srt,
     column_word,
     enumerate_standard,
+    skew_shape,
     strip_kind,
 )
 from .transforms import insertion_tableau
@@ -127,7 +127,7 @@ def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
     which = 0 if kind == "row" else 1
     predicted = []
     for gamma in chain_descents(beta, n):
-        if strip_kind(SkewShape(COMPOSITION, gamma, beta))[which]:
+        if strip_kind(skew_shape(COMPOSITION, gamma, beta))[which]:
             predicted.append(gamma)
     predicted.sort(key=canonical_key)
     support = sorted(product.terms, key=canonical_key)
@@ -162,7 +162,7 @@ def _rect_census(
     tableau of their column word, each group in :func:`enumerate_standard`
     order.  Callers must not modify the returned dict."""
     census: dict[Tableau, list[Tableau]] = {}
-    for t in enumerate_standard(SkewShape(PARTITION, nu, mu)):
+    for t in enumerate_standard(skew_shape(PARTITION, nu, mu)):
         census.setdefault(insertion_tableau(column_word(t)), []).append(t)
     return {p: tuple(group) for p, group in census.items()}
 

@@ -16,8 +16,10 @@ Ring/basis tags:
 
 Polynomial truncations use ``m`` variables; commutative monomials are
 exponent vectors of length ``m``, noncommutative ones are words over
-``1..m``.  Products of elements are computed through the polynomial model
-in enough variables, which is faithful on each graded piece.
+``1..m``.  Products are computed in the M basis, where the product of two
+basis elements is the quasi-shuffle of their indices; the polynomial model
+evaluates elements and recovers them (:func:`to_polynomial`,
+:func:`from_polynomial`), and no product goes through it.
 """
 
 from __future__ import annotations
@@ -480,13 +482,18 @@ def from_polynomial(p: TruncatedPolynomial, n: int) -> GradedElement:
 
 
 def multiply(f: GradedElement, g: GradedElement) -> GradedElement:
-    """Product computed through the polynomial model.
+    """Product in QSym or Sym.
 
-    QSym inputs give an M-basis result; Sym inputs give an m-basis result.
+    QSym inputs are converted to M, where M_a M_b is the sum of M_w over
+    the quasi-shuffles w of a and b (:func:`_quasi_shuffles`), and give an
+    M-basis result.  Sym inputs are included in QSym (:func:`sym_to_qsym`),
+    multiplied there, and give the m-basis result read off the partition
+    indices.  An index that names no basis element raises ``ValueError``.
     """
     if f.ring != g.ring:
         raise ValueError("cannot multiply across rings")
     if f.ring == "Sym":
+        _require_basis_indices(f, g, is_partition)
         product = multiply(sym_to_qsym(f), sym_to_qsym(g))
         out = {}
         for alpha, c in product.terms.items():
@@ -494,11 +501,50 @@ def multiply(f: GradedElement, g: GradedElement) -> GradedElement:
                 out[alpha] = c
         return GradedElement("Sym", "m", out)
     if f.ring != "QSym":
-        raise ValueError(f"no polynomial product for ring {f.ring}")
-    m = f.degree() + g.degree()
-    m = max(m, 1)
-    p = to_polynomial(f, m) * to_polynomial(g, m)
-    return from_polynomial(p, m)
+        raise ValueError(f"no product for ring {f.ring}")
+    _require_basis_indices(f, g, is_composition)
+    g_terms = convert(g, "M").terms
+    return GradedElement(
+        "QSym",
+        "M",
+        linear(
+            convert(f, "M").terms,
+            lambda a: linear(g_terms, lambda b: _quasi_shuffles(a, b)),
+        ),
+    )
+
+
+def _require_basis_indices(f: GradedElement, g: GradedElement, is_index) -> None:
+    for index in itertools.chain(f.terms, g.terms):
+        if not (isinstance(index, tuple) and is_index(index)):
+            raise ValueError(f"{index} does not index a basis element")
+
+
+def _quasi_shuffles(a: Composition, b: Composition) -> dict:
+    """The quasi-shuffles of ``a`` and ``b`` with their multiplicities: the
+    M-expansion of M_a M_b (Hoffman, *Quasi-shuffle products*, J. Algebraic
+    Combin. 11, 2000).
+
+    A quasi-shuffle of a_i.a' and b_j.b' starts with a_i, with b_j or with
+    a_i + b_j, followed by a quasi-shuffle of what is left; ``row[j]``
+    holds those of the suffixes ``a[i:]`` and ``b[j:]``, built from the
+    ends of both.
+    """
+    row = [{b[j:]: 1} for j in range(len(b) + 1)]
+    for i in reversed(range(len(a))):
+        new = [None] * len(b) + [{a[i:]: 1}]
+        for j in reversed(range(len(b))):
+            new[j] = _accumulate(
+                ((head,) + w, c)
+                for head, tails in (
+                    (a[i], row[j]),
+                    (b[j], new[j + 1]),
+                    (a[i] + b[j], row[j + 1]),
+                )
+                for w, c in tails.items()
+            )
+        row = new
+    return row[0]
 
 
 def _deconcatenations(alpha: Composition):

@@ -122,8 +122,32 @@ class SkewShape:
         return len({self.outer[i] for i in range(offset)}) <= 1
 
 
+def skew_shape(kind: str, outer: Composition, inner: Composition = ()) -> SkewShape:
+    """The shape ``SkewShape(kind, outer, inner)``, built and validated once
+    per triple: equal triples return the identical object.
+
+    Anything but a ``str`` kind and tuples of plain ints goes straight to
+    ``SkewShape``, uncached, so that it raises the same ``ValueError`` (a
+    list is unhashable, and ``(1.0,)`` or ``(True,)`` would find the entry
+    cached for ``(1,)``).
+    """
+    if type(kind) is str and _plain_ints(outer) and _plain_ints(inner):
+        return _skew_shape(kind, outer, inner)
+    return SkewShape(kind, outer, inner)
+
+
+def _plain_ints(comp) -> bool:
+    return type(comp) is tuple and {int}.issuperset(map(type, comp))
+
+
+@cache
+def _skew_shape(kind: str, outer: Composition, inner: Composition) -> SkewShape:
+    """:func:`skew_shape` on a checked triple, memoized."""
+    return SkewShape(kind, outer, inner)
+
+
 def straight(kind: str, outer: Composition) -> SkewShape:
-    return SkewShape(kind, outer, ())
+    return skew_shape(kind, outer)
 
 
 def strip_kind(shape: SkewShape) -> tuple[bool, bool]:
@@ -233,7 +257,7 @@ def from_rows(kind: str, rows) -> Tableau:
         if any(c == 0 for c in counts[: last + 1]):
             raise ValueError("inner rows must be the top rows")
         inner = tuple(counts[: last + 1])
-    return Tableau(SkewShape(kind, outer, inner), rows)
+    return Tableau(skew_shape(kind, outer, inner), rows)
 
 
 def _row_runs_ok(t: Tableau) -> bool:
@@ -424,7 +448,7 @@ def chain_to_tableau(beta: Composition, chain: tuple[ChainStep, ...]) -> Tableau
         if step.kind == "prepend-row-1":
             rows.insert(0, [])
         rows[step.row - 1].append(n - t + 1)
-    return Tableau(SkewShape(COMPOSITION, current, beta), tuple(map(tuple, rows)))
+    return Tableau(skew_shape(COMPOSITION, current, beta), tuple(map(tuple, rows)))
 
 
 def tableau_to_chain(t: Tableau) -> tuple[ChainStep, ...]:
@@ -584,8 +608,8 @@ def split_tableau(t: Tableau, k: int) -> tuple[Tableau, Tableau]:
         for row, m in zip(t.rows[first:], mid)
     )
     return (
-        Tableau(SkewShape(COMPOSITION, t.shape.outer, mid), upper_rows),
-        Tableau(SkewShape(COMPOSITION, mid, t.shape.inner), lower_rows),
+        Tableau(skew_shape(COMPOSITION, t.shape.outer, mid), upper_rows),
+        Tableau(skew_shape(COMPOSITION, mid, t.shape.inner), lower_rows),
     )
 
 
@@ -601,7 +625,7 @@ def join_split(upper: Tableau, lower: Tableau) -> Tableau:
         tuple(x if x is None else x + k for x in low) + up[len(low) :]
         for up, low in zip(upper.rows[drop:], lower.rows)
     )
-    return Tableau(SkewShape(COMPOSITION, upper.shape.outer, lower.shape.inner), rows)
+    return Tableau(skew_shape(COMPOSITION, upper.shape.outer, lower.shape.inner), rows)
 
 
 def to_json_dict(t: Tableau) -> dict:
@@ -614,6 +638,6 @@ def to_json_dict(t: Tableau) -> dict:
 
 
 def tableau_from_json(d: dict) -> Tableau:
-    shape = SkewShape(d["kind"], tuple(d["outer"]), tuple(d.get("inner") or ()))
+    shape = skew_shape(d["kind"], tuple(d["outer"]), tuple(d.get("inner") or ()))
     rows = tuple(tuple(row) for row in d["rows"])
     return Tableau(shape, rows)

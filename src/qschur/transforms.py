@@ -17,7 +17,6 @@ from .compositions import (
 from .tableaux import (
     COMPOSITION,
     PARTITION,
-    SkewShape,
     Tableau,
     _columns,
     chain_to_tableau,
@@ -26,6 +25,7 @@ from .tableaux import (
     destandardize,
     enumerate_standard,
     make_tableau,
+    skew_shape,
     standardize,
     straight,
 )
@@ -106,7 +106,7 @@ def pack_columns_skew(t: Tableau) -> Tableau:
                     break
             else:
                 raise ValueError(f"column sequence {seq} is not a partition growth")
-    partner = make_tableau(SkewShape(PARTITION, tuple(lengths), mu), entries)
+    partner = make_tableau(skew_shape(PARTITION, tuple(lengths), mu), entries)
     return partner if t.is_standard() else destandardize(partner, tau)
 
 

@@ -15,7 +15,14 @@ import functools
 import itertools
 from fractions import Fraction
 
-from qschur.compositions import is_contained, partitions_of, refines, weak_compositions
+from qschur.compositions import (
+    is_contained,
+    is_partition,
+    partitions_of,
+    refines,
+    weak_compositions,
+)
+from qschur.qsym import GradedElement, from_polynomial, sym_to_qsym, to_polynomial
 from qschur.tableaux import (
     COMPOSITION,
     PARTITION,
@@ -484,6 +491,24 @@ def split_by_cells(t, k):
     }
     lower = make_tableau(SkewShape(COMPOSITION, mid, sh.inner), lower_entries)
     return upper, lower
+
+
+# --- products through the polynomial model -------------------------------------
+# multiply as it was before products were quasi-shuffles in the M basis:
+# both factors evaluated in |f| + |g| variables, the polynomials multiplied,
+# and the product read back in M.
+
+
+def multiply_by_polynomials(f, g):
+    if f.ring != g.ring:
+        raise ValueError("cannot multiply across rings")
+    if f.ring == "Sym":
+        product = multiply_by_polynomials(sym_to_qsym(f), sym_to_qsym(g))
+        return GradedElement(
+            "Sym", "m", {a: c for a, c in product.terms.items() if is_partition(a)}
+        )
+    m = max(f.degree() + g.degree(), 1)
+    return from_polynomial(to_polynomial(f, m) * to_polynomial(g, m), m)
 
 
 # --- rectification by composition insertion and test-only helpers ------------

@@ -46,6 +46,7 @@ CACHES = {
     "qsym.qs_schur",
     "qsym.skew_qs_schur",
     "tableaux._enumerate_semistandard",
+    "tableaux._skew_shape",
     "tableaux.enumerate_standard",
 }
 

@@ -1,11 +1,13 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.compositions import compositions_of, leq, refines
+from qschur import qsym
+from qschur.compositions import compositions_of, leq, partitions_of, refines
 from qschur.qsym import (
     GradedElement,
     TruncatedPolynomial,
@@ -38,6 +40,7 @@ from oracles import (
     filling_content,
     fundamental_poly,
     monomial_quasi_poly,
+    multiply_by_polynomials,
     qschur_poly,
     schur_poly,
     solve_exact,
@@ -58,6 +61,107 @@ def comps_upto(d):
 
 def test_monomial_product_golden():
     assert multiply(M((1,)), M((1,))) == M((2,)) + 2 * M((1, 1))
+    assert multiply(M((1, 2)), M((3,))) == (
+        M((1, 2, 3)) + M((1, 3, 2)) + M((3, 1, 2)) + M((4, 2)) + M((1, 5))
+    )
+
+
+def test_quasi_shuffles_are_counted_by_delannoy_numbers():
+    # counted with multiplicity, a and b of lengths k and l have D(k, l)
+    # quasi-shuffles, the sum over i of C(k, i) C(l, i) 2^i
+    for a in comps_upto(5):
+        for b in comps_upto(5):
+            k, l = len(a), len(b)
+            delannoy = sum(
+                math.comb(k, i) * math.comb(l, i) * 2**i for i in range(k + 1)
+            )
+            assert sum(multiply(M(a), M(b)).terms.values()) == delannoy
+
+
+def basis_pairs(d):
+    return [
+        (a, b)
+        for n in range(d + 1)
+        for k in range(n + 1)
+        for a in compositions_of(k)
+        for b in compositions_of(n - k)
+    ]
+
+
+def test_multiply_matches_polynomial_route():
+    for basis in ("M", "L", "S"):
+        for a, b in basis_pairs(6):
+            f = basis_element("QSym", basis, a)
+            g = basis_element("QSym", basis, b)
+            assert multiply(f, g) == multiply_by_polynomials(f, g), (basis, a, b)
+    degree_seven = [("S", (2, 1), (1, 3)), ("L", (1, 3, 1), (2,)), ("M", (3,), (1, 2, 1))]
+    for basis, a, b in degree_seven:
+        f = basis_element("QSym", basis, a)
+        g = basis_element("QSym", basis, b)
+        assert multiply(f, g) == multiply_by_polynomials(f, g), (basis, a, b)
+
+    # zero, the unit, and mixed-degree elements with negative and Fraction
+    # coefficients
+    f = GradedElement("QSym", "L", {(2, 1): 3, (1,): -2, (): Fraction(1, 2)})
+    for other in (zero("QSym", "S"), M(()), basis_element("QSym", "S", ())):
+        assert multiply(f, other) == multiply_by_polynomials(f, other)
+        assert multiply(other, f) == multiply_by_polynomials(other, f)
+    assert multiply(f, zero("QSym", "M")) == zero("QSym", "M")
+    assert multiply(M(()), f) == convert(f, "M")
+    rng = random.Random(13)
+    small = comps_upto(3)
+    coeffs = [-3, -1, 2, Fraction(1, 2), Fraction(-5, 3)]
+
+    def mixed():
+        terms = {rng.choice(small): rng.choice(coeffs) for _ in range(3)}
+        return GradedElement("QSym", rng.choice("MLS"), terms)
+
+    for _ in range(30):
+        f, g = mixed(), mixed()
+        assert multiply(f, g) == multiply_by_polynomials(f, g), (f, g)
+
+    for sym_basis in ("s", "m"):
+        for lam in (p for n in range(6) for p in partitions_of(n)):
+            for mu in (p for n in range(6 - sum(lam)) for p in partitions_of(n)):
+                f = basis_element("Sym", sym_basis, lam)
+                g = basis_element("Sym", sym_basis, mu)
+                assert multiply(f, g) == multiply_by_polynomials(f, g), (lam, mu)
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "S"])
+def test_multiply_rejects_non_compositions(basis):
+    good = basis_element("QSym", basis, (1,))
+    for bad in [(0, 1), (1, -2), (1.0,), ("1",), 3]:
+        f = GradedElement("QSym", basis, {(2,): 1, bad: 1})
+        for args in ((f, good), (good, f)):
+            with pytest.raises(ValueError, match="does not index a basis element"):
+                multiply(*args)
+
+
+@pytest.mark.parametrize("basis", ["s", "m"])
+def test_sym_multiply_rejects_non_partitions(basis):
+    good = basis_element("Sym", basis, (1,))
+    for bad in [(1, 2), (0,), (2, -1)]:
+        f = GradedElement("Sym", basis, {bad: 1})
+        for args in ((f, good), (good, f)):
+            with pytest.raises(ValueError, match="does not index a basis element"):
+                multiply(*args)
+
+
+def test_multiply_never_uses_the_polynomial_model(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("multiply went through the polynomial model")
+
+    monkeypatch.setattr(qsym, "to_polynomial", refuse)
+    monkeypatch.setattr(qsym, "from_polynomial", refuse)
+    for basis in ("M", "L", "S"):
+        f = basis_element("QSym", basis, (2, 1))
+        g = basis_element("QSym", basis, (1, 2))
+        assert multiply(f, g).terms
+    for basis in ("s", "m"):
+        assert multiply(
+            basis_element("Sym", basis, (2, 1)), basis_element("Sym", basis, (1,))
+        ).terms
 
 
 def test_monomial_coproduct_golden():

@@ -33,6 +33,7 @@ from qschur.tableaux import (
     from_rows,
     join_split,
     make_tableau,
+    skew_shape,
     split_tableau,
     standardize,
     straight,
@@ -98,6 +99,43 @@ def test_skew_shape_rejects_lists(kind):
         SkewShape(kind, [2, 1])
     with pytest.raises(ValueError):
         SkewShape(kind, (2, 1), [1])
+
+
+def test_skew_shape_returns_one_object_per_triple():
+    shape = skew_shape(COMPOSITION, (1, 3), (2,))
+    assert shape is skew_shape(COMPOSITION, (1, 3), (2,))
+    assert shape == SkewShape(COMPOSITION, (1, 3), (2,))
+    assert skew_shape(PARTITION, (2, 1)) is skew_shape(PARTITION, (2, 1), ())
+    assert straight(PARTITION, (2, 1)) is skew_shape(PARTITION, (2, 1))
+    assert from_rows(COMPOSITION, [[2, 1], [None, 3]]).shape is skew_shape(
+        COMPOSITION, (2, 2), (1,)
+    )
+
+
+BAD_SHAPES = [
+    (COMPOSITION, [2, 1], ()),
+    (COMPOSITION, (2, 1), [1]),
+    (PARTITION, ([2], 1), ()),
+    (PARTITION, (2, 1), ({1},)),
+    (COMPOSITION, (0, 1), ()),
+    (COMPOSITION, (2,), (3,)),
+    (PARTITION, (1, 2), ()),
+    (PARTITION, (2, 1), (1, 1, 1)),
+    (PARTITION, (1.0,), ()),
+    (COMPOSITION, (1,), ("1",)),
+    ("skew", (1,), ()),
+    ([PARTITION], (1,), ()),
+]
+
+
+@pytest.mark.parametrize("kind, outer, inner", BAD_SHAPES)
+def test_skew_shape_rejects_what_skew_shape_class_rejects(kind, outer, inner):
+    skew_shape(PARTITION, (1,))  # an equal key for (1.0,) is cached
+    with pytest.raises(ValueError) as direct:
+        SkewShape(kind, outer, inner)
+    with pytest.raises(ValueError) as memoized:
+        skew_shape(kind, outer, inner)
+    assert str(memoized.value) == str(direct.value)
 
 
 def test_uniform_shapes():

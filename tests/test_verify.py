@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
-from qschur import verify
+from qschur import tableaux, verify
 from qschur.qsym import TruncatedPolynomial
-from qschur.tableaux import COMPOSITION, from_rows
+from qschur.tableaux import COMPOSITION, SkewShape, from_rows
 from qschur.verify import _CHECKS, SUITES, run_check
 
 README_SUITES = [
@@ -86,3 +88,39 @@ def test_rectification_routes_report_disagreement(monkeypatch):
             "rect of ((1,), (3, 2)) is ((2, 1), (3,)), "
             "insert_ssct gives ((1,), (3, 2))"
         )
+
+
+def clear_caches():
+    """Empty every ``functools`` cache of the package, as a fresh process
+    would have them."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qschur":
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_each_skew_shape_is_built_once_per_triple(monkeypatch):
+    """The library builds one shape per distinct triple through
+    ``tableaux.skew_shape``; the check builds its own, one per interval."""
+    built = []
+    real_post_init = SkewShape.__post_init__
+
+    def counting_post_init(self):
+        built.append((self.kind, self.outer, self.inner))
+        real_post_init(self)
+
+    by_check = []
+
+    def check_shape(*args):
+        by_check.append(args)
+        return SkewShape(*args)
+
+    clear_caches()
+    monkeypatch.setattr(SkewShape, "__post_init__", counting_post_init)
+    monkeypatch.setattr(verify, "SkewShape", check_shape)
+    result = run_check("skew-column-sort-pairing", 5, 17)
+    assert result.ok and result.cases == 1077
+    distinct = tableaux._skew_shape.cache_info().currsize
+    assert (len(built), distinct, len(by_check)) == (781, 287, 494)
+    assert len(built) == distinct + len(by_check)
