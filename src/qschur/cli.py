@@ -5,6 +5,12 @@ composition is the literal ``empty``.  Tableaux travel as JSON files in the
 format produced by :func:`qschur.tableaux.to_json_dict`.  Output is JSON by
 default; commands whose result is a single graded element also accept
 ``--format tsv`` and then emit one ``index<TAB>coefficient`` row per term.
+
+Each command is one entry of :data:`COMMANDS`: its help, the function that
+adds its arguments and its handler.  :func:`main` builds the parser of the
+command it runs and no other; ``-h``, a missing or an unknown command get
+the parser of every command.  Only the ``verify`` command imports
+:mod:`qschur.verify`.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ from .qsym import (
 from .tableaux import (
     COMPOSITION,
     PARTITION,
-    SkewShape,
     enumerate_semistandard,
     enumerate_standard,
+    skew_shape,
     tableau_from_json,
     to_json_dict,
 )
@@ -47,7 +53,6 @@ from .transforms import (
     unpack_columns,
     unpack_columns_skew,
 )
-from .verify import DEFAULT_SEED, SUITES, default_jobs, run_suite
 
 
 def _parse_positive_ints(text: str, noun: str) -> tuple[int, ...]:
@@ -112,103 +117,11 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qschur", description="quasisymmetric Schur function toolkit"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lr", help="structure constant of a dual Schur product")
+def _args_lr(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=parse_composition, required=True)
     p.add_argument("--beta", type=parse_composition, required=True)
     p.add_argument("--gamma", type=parse_composition, default=None)
     _add_format(p)
-
-    p = sub.add_parser("product", help="expand a product of dual Schur functions")
-    p.add_argument("--alpha", type=parse_composition, required=True)
-    p.add_argument("--beta", type=parse_composition, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("skew", help="expand a skew quasisymmetric Schur function")
-    p.add_argument("--outer", type=parse_composition, required=True)
-    p.add_argument("--inner", type=parse_composition, default=())
-    p.add_argument("--basis", choices=("M", "L", "S"), default="M")
-    _add_format(p)
-
-    p = sub.add_parser("enumerate", help="list tableaux or saturated chains")
-    p.add_argument(
-        "what", choices=("sct", "ssct", "srt", "chains"), help="family to list"
-    )
-    p.add_argument("--outer", type=parse_composition, required=True)
-    p.add_argument("--inner", type=parse_composition, default=())
-    p.add_argument("--max-entry", type=int, default=None)
-
-    p = sub.add_parser("poset", help="composition poset queries")
-    poset_sub = p.add_subparsers(dest="poset_command", required=True)
-    q = poset_sub.add_parser("covers", help="covers above and below a composition")
-    q.add_argument("--comp", type=parse_composition, required=True)
-    q = poset_sub.add_parser("leq", help="compare two compositions")
-    q.add_argument("--beta", type=parse_composition, required=True)
-    q.add_argument("--gamma", type=parse_composition, required=True)
-    q = poset_sub.add_parser("interval", help="saturated chains in an interval")
-    q.add_argument("--beta", type=parse_composition, required=True)
-    q.add_argument("--gamma", type=parse_composition, required=True)
-
-    p = sub.add_parser("rect", help="rectify a skew composition tableau")
-    p.add_argument("--tableau", required=True, help="path to a tableau JSON file")
-
-    p = sub.add_parser("rsk", help="insertion and recording tableaux of a word")
-    p.add_argument("--word", type=parse_word, required=True)
-
-    p = sub.add_parser("rho", help="column-sorting bijection and its inverse")
-    p.add_argument("--tableau", required=True, help="path to a tableau JSON file")
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument(
-        "--beta",
-        type=parse_composition,
-        default=None,
-        help="inner composition for the inverse skew map",
-    )
-
-    p = sub.add_parser("pieri", help="multiply by a single row or column")
-    p.add_argument("--kind", choices=("row", "column"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=parse_composition, required=True)
-    p.add_argument("--diagnostic", action="store_true")
-    _add_format(p)
-
-    p = sub.add_parser("pr-product", help="product of two standard reverse tableaux")
-    p.add_argument("--t1", required=True, help="path to a tableau JSON file")
-    p.add_argument("--t2", required=True, help="path to a tableau JSON file")
-
-    p = sub.add_parser("ncqsym", help="noncommutative analogues")
-    nc_sub = p.add_subparsers(dest="ncqsym_command", required=True)
-    q = nc_sub.add_parser("qs-rs", help="noncommutative analogue as a polynomial")
-    q.add_argument("--alpha", type=parse_composition, required=True)
-    q.add_argument("--vars", type=int, default=None)
-    q = nc_sub.add_parser("chi-check", help="check projection onto commuting variables")
-    q.add_argument("--alpha", type=parse_composition, required=True)
-    q.add_argument("--vars", type=int, default=None)
-
-    p = sub.add_parser(
-        "pieri-operator", help="chain-descent series of a poset interval"
-    )
-    p.add_argument("--gamma", type=parse_composition, required=True)
-    p.add_argument("--beta", type=parse_composition, required=True)
-    _add_format(p)
-
-    p = sub.add_parser("verify", help="run an identity suite")
-    p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--max-degree", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: QSCHUR_JOBS or 1)",
-    )
-
-    return parser
 
 
 def _cmd_lr(args) -> int:
@@ -219,9 +132,22 @@ def _cmd_lr(args) -> int:
     return 0
 
 
+def _args_product(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=parse_composition, required=True)
+    p.add_argument("--beta", type=parse_composition, required=True)
+    _add_format(p)
+
+
 def _cmd_product(args) -> int:
     emit_element(product_nc_schur(args.alpha, args.beta), args.format)
     return 0
+
+
+def _args_skew(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--outer", type=parse_composition, required=True)
+    p.add_argument("--inner", type=parse_composition, default=())
+    p.add_argument("--basis", choices=("M", "L", "S"), default="M")
+    _add_format(p)
 
 
 def _cmd_skew(args) -> int:
@@ -230,13 +156,22 @@ def _cmd_skew(args) -> int:
     return 0
 
 
+def _args_enumerate(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "what", choices=("sct", "ssct", "srt", "chains"), help="family to list"
+    )
+    p.add_argument("--outer", type=parse_composition, required=True)
+    p.add_argument("--inner", type=parse_composition, default=())
+    p.add_argument("--max-entry", type=int, default=None)
+
+
 def _cmd_enumerate(args) -> int:
     if args.what == "chains":
         chains = interval_chains(args.inner, args.outer)
         emit([[step_json(s) for s in chain] for chain in chains])
         return 0
     kind = PARTITION if args.what == "srt" else COMPOSITION
-    shape = SkewShape(kind, args.outer, args.inner)
+    shape = skew_shape(kind, args.outer, args.inner)
     if args.what == "ssct":
         if args.max_entry is None:
             raise ValueError("--max-entry is required for ssct")
@@ -245,6 +180,18 @@ def _cmd_enumerate(args) -> int:
         tableaux = enumerate_standard(shape)
     emit([to_json_dict(t) for t in tableaux])
     return 0
+
+
+def _args_poset(p: argparse.ArgumentParser) -> None:
+    poset_sub = p.add_subparsers(dest="poset_command", required=True)
+    q = poset_sub.add_parser("covers", help="covers above and below a composition")
+    q.add_argument("--comp", type=parse_composition, required=True)
+    q = poset_sub.add_parser("leq", help="compare two compositions")
+    q.add_argument("--beta", type=parse_composition, required=True)
+    q.add_argument("--gamma", type=parse_composition, required=True)
+    q = poset_sub.add_parser("interval", help="saturated chains in an interval")
+    q.add_argument("--beta", type=parse_composition, required=True)
+    q.add_argument("--gamma", type=parse_composition, required=True)
 
 
 def _cmd_poset(args) -> int:
@@ -263,15 +210,34 @@ def _cmd_poset(args) -> int:
     return 0
 
 
+def _args_rect(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tableau", required=True, help="path to a tableau JSON file")
+
+
 def _cmd_rect(args) -> int:
     emit(to_json_dict(rect(load_tableau(args.tableau))))
     return 0
+
+
+def _args_rsk(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--word", type=parse_word, required=True)
 
 
 def _cmd_rsk(args) -> int:
     p_tab, q_tab = rsk(args.word)
     emit({"P": to_json_dict(p_tab), "Q": to_json_dict(q_tab)})
     return 0
+
+
+def _args_rho(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tableau", required=True, help="path to a tableau JSON file")
+    p.add_argument("--inverse", action="store_true")
+    p.add_argument(
+        "--beta",
+        type=parse_composition,
+        default=None,
+        help="inner composition for the inverse skew map",
+    )
 
 
 def _cmd_rho(args) -> int:
@@ -284,6 +250,14 @@ def _cmd_rho(args) -> int:
         out = pack_columns(t)
     emit(to_json_dict(out))
     return 0
+
+
+def _args_pieri(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kind", choices=("row", "column"), required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--beta", type=parse_composition, required=True)
+    p.add_argument("--diagnostic", action="store_true")
+    _add_format(p)
 
 
 def _cmd_pieri(args) -> int:
@@ -307,10 +281,25 @@ def _cmd_pieri(args) -> int:
     return 0
 
 
+def _args_pr_product(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t1", required=True, help="path to a tableau JSON file")
+    p.add_argument("--t2", required=True, help="path to a tableau JSON file")
+
+
 def _cmd_pr_product(args) -> int:
     terms = pr_product(load_tableau(args.t1), load_tableau(args.t2))
     emit({"terms": [to_json_dict(t) for t in terms], "count": len(terms)})
     return 0
+
+
+def _args_ncqsym(p: argparse.ArgumentParser) -> None:
+    nc_sub = p.add_subparsers(dest="ncqsym_command", required=True)
+    q = nc_sub.add_parser("qs-rs", help="noncommutative analogue as a polynomial")
+    q.add_argument("--alpha", type=parse_composition, required=True)
+    q.add_argument("--vars", type=int, default=None)
+    q = nc_sub.add_parser("chi-check", help="check projection onto commuting variables")
+    q.add_argument("--alpha", type=parse_composition, required=True)
+    q.add_argument("--vars", type=int, default=None)
 
 
 def _cmd_ncqsym(args) -> int:
@@ -328,40 +317,100 @@ def _cmd_ncqsym(args) -> int:
     return 0 if ok else 1
 
 
+def _args_pieri_operator(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--gamma", type=parse_composition, required=True)
+    p.add_argument("--beta", type=parse_composition, required=True)
+    _add_format(p)
+
+
 def _cmd_pieri_operator(args) -> int:
     emit_element(descent_pieri_K(args.gamma, args.beta), args.format)
     return 0
 
 
+def _args_verify(p: argparse.ArgumentParser) -> None:
+    from .verify import DEFAULT_SEED, SUITES
+
+    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("--max-degree", type=int, default=5)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes (default: QSCHUR_JOBS or 1)",
+    )
+
+
 def _cmd_verify(args) -> int:
+    from .verify import default_jobs, run_suite
+
     jobs = args.jobs if args.jobs is not None else default_jobs()
     report = run_suite(args.suite, args.max_degree, args.seed, jobs)
     emit(report)
     return 0 if report["ok"] else 1
 
 
-_HANDLERS = {
-    "lr": _cmd_lr,
-    "product": _cmd_product,
-    "skew": _cmd_skew,
-    "enumerate": _cmd_enumerate,
-    "poset": _cmd_poset,
-    "rect": _cmd_rect,
-    "rsk": _cmd_rsk,
-    "rho": _cmd_rho,
-    "pieri": _cmd_pieri,
-    "pr-product": _cmd_pr_product,
-    "ncqsym": _cmd_ncqsym,
-    "pieri-operator": _cmd_pieri_operator,
-    "verify": _cmd_verify,
+# name -> (help, argument adder, handler), in the order ``-h`` lists them.
+COMMANDS = {
+    "lr": ("structure constant of a dual Schur product", _args_lr, _cmd_lr),
+    "product": (
+        "expand a product of dual Schur functions",
+        _args_product,
+        _cmd_product,
+    ),
+    "skew": ("expand a skew quasisymmetric Schur function", _args_skew, _cmd_skew),
+    "enumerate": (
+        "list tableaux or saturated chains",
+        _args_enumerate,
+        _cmd_enumerate,
+    ),
+    "poset": ("composition poset queries", _args_poset, _cmd_poset),
+    "rect": ("rectify a skew composition tableau", _args_rect, _cmd_rect),
+    "rsk": ("insertion and recording tableaux of a word", _args_rsk, _cmd_rsk),
+    "rho": ("column-sorting bijection and its inverse", _args_rho, _cmd_rho),
+    "pieri": ("multiply by a single row or column", _args_pieri, _cmd_pieri),
+    "pr-product": (
+        "product of two standard reverse tableaux",
+        _args_pr_product,
+        _cmd_pr_product,
+    ),
+    "ncqsym": ("noncommutative analogues", _args_ncqsym, _cmd_ncqsym),
+    "pieri-operator": (
+        "chain-descent series of a poset interval",
+        _args_pieri_operator,
+        _cmd_pieri_operator,
+    ),
+    "verify": ("run an identity suite", _args_verify, _cmd_verify),
 }
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qschur`` parser: every subcommand, or only ``command``'s.
+
+    A parser for one command still names every command in its usage, so
+    its messages read exactly as the full parser's do for that command.
+    The full parser leaves the metavar unset, since a metavar would also
+    rename the argument in its "arguments are required: command" error.
+    """
+    parser = argparse.ArgumentParser(
+        prog="qschur", description="quasisymmetric Schur function toolkit"
+    )
+    names = COMMANDS if command is None else (command,)
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return COMMANDS[args.command][2](args)
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}", file=sys.stderr)
         return 2

@@ -50,6 +50,8 @@ RING_BASES = {
     "NSym": ("S_star", "h_nc"),
     "NCQSym": ("M_Pi",),
 }
+# What names a basis element in the rings that change basis.
+_INDEX_CHECKS = {"QSym": is_composition, "Sym": is_partition}
 
 
 def index_degree(index) -> int:
@@ -361,14 +363,15 @@ def convert(f: GradedElement, basis: str) -> GradedElement:
     """Rewrite ``f`` in another basis of the same ring (exactly).
 
     ``L``/``M`` -> ``S`` (through ``L``) and ``m`` -> ``s`` peel (``_peel``).
-    An index that names no basis element raises ``ValueError``.
+    In QSym and Sym an index that names no basis element raises
+    ``ValueError`` before any route runs, even when ``basis`` is ``f``'s own.
     """
+    is_index = _INDEX_CHECKS.get(f.ring)
+    if is_index is not None:
+        _require_basis_indices(is_index, f)
     if basis == f.basis:
         return GradedElement(f.ring, basis, dict(f.terms))
     if f.ring == "QSym":
-        for index in f.terms:
-            if not is_composition(index):
-                raise ValueError(f"{index} does not index a basis element")
         routes = {
             ("L", "M"): _l_to_m,
             ("M", "L"): _m_to_l,
@@ -493,7 +496,7 @@ def multiply(f: GradedElement, g: GradedElement) -> GradedElement:
     if f.ring != g.ring:
         raise ValueError("cannot multiply across rings")
     if f.ring == "Sym":
-        _require_basis_indices(f, g, is_partition)
+        _require_basis_indices(is_partition, f, g)
         product = multiply(sym_to_qsym(f), sym_to_qsym(g))
         out = {}
         for alpha, c in product.terms.items():
@@ -502,7 +505,7 @@ def multiply(f: GradedElement, g: GradedElement) -> GradedElement:
         return GradedElement("Sym", "m", out)
     if f.ring != "QSym":
         raise ValueError(f"no product for ring {f.ring}")
-    _require_basis_indices(f, g, is_composition)
+    _require_basis_indices(is_composition, f, g)
     g_terms = convert(g, "M").terms
     return GradedElement(
         "QSym",
@@ -514,8 +517,8 @@ def multiply(f: GradedElement, g: GradedElement) -> GradedElement:
     )
 
 
-def _require_basis_indices(f: GradedElement, g: GradedElement, is_index) -> None:
-    for index in itertools.chain(f.terms, g.terms):
+def _require_basis_indices(is_index, *elements: GradedElement) -> None:
+    for index in itertools.chain.from_iterable(e.terms for e in elements):
         if not (isinstance(index, tuple) and is_index(index)):
             raise ValueError(f"{index} does not index a basis element")
 

@@ -21,7 +21,6 @@ import os
 import random
 import time
 from collections import Counter
-from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -104,6 +103,7 @@ from .tableaux import (
     enumerate_standard,
     join_split,
     make_tableau,
+    skew_shape,
     split_tableau,
     standardize,
     straight,
@@ -301,7 +301,7 @@ def _check_chain_counts(d: int, rng: random.Random) -> tuple:
             if not is_rev_contained(beta, gamma):
                 continue
             cases += 1
-            expected = _brute_standard_count(SkewShape(COMPOSITION, gamma, beta))
+            expected = _brute_standard_count(skew_shape(COMPOSITION, gamma, beta))
             got = len(interval_chains(beta, gamma))
             if got != expected:
                 return cases, (
@@ -568,7 +568,7 @@ def _check_skew_vanishing(d: int, rng: random.Random) -> tuple:
 def _rect_census(beta: Composition, gamma: Composition) -> Counter:
     """How often each rectification arises over standard fillings of
     gamma over beta (keys are the rectified tableaux themselves)."""
-    shape = SkewShape(COMPOSITION, gamma, beta)
+    shape = skew_shape(COMPOSITION, gamma, beta)
     return Counter(rect(t) for t in enumerate_standard(shape))
 
 
@@ -793,7 +793,7 @@ def _uniform_pairs(d: int) -> list[tuple[Composition, Composition]]:
     return [
         (beta, gamma)
         for beta, gamma in _interval_pairs(d)
-        if SkewShape(COMPOSITION, gamma, beta).is_uniform()
+        if skew_shape(COMPOSITION, gamma, beta).is_uniform()
     ]
 
 
@@ -801,7 +801,7 @@ def _uniform_pairs(d: int) -> list[tuple[Composition, Composition]]:
 def _check_uniform_rigidity(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _uniform_pairs(d):
-        shape = SkewShape(COMPOSITION, gamma, beta)
+        shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
             for r in range(1, len(gamma)):
                 cases += 1
@@ -814,7 +814,7 @@ def _check_uniform_rigidity(d: int, rng: random.Random) -> tuple:
 def _check_uniform_closure(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _uniform_pairs(d):
-        shape = SkewShape(COMPOSITION, gamma, beta)
+        shape = skew_shape(COMPOSITION, gamma, beta)
         words = {column_word(t) for t in enumerate_standard(shape)}
         n = sum(gamma) - sum(beta)
         for word in words:
@@ -854,7 +854,7 @@ def _check_symmetric_scan(d: int, rng: random.Random) -> tuple:
     cases = 0
     witnesses = []
     for beta, gamma in _interval_pairs(d):
-        if SkewShape(COMPOSITION, gamma, beta).is_uniform():
+        if skew_shape(COMPOSITION, gamma, beta).is_uniform():
             continue
         cases += 1
         if is_symmetric(convert(skew_qs_schur(gamma, beta), "M")):
@@ -1113,7 +1113,7 @@ def _check_chain_roundtrip(d: int, rng: random.Random) -> tuple:
                 return cases, f"chain {chain} builds an invalid filling"
             if tableau_to_chain(t) != chain:
                 return cases, f"chain {chain} does not survive the roundtrip"
-        shape = SkewShape(COMPOSITION, gamma, beta)
+        shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
             cases += 1
             if chain_to_tableau(beta, tableau_to_chain(t)) != t:
@@ -1180,7 +1180,7 @@ def _check_insertion_identity(d: int, rng: random.Random) -> tuple:
 def _check_rect_descents(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _interval_pairs(d):
-        shape = SkewShape(COMPOSITION, gamma, beta)
+        shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
             cases += 1
             rectified = rect(t)
@@ -1195,7 +1195,7 @@ def _check_rect_descents(d: int, rng: random.Random) -> tuple:
 def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _interval_pairs(d):
-        shape = SkewShape(COMPOSITION, gamma, beta)
+        shape = skew_shape(COMPOSITION, gamma, beta)
         mu = underlying_partition(beta)
         for t in enumerate_semistandard(shape, 3):
             cases += 1
@@ -1218,12 +1218,12 @@ def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
             mu = underlying_partition(beta)
             if len(mu) > len(nu) or any(m > n for m, n in zip(mu, nu)):
                 continue
-            srt_count = len(enumerate_semistandard(SkewShape(PARTITION, nu, mu), 3))
+            srt_count = len(enumerate_semistandard(skew_shape(PARTITION, nu, mu), 3))
             sct_count = 0
             for gamma in compositions_of(sum(nu)):
                 if underlying_partition(gamma) == nu and leq(beta, gamma):
                     sct_count += len(
-                        enumerate_semistandard(SkewShape(COMPOSITION, gamma, beta), 3)
+                        enumerate_semistandard(skew_shape(COMPOSITION, gamma, beta), 3)
                     )
             cases += 1
             if sct_count != srt_count:
@@ -1235,7 +1235,7 @@ def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
 def _check_serialization(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _interval_pairs(d):
-        shape = SkewShape(COMPOSITION, gamma, beta)
+        shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
             cases += 1
             if tableau_from_json(json.loads(json.dumps(to_json_dict(t)))) != t:
@@ -1306,6 +1306,8 @@ def run_suite(
     if jobs == 1:
         results = [run_check(name, max_degree, seed) for name in names]
     else:
+        from concurrent import futures
+
         with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             handles = [pool.submit(run_check, name, max_degree, seed) for name in names]
             results = [h.result() for h in handles]

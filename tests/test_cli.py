@@ -1,8 +1,14 @@
+import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qschur.cli import main, parse_composition
+import qschur
+from qschur import cli
+from qschur.cli import COMMANDS, build_parser, main, parse_composition
 from qschur.tableaux import COMPOSITION, PARTITION, from_rows, to_json_dict
 
 from oracles import rect_by_ssct_insertion
@@ -257,3 +263,82 @@ def test_missing_file_exits_two(capsys):
 def test_parse_composition_accepts_empty():
     assert parse_composition("empty") == ()
     assert parse_composition("1,4,3") == (1, 4, 3)
+
+
+def subparser(parser, name):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_one_command_parser_matches_the_full_one(name):
+    alone, full = build_parser(name), build_parser()
+    assert alone.format_usage() == full.format_usage()
+    assert (
+        subparser(alone, name).format_help() == subparser(full, name).format_help()
+    )
+
+
+def run_exiting(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARITY_ARGV = [
+    ["skew", "--outer", "2,3", "--inner", "1", "--basis", "S"],
+    ["product", "--alpha", "1,2", "--beta", "2", "--format", "tsv"],
+    ["poset", "covers", "--comp", "2,1"],
+    ["skew", "--inner", "1"],
+    ["product", "--alpha", "1"],
+    ["skew", "--outer", "2,x"],
+    ["skew", "--outer", "2", "--basis", "Q"],
+    ["pieri", "--kind", "diagonal", "--n", "1", "--beta", "1"],
+    ["skew", "--outer", "2", "extra"],
+    ["skew", "-h"],
+    ["poset", "-h"],
+    ["verify", "bogus"],
+    ["verify", "-h"],
+    ["bogus"],
+    ["-h"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
+def test_main_reads_alike_under_both_parsers(monkeypatch, capsys, argv):
+    alone = run_exiting(capsys, argv)
+    full_parser = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert run_exiting(capsys, argv) == alone
+
+
+def test_main_builds_only_its_command(monkeypatch, capsys):
+    built = []
+    real_add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return real_add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    code, _, _ = run(capsys, "skew", "--outer", "2,1", "--basis", "L")
+    assert (code, built) == (0, ["skew"])
+
+
+def test_importing_the_cli_leaves_verify_unloaded():
+    src = Path(qschur.__file__).resolve().parents[1]
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qschur.cli; "
+        "print(sorted({'qschur.verify', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(src)],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert done.stdout == "[]\n"

@@ -308,8 +308,24 @@ def test_s_conversion_matches_dense_solve():
         lambda: convert(basis_element("QSym", "L", (2, 0)), "M"),
         lambda: convert(GradedElement("Sym", "m", {(1, 2): 1}), "s"),
         lambda: schur_expansion(GradedElement("Sym", "m", {(0, 1): 1})),
+        lambda: convert(GradedElement("QSym", "M", {3: 1}), "L"),
+        lambda: convert(basis_element("Sym", "s", (1, 2)), "m"),
+        lambda: convert(GradedElement("Sym", "m", {3: 1}), "s"),
+        lambda: convert(basis_element("QSym", "M", (0, 1)), "M"),
+        lambda: convert(basis_element("Sym", "s", (1, 2)), "s"),
     ],
-    ids=["L-to-S", "M-to-S", "L-to-M", "m-to-s", "schur-expansion"],
+    ids=[
+        "L-to-S",
+        "M-to-S",
+        "L-to-M",
+        "m-to-s",
+        "schur-expansion",
+        "QSym-non-tuple",
+        "s-to-m",
+        "Sym-non-tuple",
+        "QSym-same-basis",
+        "Sym-same-basis",
+    ],
 )
 def test_peel_rejects_malformed_indices(convert_bad):
     with pytest.raises(ValueError, match="does not index a basis element"):

@@ -101,8 +101,8 @@ def clear_caches():
 
 
 def test_each_skew_shape_is_built_once_per_triple(monkeypatch):
-    """The library builds one shape per distinct triple through
-    ``tableaux.skew_shape``; the check builds its own, one per interval."""
+    """The library and the checks alike build their shapes through
+    ``tableaux.skew_shape``: one shape per distinct triple."""
     built = []
     real_post_init = SkewShape.__post_init__
 
@@ -110,17 +110,9 @@ def test_each_skew_shape_is_built_once_per_triple(monkeypatch):
         built.append((self.kind, self.outer, self.inner))
         real_post_init(self)
 
-    by_check = []
-
-    def check_shape(*args):
-        by_check.append(args)
-        return SkewShape(*args)
-
     clear_caches()
     monkeypatch.setattr(SkewShape, "__post_init__", counting_post_init)
-    monkeypatch.setattr(verify, "SkewShape", check_shape)
     result = run_check("skew-column-sort-pairing", 5, 17)
     assert result.ok and result.cases == 1077
     distinct = tableaux._skew_shape.cache_info().currsize
-    assert (len(built), distinct, len(by_check)) == (781, 287, 494)
-    assert len(built) == distinct + len(by_check)
+    assert (len(built), distinct) == (287, 287)
