@@ -13,8 +13,12 @@ from ``beta``:
 
 :func:`covers` is the one statement of this rule: every chain walk, every
 applied step and every tableau grown from a chain reads its moves off it,
-and :func:`down_covers` is its inverse.  The public poset functions raise
-``ValueError`` on an argument that is not a composition.
+and :func:`down_covers` is its inverse.  The order itself is read off
+memoized down-sets: ``_below(gamma)`` holds every composition below
+``gamma``, built level by level down :func:`down_covers`, so :func:`leq`
+is a membership test and every walk pruned to an upper bound keeps a cover
+only when it lies in that bound's down-set.  The public poset functions
+raise ``ValueError`` on an argument that is not a composition.
 
 Saturated chains in an interval of this order are what standard
 composition tableaux encode, so the chain enumeration here is the engine
@@ -181,30 +185,41 @@ def down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]
     (otherwise re-growing would target that earlier row instead).
     """
     require_composition(gamma)
+    return _down_covers(gamma)
+
+
+def _down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
+    """:func:`down_covers` without the argument check, for the down-sets."""
     out: list[tuple[Composition, ChainStep]] = []
     if gamma and gamma[0] == 1:
         out.append((gamma[1:], PREPEND))
+    seen: set[int] = set()  # the sizes of the rows above row r
     for r, part in enumerate(gamma):
-        if part >= 2 and all(gamma[i] != part - 1 for i in range(r)):
+        if part >= 2 and part - 1 not in seen:
             beta = gamma[:r] + (part - 1,) + gamma[r + 1 :]
             out.append((beta, ChainStep("extend-row", r + 1, part)))
+        seen.add(part)
     return tuple(out)
 
 
 def leq(beta: Composition, gamma: Composition) -> bool:
-    """Order relation generated by :func:`covers` (reflexive closure)."""
+    """Order relation generated by :func:`covers` (reflexive closure):
+    whether ``beta`` lies in the memoized down-set of ``gamma``."""
     require_composition(beta, gamma)
-    return _leq(beta, gamma)
+    return beta in _below(gamma)
 
 
 @cache
-def _leq(beta: Composition, gamma: Composition) -> bool:
-    """:func:`leq` without the argument check, memoized for the walks."""
-    if beta == gamma:
-        return True
-    if sum(beta) >= sum(gamma) or not is_rev_contained(beta, gamma):
-        return False
-    return any(_leq(mid, gamma) for mid, _ in _covers(beta))
+def _below(gamma: Composition) -> frozenset[Composition]:
+    """Every composition below ``gamma``, ``gamma`` included: the down-set
+    read level by level down :func:`down_covers`, one set per upper bound
+    shared by :func:`leq` and the walks pruned to ``gamma``."""
+    below = {gamma}
+    level = below
+    while level:
+        level = {smaller for comp in level for smaller, _ in _down_covers(comp)}
+        below |= level
+    return frozenset(below)
 
 
 def interval_chains(
@@ -213,13 +228,14 @@ def interval_chains(
     """All saturated chains from ``beta`` up to ``gamma``.
 
     Each chain is the sequence of added cells, in the order the diagram is
-    grown.  A depth-first walk up :func:`covers`, pruned to compositions
-    below ``gamma``, lists the chains; since the covers of a composition
-    come in ascending (row, column) order, the chains come out sorted
-    lexicographically by their (row, column) step sequences.  Nothing is
-    cached: the chains are built afresh on every call.
+    grown.  A depth-first walk up :func:`covers` keeps a cover only when it
+    lies in the memoized down-set of ``gamma``; since the covers of a
+    composition come in ascending (row, column) order, the chains come out
+    sorted lexicographically by their (row, column) step sequences.  The
+    chains themselves are not cached: they are built afresh on every call.
     """
     require_composition(beta, gamma)
+    below = _below(gamma)
     chains: list[tuple[ChainStep, ...]] = []
     path: list[ChainStep] = []
 
@@ -228,7 +244,7 @@ def interval_chains(
             chains.append(tuple(path))
             return
         for bigger, step in _covers(comp):
-            if _leq(bigger, gamma):
+            if bigger in below:
                 path.append(step)
                 walk(bigger)
                 path.pop()
@@ -250,12 +266,14 @@ def chain_descents(
     added at step ``levels - i + 1``.  The walk goes one level at a time
     over states (composition, column of the last added cell, descent
     composition so far, its parts read from the top entry down) and adds
-    up chain counts, so no chain is listed.  With ``top``, only
-    compositions ``leq`` ``top`` are kept.
+    up chain counts, so no chain is listed.  With ``top``, a cover is kept
+    only when it lies in the memoized down-set of ``top``.
     """
     require_composition(beta)
+    below = None
     if top is not None:
         require_composition(top)
+        below = _below(top)
     states: dict = {(beta, 0, ()): 1}
     moves: dict = {}  # composition -> (cover, column added) kept under top
     for _ in range(levels):
@@ -265,7 +283,7 @@ def chain_descents(
                 moves[comp] = [
                     (bigger, step.column)
                     for bigger, step in _covers(comp)
-                    if top is None or _leq(bigger, top)
+                    if below is None or bigger in below
                 ]
             for bigger, column in moves[comp]:
                 if not runs:

@@ -33,6 +33,8 @@ from functools import cache
 
 from .compositions import (
     Composition,
+    _below,
+    canonical_key,
     chain_descents,
     compositions_of,
     is_composition,
@@ -565,16 +567,19 @@ def coproduct(f: GradedElement) -> dict:
     """Coproduct as a dict (left index, right index) -> coefficient.
 
     Supports the QSym bases: deconcatenations for M, deconcatenations plus
-    near-deconcatenations for L, and skew expansion for S.
+    near-deconcatenations for L, and skew expansion for S over the down-set
+    of each index, in canonical order.  Raises ``ValueError`` on an index
+    that is not a composition.
     """
     if f.ring != "QSym":
         raise ValueError("coproduct implemented on QSym")
+    _require_basis_indices(is_composition, f)
 
     def split(alpha) -> dict:
         if f.basis == "S":
             return {
                 (idx, beta): k
-                for beta in _all_lower(alpha)
+                for beta in sorted(_below(alpha), key=canonical_key)
                 for idx, k in convert(skew_qs_schur(alpha, beta), "S").terms.items()
             }
         cuts = _deconcatenations(alpha)
@@ -583,17 +588,6 @@ def coproduct(f: GradedElement) -> dict:
         return dict.fromkeys(cuts, 1)
 
     return linear(f.terms, split)
-
-
-@cache
-def _all_lower(gamma: Composition) -> tuple[Composition, ...]:
-    """Every composition below ``gamma`` in the cover order (incl. both ends)."""
-    out = []
-    for n in range(sum(gamma) + 1):
-        for beta in compositions_of(n):
-            if leq(beta, gamma):
-                out.append(beta)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,21 @@ def composition_covers(alpha):
     return out
 
 
+@functools.cache
+def leq_by_covers(beta, gamma):
+    """Whether some chain of covers leads up from ``beta`` to ``gamma``: a
+    search up :func:`composition_covers`, cut off once ``beta`` is as heavy
+    as ``gamma`` or does not fit inside it bottom-aligned."""
+    if beta == gamma:
+        return True
+    fits = len(beta) <= len(gamma) and all(
+        b <= g for b, g in zip(reversed(beta), reversed(gamma))
+    )
+    if sum(beta) >= sum(gamma) or not fits:
+        return False
+    return any(leq_by_covers(bigger, gamma) for bigger, _ in composition_covers(beta))
+
+
 def chains_above(beta, levels):
     """Every saturated chain ``levels`` covers up from ``beta``, as its list
     of added cells, grouped by upper end: ``{gamma: [chain, ...]}``."""

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from qschur.applications import descent_pieri_K, labeled_chains
 from qschur.compositions import (
     ChainStep,
+    _below,
     apply_step,
     chain_descents,
     comp_of_set,
@@ -21,7 +22,7 @@ from qschur.compositions import (
 )
 from qschur.tableaux import chain_to_tableau
 
-from oracles import brute_sct, chains_above
+from oracles import brute_sct, chains_above, leq_by_covers
 
 compositions = st.lists(st.integers(1, 5), max_size=5).map(tuple)
 
@@ -102,14 +103,34 @@ def test_cover_steps_apply(beta):
 
 
 def test_down_covers_invert_covers():
-    for gamma in comps_upto(6):
-        listed = {d for d, _ in down_covers(gamma)}
-        for delta, step in down_covers(gamma):
-            assert apply_step(delta, step) == gamma
-            assert (gamma, step) in covers(delta)
-        for delta in comps_upto(sum(gamma)):
-            if sum(delta) == sum(gamma) - 1 and gamma in {g for g, _ in covers(delta)}:
-                assert delta in listed
+    """``down_covers`` lists exactly the moves of ``covers`` that end at its
+    argument, each once and with the same step."""
+    expected = {gamma: set() for gamma in comps_upto(7)}
+    for delta in comps_upto(6):
+        for gamma, step in covers(delta):
+            expected[gamma].add((delta, step))
+    for gamma, moves in expected.items():
+        listed = down_covers(gamma)
+        assert len(set(listed)) == len(listed)
+        assert set(listed) == moves
+
+
+def test_order_matches_a_search_up_covers():
+    comps = comps_upto(7)
+    for gamma in comps:
+        assert _below(gamma) == {b for b in comps if leq_by_covers(b, gamma)}
+        for beta in comps:
+            assert leq(beta, gamma) == leq_by_covers(beta, gamma)
+
+
+def test_chain_descents_pruned_to_top_match_the_unpruned_walk():
+    for beta in comps_upto(7):
+        for levels in range(8 - sum(beta)):
+            unpruned = chain_descents(beta, levels)
+            for top in compositions_of(sum(beta) + levels):
+                pruned = chain_descents(beta, levels, top)
+                assert (top in unpruned) == leq_by_covers(beta, top)
+                assert pruned.get(top) == unpruned.get(top)
 
 
 def test_leq_reflexive_and_weight_monotone():

@@ -38,9 +38,8 @@ CACHES = {
     "applications._knuth_classes",
     "applications._set_comps_by_shape",
     "applications.set_compositions",
-    "compositions._leq",
+    "compositions._below",
     "nsym._rect_census",
-    "qsym._all_lower",
     "qsym._comps",
     "qsym._schur_in_monomial",
     "qsym.qs_schur",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur import qsym
+from qschur import compositions, qsym
 from qschur.compositions import compositions_of, leq, partitions_of, refines
 from qschur.qsym import (
     GradedElement,
@@ -39,6 +39,7 @@ from oracles import (
     brute_ssct,
     filling_content,
     fundamental_poly,
+    leq_by_covers,
     monomial_quasi_poly,
     multiply_by_polynomials,
     qschur_poly,
@@ -181,6 +182,20 @@ def test_fundamental_coproduct_golden():
     }
 
 
+def test_schur_coproduct_runs_over_the_down_set_in_canonical_order():
+    for alpha in comps_upto(5):
+        delta = coproduct(basis_element("QSym", "S", alpha))
+        inner = list(dict.fromkeys(beta for _, beta in delta))
+        assert inner == [beta for beta in comps_upto(5) if leq_by_covers(beta, alpha)]
+
+
+@pytest.mark.parametrize("basis", "MLS")
+@pytest.mark.parametrize("index", [(0, 1), (-1,), (2, 0)])
+def test_coproduct_rejects_non_compositions(basis, index):
+    with pytest.raises(ValueError, match="does not index a basis element"):
+        coproduct(GradedElement("QSym", basis, {index: 1}))
+
+
 def test_fundamental_expands_over_refinements():
     for alpha in comps_upto(5):
         assert convert(L(alpha), "M").terms == {
@@ -228,6 +243,31 @@ def test_skew_quasi_schur_matches_tableau_descents():
                 shape = SkewShape(COMPOSITION, gamma, beta)
                 terms = [(descent_composition(t), 1) for t in enumerate_standard(shape)]
                 assert skew_qs_schur(gamma, beta) == GradedElement("QSym", "L", terms)
+
+
+def test_skew_quasi_schur_vanishes_off_the_order():
+    comps = comps_upto(7)
+    for gamma in comps:
+        for beta in comps:
+            assert bool(skew_qs_schur(gamma, beta)) == leq_by_covers(beta, gamma)
+
+
+def test_skew_quasi_schur_reads_one_down_set(monkeypatch):
+    """The order check and the chain walk of one skew share the down-set of
+    its outer shape, and the walk asks for the covers of 8 compositions."""
+    calls = []
+    real_covers = compositions._covers
+
+    def counting_covers(beta):
+        calls.append(beta)
+        return real_covers(beta)
+
+    skew_qs_schur.cache_clear()
+    compositions._below.cache_clear()
+    monkeypatch.setattr(compositions, "_covers", counting_covers)
+    assert skew_qs_schur((2, 3, 1, 2), (1,)).terms == {(1, 2, 2, 1, 1): 1, (2, 3, 1, 1): 1}
+    assert compositions._below.cache_info().misses == 1
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize(
