@@ -32,6 +32,7 @@ from .qsym import (
     GradedElement,
     TruncatedPolynomial,
     _rearrangements,
+    _require_basis_indices,
     basis_element,
     convert,
     let_variables_commute,
@@ -65,9 +66,23 @@ def _ordered_set_partitions(items: tuple[int, ...]) -> Iterable[SetComposition]:
 
 @cache
 def set_compositions(n: int) -> tuple[SetComposition, ...]:
-    """All set compositions of 1..n, sorted by block count then lex."""
+    """All set compositions of 1..n, sorted by block count then lex; raises
+    ``ValueError`` when ``n`` is not a non-negative int."""
+    if not (isinstance(n, int) and n >= 0):
+        raise ValueError(f"{n!r} is not a non-negative int")
     all_of_them = _ordered_set_partitions(tuple(range(1, n + 1)))
     return tuple(sorted(all_of_them, key=lambda pi: (len(pi), pi)))
+
+
+def _is_set_composition(pi: SetComposition) -> bool:
+    """Whether ``pi`` is a tuple of nonempty increasing tuples of ints whose
+    entries are exactly 1..n."""
+    if not all(type(b) is tuple and b and {int}.issuperset(map(type, b)) for b in pi):
+        return False
+    entries = sorted(x for block in pi for x in block)
+    return entries == list(range(1, len(entries) + 1)) and all(
+        list(block) == sorted(block) for block in pi
+    )
 
 
 def shape_of_blocks(pi: SetComposition) -> Composition:
@@ -283,9 +298,11 @@ def lift(f: GradedElement) -> GradedElement:
 
 def project(f: GradedElement) -> GradedElement:
     """Forget the set structure: each set composition maps to its block
-    sizes."""
+    sizes.  Raises ``ValueError`` on an index that is not a set composition
+    of 1..n."""
     if (f.ring, f.basis) != ("NCQSym", "M_Pi"):
         raise ValueError("project applies to NCQSym elements")
+    _require_basis_indices(_is_set_composition, f)
     return GradedElement(
         "QSym", "M", linear(f.terms, lambda pi: {shape_of_blocks(pi): 1})
     )

@@ -1,4 +1,4 @@
-"""Compositions and the cover order used to grow composition diagrams.
+"""Compositions, the cover order L_C on them, and Young's lattice beside it.
 
 A composition is a tuple of positive integers, a weak composition may
 contain zeros, and a partition is a weakly decreasing composition.  The
@@ -20,11 +20,12 @@ is a membership test and every walk pruned to an upper bound keeps a cover
 only when it lies in that bound's down-set.  The public poset functions
 raise ``ValueError`` on an argument that is not a composition.
 
-Saturated chains in an interval of this order are what standard
-composition tableaux encode, so the chain enumeration here is the engine
-behind tableau enumeration in :mod:`qschur.tableaux`, and
-:func:`chain_descents`, which counts chains by descent composition without
-listing them, is the engine behind skew quasi-Schur functions and products.
+Beside it sits ``_young_covers``, the cover rule of Young's lattice, to
+which L_C is analogous; both list covers by ascending (row, column) of the
+added cell, at most one per column.  Saturated chains of either order encode
+standard fillings, and one depth-first walk, ``_chains``, lists them.
+:func:`chain_descents` counts chains of L_C by descent composition without
+listing them: the engine behind skew quasi-Schur functions and products.
 """
 
 from __future__ import annotations
@@ -177,6 +178,18 @@ def _covers(beta: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
     return tuple(out)
 
 
+def _young_covers(lam: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
+    """:func:`covers` for Young's lattice: a row grows when no row above has
+    its length, and a new bottom row is an empty row extended to column 1."""
+    grown = [
+        (lam[:r] + (part + 1,) + lam[r + 1 :], ChainStep("extend-row", r + 1, part + 1))
+        for r, part in enumerate(lam)
+        if r == 0 or lam[r - 1] > part
+    ]
+    grown.append((lam + (1,), ChainStep("extend-row", len(lam) + 1, 1)))
+    return tuple(grown)
+
+
 def down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
     """All compositions covered by ``gamma``, with the cell removed.
 
@@ -236,6 +249,14 @@ def interval_chains(
     """
     require_composition(beta, gamma)
     below = _below(gamma)
+    return _chains(
+        beta, gamma, lambda comp: [pair for pair in _covers(comp) if pair[0] in below]
+    )
+
+
+def _chains(beta: Composition, gamma: Composition, up) -> tuple[tuple[ChainStep, ...], ...]:
+    """Every chain from ``beta`` to ``gamma`` along ``up(comp)``, the covers
+    kept inside the interval, depth first in the order ``up`` lists them."""
     chains: list[tuple[ChainStep, ...]] = []
     path: list[ChainStep] = []
 
@@ -243,11 +264,10 @@ def interval_chains(
         if comp == gamma:
             chains.append(tuple(path))
             return
-        for bigger, step in _covers(comp):
-            if bigger in below:
-                path.append(step)
-                walk(bigger)
-                path.pop()
+        for bigger, step in up(comp):
+            path.append(step)
+            walk(bigger)
+            path.pop()
 
     walk(beta)
     return tuple(chains)

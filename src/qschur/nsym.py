@@ -22,12 +22,19 @@ from .compositions import (
     Composition,
     canonical_key,
     chain_descents,
+    is_composition,
     is_contained,
     is_partition,
     require_composition,
     underlying_partition,
 )
-from .qsym import GradedElement, _l_to_s, linear, skew_qs_schur
+from .qsym import (
+    GradedElement,
+    _l_to_s,
+    _require_basis_indices,
+    linear,
+    skew_qs_schur,
+)
 from .tableaux import (
     COMPOSITION,
     PARTITION,
@@ -145,9 +152,11 @@ def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
 def forget(f: GradedElement) -> GradedElement:
     """Map a noncommutative element onto symmetric functions by sorting
     each index into a partition (dual quasi-Schur -> Schur, complete ->
-    complete)."""
+    complete).  Raises ``ValueError`` on an index that is not a
+    composition."""
     if f.ring != "NSym":
         raise ValueError("the forgetful map applies to NSym elements")
+    _require_basis_indices(is_composition, f)
     basis = "s" if f.basis == "S_star" else "h"
     return GradedElement(
         "Sym", basis, linear(f.terms, lambda alpha: {underlying_partition(alpha): 1})

@@ -240,9 +240,9 @@ def let_variables_commute(p: TruncatedPolynomial) -> TruncatedPolynomial:
 # the quasi-Schur basis
 
 
-@cache
 def qs_schur(alpha: Composition) -> GradedElement:
-    """The quasi-Schur function of ``alpha`` in the fundamental basis."""
+    """The quasi-Schur function of ``alpha`` in the fundamental basis, read
+    off the memo of :func:`skew_qs_schur`."""
     return skew_qs_schur(alpha, ())
 
 

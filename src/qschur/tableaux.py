@@ -15,9 +15,10 @@ first column strictly increases and a triple rule governs the rest.
 
 A :class:`Tableau` keeps its filling as rows padded with ``None`` on the
 inner cells, and the operations here read fillings from those rows and
-build new ones as rows.  Standard fillings come from saturated chains (of
-the composition poset for composition shapes, of partition containment for
-partition shapes); semistandard fillings of either kind are standard
+build new ones as rows.  Standard fillings of both kinds come from one
+chain walk (:mod:`qschur.compositions`: the composition poset for
+composition shapes, Young's lattice for partition shapes) and one row
+builder, ``_grow_rows``; semistandard fillings of either kind are standard
 fillings relabelled at every content refining their descent composition.
 """
 
@@ -32,6 +33,8 @@ from .compositions import (
     PREPEND,
     ChainStep,
     Composition,
+    _chains,
+    _young_covers,
     apply_step,
     comp_of_set,
     down_covers,
@@ -440,15 +443,26 @@ def chain_to_tableau(beta: Composition, chain: tuple[ChainStep, ...]) -> Tableau
     (1-based) receives entry n - t + 1.  Raises if any step is illegal.
     """
     require_composition(beta)
-    n = len(chain)
     current = beta
-    rows: list[list[int | None]] = [[None] * part for part in beta]
-    for t, step in enumerate(chain, start=1):
+    for step in chain:
         current = apply_step(current, step)
-        if step.kind == "prepend-row-1":
+    return _grow_rows(COMPOSITION, beta, chain)
+
+
+def _grow_rows(kind: str, inner: Composition, chain: tuple[ChainStep, ...]) -> Tableau:
+    """The standard filling grown from ``inner`` along a legal chain: the cell
+    added at step t gets n - t + 1.  ``PREPEND`` opens a top row, and a step
+    past the last row opens a bottom row."""
+    n = len(chain)
+    rows: list[list[int | None]] = [[None] * part for part in inner]
+    for t, step in enumerate(chain, start=1):
+        if step == PREPEND:
             rows.insert(0, [])
+        elif step.row > len(rows):
+            rows.append([])
         rows[step.row - 1].append(n - t + 1)
-    return Tableau(skew_shape(COMPOSITION, current, beta), tuple(map(tuple, rows)))
+    outer = tuple(map(len, rows))
+    return Tableau(skew_shape(kind, outer, inner), tuple(map(tuple, rows)))
 
 
 def tableau_to_chain(t: Tableau) -> tuple[ChainStep, ...]:
@@ -473,52 +487,26 @@ def tableau_to_chain(t: Tableau) -> tuple[ChainStep, ...]:
     return tuple(reversed(steps_removal))
 
 
-def _partition_pred(nu: Composition, floor: Composition) -> Iterator[tuple[Composition, Cell]]:
-    """Remove one corner cell of ``nu`` keeping a partition containing ``floor``."""
-    for r in range(len(nu)):
-        below = nu[r + 1] if r + 1 < len(nu) else 0
-        minimum = floor[r] if r < len(floor) else 0
-        if nu[r] - 1 >= below and nu[r] - 1 >= minimum:
-            smaller = nu[:r] + (nu[r] - 1,) + nu[r + 1 :]
-            while smaller and smaller[-1] == 0:
-                smaller = smaller[:-1]
-            yield smaller, (r + 1, nu[r])
-
-
-def _srt_fillings(nu: Composition, mu: Composition) -> Iterator[dict[Cell, int]]:
-    """All standard reverse fillings of nu/mu via growth chains in the
-    partition containment order (entry e on the e-th removed cell)."""
-
-    def walk(shape: Composition, next_entry: int) -> Iterator[dict[Cell, int]]:
-        if shape == mu:
-            yield {}
-            return
-        for smaller, cell in _partition_pred(shape, mu):
-            for partial in walk(smaller, next_entry + 1):
-                partial[cell] = next_entry
-                yield partial
-
-    yield from walk(nu, 1)
-
-
 @cache
 def enumerate_standard(shape: SkewShape) -> tuple[Tableau, ...]:
-    """All standard reverse fillings of ``shape``, sorted canonically.
+    """All standard reverse fillings of ``shape``, sorted canonically: one
+    per chain of the interval, in Young's lattice for partition shapes.
 
     Memoized per shape: every call on an equal shape returns the same
     tuple of frozen tableaux.
     """
+    inner, outer = shape.inner, shape.outer
     if shape.kind == COMPOSITION:
-        out = [
-            chain_to_tableau(shape.inner, chain)
-            for chain in interval_chains(shape.inner, shape.outer)
-        ]
+        chains = interval_chains(inner, outer)
     else:
-        out = [
-            make_tableau(shape, dict(filling))
-            for filling in _srt_fillings(shape.outer, shape.inner)
-        ]
-    return tuple(sorted(out, key=Tableau.sort_key))
+        widths = outer + (0,)  # no cell fits in a row below the outer shape
+
+        def up(lam: Composition):
+            return [(b, s) for b, s in _young_covers(lam) if s.column <= widths[s.row - 1]]
+
+        chains = _chains(inner, outer, up)
+    fillings = (_grow_rows(shape.kind, inner, chain) for chain in chains)
+    return tuple(sorted(fillings, key=Tableau.sort_key))
 
 
 def _contents(cuts: tuple[int, ...], n: int, length: int) -> Iterator[tuple[int, ...]]:

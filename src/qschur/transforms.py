@@ -2,7 +2,8 @@
 
 ``pack_columns`` / ``unpack_columns`` exchange straight composition
 fillings with straight partition fillings by sorting columns; the skew
-variants replay column sequences through the respective growth orders.
+variants are mirror images, replaying one column sequence up Young's
+lattice or up the composition poset.
 Insertion, rectification, and the (dual) Knuth moves live here too.
 """
 
@@ -11,7 +12,9 @@ from __future__ import annotations
 from .compositions import (
     ChainStep,
     Composition,
-    covers,
+    _covers,
+    _young_covers,
+    require_composition,
     underlying_partition,
 )
 from .tableaux import (
@@ -19,13 +22,12 @@ from .tableaux import (
     PARTITION,
     Tableau,
     _columns,
-    chain_to_tableau,
+    _grow_rows,
     colseq,
     column_word,
     destandardize,
     enumerate_standard,
     make_tableau,
-    skew_shape,
     standardize,
     straight,
 )
@@ -80,33 +82,16 @@ def unpack_columns(t: Tableau) -> Tableau:
 def pack_columns_skew(t: Tableau) -> Tableau:
     """Skew analogue of :func:`pack_columns`.
 
-    The column sequence of the standardization is replayed as a growth
-    chain of partition diagrams over the underlying partition of the inner
-    shape: column 1 appends a new bottom row, column j > 1 extends the
-    topmost row of length j - 1.
+    The column sequence of the standardization is replayed up Young's
+    lattice from the underlying partition of the inner shape: column 1
+    opens a new bottom row, column j > 1 extends the topmost row of length
+    j - 1.
     """
     if t.shape.kind != COMPOSITION:
         raise ValueError("expected a composition-shape tableau")
     that, tau = standardize(t)
-    seq = colseq(that)
-    n = that.n
     mu = underlying_partition(t.shape.inner)
-    lengths = list(mu)
-    entries: dict[tuple[int, int], int] = {}
-    for idx, j in enumerate(seq):
-        entry = n - idx
-        if j == 1:
-            lengths.append(1)
-            entries[(len(lengths), 1)] = entry
-        else:
-            for r, length in enumerate(lengths):
-                if length == j - 1:
-                    lengths[r] += 1
-                    entries[(r + 1, j)] = entry
-                    break
-            else:
-                raise ValueError(f"column sequence {seq} is not a partition growth")
-    partner = make_tableau(skew_shape(PARTITION, tuple(lengths), mu), entries)
+    partner = _grow_rows(PARTITION, mu, _replay(colseq(that), mu, _young_covers))
     return partner if t.is_standard() else destandardize(partner, tau)
 
 
@@ -114,9 +99,8 @@ def unpack_columns_skew(t: Tableau, beta: Composition) -> Tableau:
     """Inverse of :func:`pack_columns_skew` over the composition base ``beta``.
 
     Requires the inner shape of ``t`` to be the underlying partition of
-    ``beta``; the column sequence is replayed through the composition cover
-    order instead, each entry taking the cover of ``current`` whose added
-    cell lies in its column.
+    ``beta``; the column sequence is replayed up the composition poset from
+    ``beta`` instead.
     """
     if t.shape.kind != PARTITION:
         raise ValueError("expected a partition-shape tableau")
@@ -124,20 +108,27 @@ def unpack_columns_skew(t: Tableau, beta: Composition) -> Tableau:
         raise ValueError(
             f"base {beta} does not have underlying partition {t.shape.inner}"
         )
+    require_composition(beta)
     that, tau = standardize(t)
-    seq = colseq(that)
-    current = beta
+    partner = _grow_rows(COMPOSITION, beta, _replay(colseq(that), beta, _covers))
+    return partner if t.is_standard() else destandardize(partner, tau)
+
+
+def _replay(seq: tuple[int, ...], base: Composition, up) -> tuple[ChainStep, ...]:
+    """The chain up from ``base`` whose step t is the cover in ``up`` adding
+    a cell in column ``seq[t - 1]``: in L_C and in Young's lattice at most
+    one cover adds a cell to a given column."""
+    current = base
     steps: list[ChainStep] = []
     for j in seq:
-        for bigger, step in covers(current):
+        for bigger, step in up(current):
             if step.column == j:
                 break
         else:
-            raise ValueError(f"column sequence {seq} does not grow from {beta}")
+            raise ValueError(f"column sequence {seq} does not grow from {base}")
         steps.append(step)
         current = bigger
-    partner = chain_to_tableau(beta, tuple(steps))
-    return partner if t.is_standard() else destandardize(partner, tau)
+    return tuple(steps)
 
 
 def _row_insert(rows: list[list[int]], k: int) -> tuple[int, int]:

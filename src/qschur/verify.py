@@ -1070,7 +1070,7 @@ def _straight_ssrts(size_bound: int, entry_bound: int):
         yield from enumerate_semistandard(straight(PARTITION, lam), entry_bound)
 
 
-@_register("column-sort-roundtrip", "roundtrips", cap=5)
+@_register("column-sort-roundtrip", "roundtrips", cap=7)
 def _check_pack_unpack(d: int, rng: random.Random) -> tuple:
     cases = 0
     for t in _straight_sscts(d, 4):
@@ -1089,7 +1089,7 @@ def _check_pack_unpack(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("standardization-roundtrip", "roundtrips", cap=5)
+@_register("standardization-roundtrip", "roundtrips", cap=7)
 def _check_standardization(d: int, rng: random.Random) -> tuple:
     cases = 0
     for t in itertools.chain(_straight_sscts(d, 4), _straight_ssrts(d, 4)):
@@ -1191,7 +1191,7 @@ def _check_rect_descents(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("skew-column-sort-pairing", "roundtrips", cap=6)
+@_register("skew-column-sort-pairing", "roundtrips", cap=7)
 def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
     cases = 0
     for beta, gamma in _interval_pairs(d):

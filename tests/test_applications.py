@@ -160,6 +160,12 @@ def test_set_composition_counts_are_ordered_bell():
     assert set(set_compositions(2)) == {((1,), (2,)), ((2,), (1,)), ((1, 2),)}
 
 
+def test_set_compositions_reject_negative_sizes():
+    for n in (-1, -3, 1.5):
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            set_compositions(n)
+
+
 def test_shape_of_blocks():
     assert shape_of_blocks(((2,), (1, 3))) == (1, 2)
     assert shape_of_blocks(()) == ()
@@ -249,6 +255,23 @@ def test_lift_then_project_is_identity():
         "QSym", "M", {(2, 1): 3, (1, 1, 1): -2, (4,): Fraction(1, 3)}
     )
     assert project(lift(f)) == f
+
+
+def test_project_rejects_non_set_compositions():
+    bad = [
+        ((1,), (1,)),  # 1 twice
+        ((2,),),  # misses 1
+        ((2, 1),),  # a block out of order
+        ((1,), ()),  # an empty block
+        ((1, "2"),),
+        ((1.0,),),
+        (1,),  # not a tuple of blocks
+    ]
+    for index in bad:
+        with pytest.raises(ValueError, match="does not index a basis element"):
+            project(GradedElement("NCQSym", "M_Pi", {index: 1}))
+    good = GradedElement("NCQSym", "M_Pi", {(): 1, ((2,), (1, 3)): 2})
+    assert project(good) == GradedElement("QSym", "M", {(): 1, (1, 2): 2})
 
 
 def test_lift_lands_in_polynomial_model():

@@ -5,6 +5,7 @@ from qschur.applications import descent_pieri_K, labeled_chains
 from qschur.compositions import (
     ChainStep,
     _below,
+    _young_covers,
     apply_step,
     chain_descents,
     comp_of_set,
@@ -12,6 +13,7 @@ from qschur.compositions import (
     covers,
     down_covers,
     interval_chains,
+    is_contained,
     is_rev_contained,
     leq,
     partitions_of,
@@ -196,6 +198,31 @@ def test_interval_chains_match_brute_force_in_order():
                 for chain in chains
                 for s in chain
             )
+
+
+def test_young_covers_are_the_partitions_one_cell_up():
+    def added(lam, bigger):
+        r = next(r for r, part in enumerate(bigger) if r == len(lam) or part != lam[r])
+        return ChainStep("extend-row", r + 1, bigger[r])
+
+    for n in range(8):
+        for lam in partitions_of(n):
+            expected = [
+                (bigger, added(lam, bigger))
+                for bigger in partitions_of(n + 1)
+                if is_contained(lam, bigger)
+            ]
+            expected.sort(key=lambda pair: (pair[1].row, pair[1].column))
+            assert list(_young_covers(lam)) == expected
+
+
+def test_covers_add_cells_in_distinct_columns():
+    # the column-sequence replay of the skew bijections relies on this
+    shapes = [(covers, comp) for comp in comps_upto(7)]
+    shapes += [(_young_covers, lam) for n in range(8) for lam in partitions_of(n)]
+    for up, shape in shapes:
+        columns = [step.column for _, step in up(shape)]
+        assert len(set(columns)) == len(columns)
 
 
 def test_apply_step_rejects_illegal_steps():

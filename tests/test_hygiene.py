@@ -42,7 +42,6 @@ CACHES = {
     "nsym._rect_census",
     "qsym._comps",
     "qsym._schur_in_monomial",
-    "qsym.qs_schur",
     "qsym.skew_qs_schur",
     "tableaux._enumerate_semistandard",
     "tableaux._skew_shape",

@@ -15,7 +15,13 @@ from qschur.nsym import (
     product_nc_schur,
     strip_report,
 )
-from qschur.qsym import basis_element, convert, multiply, skew_qs_schur
+from qschur.qsym import (
+    GradedElement,
+    basis_element,
+    convert,
+    multiply,
+    skew_qs_schur,
+)
 from qschur.tableaux import canonical_sct
 from qschur.verify import _rect_census
 
@@ -162,6 +168,13 @@ def test_forgetful_map_sends_basis_to_schur():
     assert forget(S((2, 1), 3) + S((1, 2), -1)) == basis_element(
         "Sym", "s", (2, 1), 2
     )
+
+
+def test_forgetful_map_rejects_non_compositions():
+    for basis in ("S_star", "h_nc"):
+        for index in [(0, 1), (1, -1), (2, 0), (1.0, 2)]:
+            with pytest.raises(ValueError, match="does not index a basis element"):
+                forget(GradedElement("NSym", basis, {index: 1}))
 
 
 def test_forgetful_map_is_multiplicative():

@@ -320,8 +320,21 @@ def test_reverse_tableaux_match_brute_force():
         for m in (2, 3):
             ours = enumerate_semistandard(SkewShape(PARTITION, nu, mu), m)
             assert len(ours) == len(brute_ssrt(nu, mu, m))
-        std = enumerate_standard(SkewShape(PARTITION, nu, mu))
-        assert len(std) == len(brute_srt(nu, mu))
+    # the walk up Young's lattice gives exactly the brute-force fillings of
+    # every skew partition shape with |nu| <= 7, in canonical order
+    shapes = 0
+    for n in range(8):
+        for nu in partitions_of(n):
+            for mu in (mu for k in range(n + 1) for mu in partitions_of(k)):
+                if not is_contained(mu, nu):
+                    continue
+                shape = skew_shape(PARTITION, nu, mu)
+                brute = [make_tableau(shape, f) for f in brute_srt(nu, mu)]
+                assert enumerate_standard(shape) == tuple(
+                    sorted(brute, key=Tableau.sort_key)
+                )
+                shapes += 1
+    assert shapes == 449
 
 
 def test_sct_counts_golden():

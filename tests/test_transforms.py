@@ -186,6 +186,16 @@ def test_skew_pack_round_trip():
         assert unpack_columns_skew(image, t.shape.inner) == t
 
 
+def test_skew_unpack_rejects_non_composition_bases():
+    filled = from_rows(PARTITION, [[None, None, 2], [None, 1]])
+    empty = from_rows(PARTITION, [[None, None], [None]])
+    assert unpack_columns_skew(filled, (1, 2)).shape.inner == (1, 2)
+    for t in (filled, empty):
+        for beta in ([2, 1], (2, 0, 1), (0, 2, 1)):
+            with pytest.raises(ValueError, match="is not a composition"):
+                unpack_columns_skew(t, beta)
+
+
 def test_p_move_changes_word_not_insertion():
     word = (3, 4, 2, 1)
     moved = p_move(word, 1)
