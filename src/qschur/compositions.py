@@ -56,14 +56,18 @@ PREPEND = ChainStep("prepend-row-1", 1, 1)
 
 
 def is_weak_composition(alpha: tuple[int, ...]) -> bool:
-    return all(isinstance(a, int) and a >= 0 for a in alpha)
+    for a in alpha:
+        if not (type(a) is int and a >= 0):
+            return False
+    return True
 
 
 def is_composition(alpha: tuple[int, ...]) -> bool:
     # A plain loop: every public poset call runs this, and a generator
-    # inside all() costs about twice as much on short tuples.
+    # inside all() costs about twice as much on short tuples.  ``type(a) is
+    # int`` rejects bools, which the memos would key as equal to 0 and 1.
     for a in alpha:
-        if not (isinstance(a, int) and a >= 1):
+        if not (type(a) is int and a >= 1):
             return False
     return True
 
@@ -339,7 +343,10 @@ def canonical_key(alpha: Composition) -> tuple[int, int, Composition]:
 
 
 def compositions_of(n: int) -> Iterator[Composition]:
-    """All compositions of ``n`` in canonical order (length, then lex)."""
+    """All compositions of ``n`` in canonical order (length, then lex);
+    raises ``ValueError`` when ``n`` is not a non-negative int."""
+    if not (type(n) is int and n >= 0):
+        raise ValueError(f"{n!r} is not a non-negative int")
     if n == 0:
         yield ()
         return

@@ -2,10 +2,16 @@
 
 The paper's central duality computes the products: the coefficient of
 S*_gamma in S*_alpha S*_beta equals the coefficient of the quasi-Schur
-function S_alpha in the skew quasi-Schur function S_{gamma//beta}.  Both
-come from one walk over saturated chains up from beta
-(:func:`~qschur.compositions.chain_descents`) and a triangular basis change
-into S.  The forgetful map onto symmetric functions and the classical
+function S_alpha in the skew quasi-Schur function S_{gamma//beta}.  One
+walk over saturated chains up from beta
+(:func:`~qschur.compositions.chain_descents`) tallies every
+S_{gamma//beta} in the fundamental basis, tally_gamma[tau] chains at
+L_tau.  With v_alpha[tau] the coefficient of S_alpha in L_tau, one column
+of the inverse of the unitriangular S-to-L change, the product
+coefficient is the sum of tally_gamma[tau] * v_alpha[tau]: a product peels
+each L_tau once, however many gamma share it.  A single coefficient
+(:func:`lr_coeff`) peels its one skew function into S instead.  The
+forgetful map onto symmetric functions and the classical
 Littlewood-Richardson coefficients, which the products refine, live here
 too.  The classical coefficients read off a rectification census: the
 standard reverse fillings of each skew partition shape, grouped by the
@@ -56,7 +62,11 @@ def lr_coeff(alpha: Composition, beta: Composition, gamma: Composition) -> int:
     quasi-Schur function S_{gamma//beta}, which also counts the standard
     fillings of gamma over beta that rectify to the canonical filling of
     ``alpha`` (the verify check skew-coefficients-are-lr compares the two).
-    Raises ``ValueError`` when an argument is not a composition.
+    The skew function is peeled into S whole: for one gamma that costs one
+    peel, where the column of :func:`product_nc_schur` would cost one per
+    descent composition, and it keeps this an independent route to the
+    product coefficients.  Raises ``ValueError`` when an argument is not a
+    composition.
     """
     require_composition(alpha, beta, gamma)
     if sum(alpha) + sum(beta) != sum(gamma):
@@ -69,14 +79,23 @@ def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
 
     One chain walk up from ``beta`` gives every S_{gamma//beta} in the
     fundamental basis at once; the coefficient of S*_gamma is the S_alpha
-    coefficient of that skew function (see :func:`lr_coeff`).  The walk
-    yields compositions only, so the peel into S skips ``convert``'s index
-    check.
+    coefficient of that skew function (see :func:`lr_coeff`).  It is read
+    as the dot product of gamma's tally with the column of S_alpha
+    coefficients of the L_tau, each entry peeled into S the first time its
+    tau turns up, so a product makes at most 2^(|alpha| - 1) peels.  The
+    walk yields compositions only, so the peels skip ``convert``'s index
+    check.  Raises ``ValueError`` when an argument is not a composition.
     """
     require_composition(alpha, beta)
+    column: dict[Composition, int] = {}  # tau -> coefficient of S_alpha in L_tau
     terms = {}
     for gamma, tally in chain_descents(beta, sum(alpha)).items():
-        c = _l_to_s(tally).get(alpha, 0)
+        c = 0
+        for tau, k in tally.items():
+            v = column.get(tau)
+            if v is None:
+                v = column[tau] = _l_to_s({tau: 1}).get(alpha, 0)
+            c += k * v
         if c:
             terms[gamma] = c
     return GradedElement("NSym", "S_star", terms)

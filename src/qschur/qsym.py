@@ -242,7 +242,10 @@ def let_variables_commute(p: TruncatedPolynomial) -> TruncatedPolynomial:
 
 def qs_schur(alpha: Composition) -> GradedElement:
     """The quasi-Schur function of ``alpha`` in the fundamental basis, read
-    off the memo of :func:`skew_qs_schur`."""
+    off the memo of :func:`skew_qs_schur`.  Raises ``ValueError`` when
+    ``alpha`` is not a composition, checked before the memo, which would
+    take ``(True, 2)`` for ``(1, 2)`` and cannot hash a list."""
+    require_composition(alpha)
     return skew_qs_schur(alpha, ())
 
 

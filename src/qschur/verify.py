@@ -8,8 +8,9 @@ reports that number as ``effective_degree`` next to ``cases``.  Uncapped
 checks sweep the requested maximum degree, which must be nonnegative;
 fixed-size witnesses declare cap 0, since they do not scale at all.  Where
 a check compares a library function with a second route (rectification
-against a fold of :func:`insert_ssct`, products against the rectification
-census), the second route lives here, not in the library.
+against a fold of :func:`insert_ssct`, skew coefficients against the
+rectification census, products against whole skew functions converted to
+S), the second route lives here, not in the library.
 """
 
 from __future__ import annotations
@@ -576,8 +577,8 @@ def _rect_census(beta: Composition, gamma: Composition) -> Counter:
 def _check_duality(d: int, rng: random.Random) -> tuple:
     """The S-expansion of each skew quasi-Schur function against the LR
     rule: fillings of gamma over beta rectifying to the canonical filling
-    of alpha.  Products are computed through the former, so this keeps the
-    rectification route as their oracle."""
+    of alpha.  ``lr_coeff`` reads its coefficients off the former, so this
+    keeps the rectification route as its oracle."""
     cases = 0
     for beta, gamma in _interval_pairs(d):
         cases += 1
@@ -593,6 +594,29 @@ def _check_duality(d: int, rng: random.Random) -> tuple:
                 f"duality fails at {gamma} over {beta}: "
                 f"{in_schur.terms} vs {expected}"
             )
+    return cases, None
+
+
+@_register("product-matches-skew-peel", "duality")
+def _check_product_by_peel(d: int, rng: random.Random) -> tuple:
+    """Products, read off one column of the L-to-S change, against the
+    duality applied term by term: the coefficient of S*_gamma in
+    S*_alpha S*_beta is the S_alpha coefficient of the whole S_{gamma//beta}
+    converted to S."""
+    cases = 0
+    for beta in _comps_upto(d):
+        for n in range(d - sum(beta) + 1):
+            expected: dict = {}  # alpha -> {gamma: coefficient}
+            for gamma in compositions_of(sum(beta) + n):
+                skew = convert(skew_qs_schur(gamma, beta), "S")
+                for alpha, c in skew.terms.items():
+                    expected.setdefault(alpha, {})[gamma] = c
+            for alpha in compositions_of(n):
+                cases += 1
+                got = product_nc_schur(alpha, beta).terms
+                want = expected.get(alpha, {})
+                if got != want:
+                    return cases, f"product {alpha} * {beta}: {got} vs {want}"
     return cases, None
 
 

@@ -16,13 +16,20 @@ import itertools
 from fractions import Fraction
 
 from qschur.compositions import (
+    chain_descents,
     is_contained,
     is_partition,
     partitions_of,
     refines,
     weak_compositions,
 )
-from qschur.qsym import GradedElement, from_polynomial, sym_to_qsym, to_polynomial
+from qschur.qsym import (
+    GradedElement,
+    convert,
+    from_polynomial,
+    sym_to_qsym,
+    to_polynomial,
+)
 from qschur.tableaux import (
     COMPOSITION,
     PARTITION,
@@ -524,6 +531,21 @@ def multiply_by_polynomials(f, g):
         )
     m = max(f.degree() + g.degree(), 1)
     return from_polynomial(to_polynomial(f, m) * to_polynomial(g, m), m)
+
+
+# --- products by peeling every tally ------------------------------------------
+# product_nc_schur as it was before it read one column of the L-to-S change:
+# each skew function S_{gamma//beta}, as the chain walk tallies it in L,
+# converted to S in full, and its S_alpha coefficient kept.
+
+
+def product_by_peel(alpha, beta):
+    terms = {}
+    for gamma, tally in chain_descents(beta, sum(alpha)).items():
+        c = convert(GradedElement("QSym", "L", tally), "S").coefficient(alpha)
+        if c:
+            terms[gamma] = c
+    return GradedElement("NSym", "S_star", terms)
 
 
 # --- rectification by composition insertion and test-only helpers ------------

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -52,6 +53,21 @@ def test_product_tsv(capsys):
     code, out, _ = run(capsys, "product", "--alpha", "2", "--beta", "1", "--format", "tsv")
     assert code == 0
     assert out == "3\t1\n2,1\t1\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, sha256",
+    [
+        ("json", "a0f709a129fae8eb925ce9e417034c75d1b0d4c5f7ed664d750edda267a246dd"),
+        ("tsv", "9b13adf1007518bc91b045615c2d18819d5e9f6eb25e1f4407514e308de7fe1f"),
+    ],
+)
+def test_weight_fourteen_product_output_is_pinned(capsys, fmt, sha256):
+    code, out, _ = run(
+        capsys, "product", "--alpha", "1,3,2,1", "--beta", "2,1,3,1", "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_output_is_deterministic(capsys):

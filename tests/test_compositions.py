@@ -39,6 +39,12 @@ def test_compositions_of_counts():
         assert len(list(compositions_of(n))) == 2 ** (n - 1)
 
 
+@pytest.mark.parametrize("n", [2.0, -1, True, "2"])
+def test_compositions_of_rejects_non_integers(n):
+    with pytest.raises(ValueError, match="is not a non-negative int"):
+        list(compositions_of(n))
+
+
 def test_partitions_of():
     assert set(partitions_of(4)) == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
     assert set(partitions_of(5, max_part=2)) == {

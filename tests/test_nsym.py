@@ -1,6 +1,8 @@
 import pytest
 
+from qschur import nsym
 from qschur.compositions import (
+    chain_descents,
     compositions_of,
     leq,
     partitions_of,
@@ -30,7 +32,11 @@ from oracles import (
     classical_lr_oracle,
     classical_lr_semistandard,
     lr_by_rectification,
+    product_by_peel,
 )
+
+WEIGHT_FOURTEEN = ((1, 3, 2, 1), (2, 1, 3, 1))
+WEIGHT_SIXTEEN = ((1, 3, 2, 2), (2, 1, 3, 2))
 
 
 def S(alpha, coeff=1):
@@ -74,8 +80,17 @@ def test_lr_coeff_degree_mismatch_is_zero():
         lambda: lr_coeff((1, 0), (1,), (1, 1)),
         lambda: lr_coeff((2,), (1,), (2, 0, 1)),
         lambda: lr_coeff((1,), (-1, 2), (1, 1)),
+        lambda: product_nc_schur((True,), (1,)),
+        lambda: lr_coeff((1,), (1,), (True, 1)),
     ],
-    ids=["product-zero-part", "lr-zero-part", "lr-zero-part-outer", "lr-negative"],
+    ids=[
+        "product-zero-part",
+        "lr-zero-part",
+        "lr-zero-part-outer",
+        "lr-negative",
+        "product-bool-part",
+        "lr-bool-part",
+    ],
 )
 def test_rejects_non_compositions(call):
     with pytest.raises(ValueError, match="is not a composition"):
@@ -119,6 +134,46 @@ def test_weight_fourteen_product_golden():
     got = product_nc_schur((1, 3, 2, 1), (2, 1, 3, 1))
     assert len(got.terms) == 109
     assert sum(got.terms.values()) == 112
+
+
+def test_product_matches_peel_of_every_tally():
+    pairs = [
+        (alpha, beta)
+        for n in range(9)
+        for k in range(n + 1)
+        for alpha in compositions_of(k)
+        for beta in compositions_of(n - k)
+    ]
+    for alpha, beta in pairs + [WEIGHT_FOURTEEN, WEIGHT_SIXTEEN]:
+        got = product_nc_schur(alpha, beta).terms
+        assert list(got.items()) == list(product_by_peel(alpha, beta).terms.items())
+
+
+def test_lr_coeff_reads_the_product_coefficients():
+    for n in range(8):
+        for k in range(n + 1):
+            for alpha in compositions_of(k):
+                for beta in compositions_of(n - k):
+                    terms = product_nc_schur(alpha, beta).terms
+                    for gamma in compositions_of(n):
+                        assert lr_coeff(alpha, beta, gamma) == terms.get(gamma, 0)
+
+
+def test_product_peels_once_per_descent_composition(monkeypatch):
+    # One peel per distinct L_tau, at most 2^(|alpha| - 1) of them, however
+    # many gamma the walk reaches.
+    alpha, beta = WEIGHT_FOURTEEN
+    l_to_s = nsym._l_to_s
+    peeled = []
+
+    def counting_l_to_s(terms):
+        peeled.append(terms)
+        return l_to_s(terms)
+
+    monkeypatch.setattr(nsym, "_l_to_s", counting_l_to_s)
+    got = product_nc_schur(alpha, beta)
+    assert len(got.terms) == 109
+    assert len(peeled) <= 2 ** (sum(alpha) - 1) < len(chain_descents(beta, sum(alpha)))
 
 
 def test_pieri_row_equals_strip_product():

@@ -276,8 +276,11 @@ def test_skew_quasi_schur_reads_one_down_set(monkeypatch):
         lambda: skew_qs_schur((2, 1), (0, 1)),
         lambda: skew_qs_schur((0, 1), ()),
         lambda: qs_schur((-1, 2)),
+        # (1, 2) in the memo first: a bool part must not read its entry
+        lambda: (qs_schur((1, 2)), qs_schur((True, 2))),
+        lambda: qs_schur([1, 2]),
     ],
-    ids=["zero-inner", "zero-outer", "negative"],
+    ids=["zero-inner", "zero-outer", "negative", "bool-part", "list"],
 )
 def test_skew_quasi_schur_rejects_non_compositions(call):
     with pytest.raises(ValueError, match="is not a composition"):
