@@ -1,6 +1,9 @@
 """Consequences of the skew theory: a tableau algebra product, refinements
 in noncommuting variables, and descent generating series over intervals.
 
+The product's word route reads each Knuth class as a component of the
+Knuth-move graph (:func:`knuth_class`), with no census of n! permutations.
+
 Set compositions are tuples of disjoint increasing tuples of integers
 whose union is an initial segment 1..n; dropping the block order (for set
 partitions) we sort blocks by their minima.
@@ -42,12 +45,13 @@ from .tableaux import (
     COMPOSITION,
     PARTITION,
     Tableau,
+    column_word,
     content,
     enumerate_semistandard,
     straight,
     validate,
 )
-from .transforms import insertion_tableau, unpack_columns
+from .transforms import _move_component, insertion_tableau, p_move, unpack_columns
 
 SetComposition = tuple[tuple[int, ...], ...]
 
@@ -64,12 +68,18 @@ def _ordered_set_partitions(items: tuple[int, ...]) -> Iterable[SetComposition]:
                 yield (block,) + tail
 
 
-@cache
 def set_compositions(n: int) -> tuple[SetComposition, ...]:
     """All set compositions of 1..n, sorted by block count then lex; raises
-    ``ValueError`` when ``n`` is not a non-negative int."""
-    if not (isinstance(n, int) and n >= 0):
+    ``ValueError`` when ``n`` is not a non-negative int, checked before the
+    memo, which would take ``True`` for ``1``."""
+    if not (type(n) is int and n >= 0):
         raise ValueError(f"{n!r} is not a non-negative int")
+    return _set_compositions(n)
+
+
+@cache
+def _set_compositions(n: int) -> tuple[SetComposition, ...]:
+    """:func:`set_compositions` on a checked size, memoized."""
     all_of_them = _ordered_set_partitions(tuple(range(1, n + 1)))
     return tuple(sorted(all_of_them, key=lambda pi: (len(pi), pi)))
 
@@ -147,24 +157,13 @@ def _shuffles(u: tuple[int, ...], v: tuple[int, ...]) -> Iterable[tuple[int, ...
         yield (v[0],) + tail
 
 
-@cache
-def _knuth_classes(n: int) -> dict[Tableau, tuple[tuple[int, ...], ...]]:
-    """The permutations of 1..n grouped by insertion tableau, each group in
-    lexicographic order.  Callers must not modify the returned dict."""
-    classes: dict[Tableau, list[tuple[int, ...]]] = {}
-    for w in itertools.permutations(range(1, n + 1)):
-        classes.setdefault(insertion_tableau(w), []).append(w)
-    return {t: tuple(words) for t, words in classes.items()}
-
-
 def knuth_class(t: Tableau) -> tuple[tuple[int, ...], ...]:
     """All permutation words whose insertion tableau is ``t``, in
-    lexicographic order, looked up in the classes of its size
-    (:func:`_knuth_classes`).  Every standard reverse filling is the
-    insertion tableau of some permutation, so the lookup never misses.
-    """
+    lexicographic order: the component of ``column_word(t)``, which inserts
+    to ``t``, under the Knuth moves of :func:`~qschur.transforms.p_move`
+    (Knuth, 1970: a Knuth class is connected by these moves)."""
     _require_straight_srt(t)
-    return _knuth_classes(t.shape.size)[t]
+    return tuple(sorted(_move_component(column_word(t), p_move)))
 
 
 def pr_product_words(t1: Tableau, t2: Tableau) -> tuple[Counter, int]:
@@ -179,11 +178,12 @@ def pr_product_words(t1: Tableau, t2: Tableau) -> tuple[Counter, int]:
     _require_straight_srt(t1)
     _require_straight_srt(t2)
     n = t2.shape.size
+    words2 = knuth_class(t2)
     counts: Counter = Counter()
     total = 0
     for u in knuth_class(t1):
         shifted = tuple(x + n for x in u)
-        for v in knuth_class(t2):
+        for v in words2:
             for w in _shuffles(shifted, v):
                 total += 1
                 counts[insertion_tableau(w)] += 1

@@ -243,22 +243,28 @@ def let_variables_commute(p: TruncatedPolynomial) -> TruncatedPolynomial:
 def qs_schur(alpha: Composition) -> GradedElement:
     """The quasi-Schur function of ``alpha`` in the fundamental basis, read
     off the memo of :func:`skew_qs_schur`.  Raises ``ValueError`` when
-    ``alpha`` is not a composition, checked before the memo, which would
-    take ``(True, 2)`` for ``(1, 2)`` and cannot hash a list."""
+    ``alpha`` is not a composition."""
     require_composition(alpha)
-    return skew_qs_schur(alpha, ())
+    return _skew_qs_schur(alpha, ())
 
 
-@cache
 def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """Fundamental-basis expansion over standard fillings of gamma over beta:
     one L term per saturated chain from beta up to gamma, at the chain's
     descent composition (:func:`~qschur.compositions.chain_descents`).
 
     Zero when ``beta`` is not below ``gamma`` in the cover order; raises
-    ``ValueError`` when either is not a composition.
+    ``ValueError`` when either is not a composition, checked before the
+    memo, which would take ``(True, 2)`` for ``(1, 2)`` and cannot hash a
+    list.
     """
     require_composition(gamma, beta)
+    return _skew_qs_schur(gamma, beta)
+
+
+@cache
+def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
+    """:func:`skew_qs_schur` on checked compositions, memoized."""
     if not leq(beta, gamma):
         return zero("QSym", "L")
     tally = chain_descents(beta, sum(gamma) - sum(beta), gamma)[gamma]

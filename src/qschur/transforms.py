@@ -267,6 +267,25 @@ def standard_words_of_shape(alpha: Composition) -> frozenset[Word]:
     )
 
 
+def _move_component(start: Word, move, within=None) -> set[Word]:
+    """The words reachable from ``start`` by ``move(word, k)`` at every
+    window k (a move that does not apply raises ``ValueError``), staying
+    inside the set ``within`` when it is given."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        w = frontier.pop()
+        for k in range(1, len(w) - 1):
+            try:
+                nxt = move(w, k)
+            except ValueError:
+                continue
+            if nxt not in seen and (within is None or nxt in within):
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
 def restricted_move_components(alpha: Composition) -> tuple[bool, int]:
     """Connectivity of the dual-move graph on the words of shape ``alpha``.
 
@@ -274,25 +293,11 @@ def restricted_move_components(alpha: Composition) -> tuple[bool, int]:
     are dual Knuth moves whose result stays in the vertex set.  Returns
     (connected, number of components).
     """
-    words = standard_words_of_shape(alpha)
-    if not words:
-        return True, 0
-    unseen = set(words)
+    unseen = set(standard_words_of_shape(alpha))
     components = 0
     while unseen:
         components += 1
-        start = unseen.pop()
-        frontier = [start]
-        while frontier:
-            w = frontier.pop()
-            for k in range(1, len(w) - 1):
-                try:
-                    nxt = q_move(w, k)
-                except ValueError:
-                    continue
-                if nxt in unseen:
-                    unseen.remove(nxt)
-                    frontier.append(nxt)
+        unseen -= _move_component(next(iter(unseen)), q_move, unseen)
     return components <= 1, components
 
 

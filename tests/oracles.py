@@ -392,7 +392,8 @@ def shuffles(u, v):
 # --- per-target filter routes ----------------------------------------------
 # classical_lr, pr_product and knuth_class as they were before the
 # censuses: enumerate every filling (or permutation) and keep those that
-# insert to the one target asked about.
+# insert to the one target asked about.  The permutation census that
+# knuth_class read before it walked Knuth moves follows them.
 
 
 def classical_lr_by_filter(lam, mu, nu):
@@ -430,6 +431,15 @@ def knuth_class_by_filter(t):
         for w in itertools.permutations(range(1, t.shape.size + 1))
         if insertion_tableau(w) == t
     )
+
+
+def knuth_classes_by_census(n):
+    """The permutations of 1..n grouped by insertion tableau, each group in
+    lexicographic order: the census that ``knuth_class`` once read."""
+    classes = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        classes.setdefault(insertion_tableau(w), []).append(w)
+    return {t: tuple(words) for t, words in classes.items()}
 
 
 # --- semistandard composition fillings by refinement -------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qschur import applications, transforms
 from qschur.applications import (
     chi_nc,
     descent_pieri_K,
@@ -33,13 +34,21 @@ from qschur.qsym import (
     skew_qs_schur,
     to_polynomial,
 )
-from qschur.tableaux import PARTITION, enumerate_standard, from_rows, straight
+from qschur.tableaux import (
+    PARTITION,
+    canonical_srt,
+    enumerate_standard,
+    from_rows,
+    straight,
+)
+from qschur.transforms import insertion_tableau
 
 from oracles import (
     brute_ssct,
     filling_content,
     insert_word,
     knuth_class_by_filter,
+    knuth_classes_by_census,
     pr_product_by_filter,
     shuffles,
 )
@@ -148,6 +157,36 @@ def test_knuth_class_lookup_matches_filter_route():
         assert sorted(covered) == list(itertools.permutations(range(1, n + 1)))
 
 
+def test_knuth_class_matches_census_through_8():
+    for n in range(9):
+        census = knuth_classes_by_census(n)
+        fillings = [
+            t
+            for lam in partitions_of(n)
+            for t in enumerate_standard(straight(PARTITION, lam))
+        ]
+        assert set(census) == set(fillings)
+        for t in fillings:
+            assert knuth_class(t) == census[t]
+
+
+def test_knuth_class_inserts_no_permutation(monkeypatch):
+    """The largest class at n = 9 comes from Knuth moves alone: no word is
+    inserted, so no census of the 9! permutations is built."""
+
+    def refuse(word):
+        raise AssertionError("knuth_class inserted a word")
+
+    t = canonical_srt((4, 2, 2, 1))
+    monkeypatch.setattr(applications, "insertion_tableau", refuse)
+    monkeypatch.setattr(transforms, "insertion_tableau", refuse)
+    words = knuth_class(t)
+    monkeypatch.undo()
+    assert len(words) == 216
+    assert list(words) == sorted(set(words))
+    assert all(insertion_tableau(w) == t for w in words)
+
+
 def test_pr_product_rejects_skew_input():
     skew = from_rows(PARTITION, [[None, 2], [1]])
     straight_row = from_rows(PARTITION, [[1]])
@@ -161,7 +200,8 @@ def test_set_composition_counts_are_ordered_bell():
 
 
 def test_set_compositions_reject_negative_sizes():
-    for n in (-1, -3, 1.5):
+    set_compositions(1)  # a cached 1 must not answer for True
+    for n in (-1, -3, 1.5, True):
         with pytest.raises(ValueError, match="is not a non-negative int"):
             set_compositions(n)
 

@@ -9,7 +9,12 @@ skipped because its imports are the package's re-exports, and
 
 The cache scan lists every function decorated with ``functools.cache`` or
 ``functools.lru_cache`` (bare, attribute or called form), so a new
-session-long cache has to be added to ``CACHES`` by name.
+session-long cache has to be added to ``CACHES`` by name.  A memo also
+has to be private: it answers for any key equal to one it holds, so
+``True`` finds the entry of ``1`` and a list cannot be hashed at all.  A
+public function checks its arguments and then reads its ``_name`` memo.
+``PUBLIC_MEMOS`` names the one exception, ``enumerate_standard``, whose
+only argument is a ``SkewShape`` that validates itself when built.
 
 The accumulation scan lists every function that adds into a dict by hand,
 reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
@@ -35,14 +40,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CACHES = {
-    "applications._knuth_classes",
     "applications._set_comps_by_shape",
-    "applications.set_compositions",
+    "applications._set_compositions",
     "compositions._below",
     "nsym._rect_census",
     "qsym._comps",
     "qsym._schur_in_monomial",
-    "qsym.skew_qs_schur",
+    "qsym._skew_qs_schur",
     "tableaux._enumerate_semistandard",
     "tableaux._skew_shape",
     "tableaux.enumerate_standard",
@@ -128,6 +132,33 @@ def test_caches_are_the_named_ones():
         for name in cached_functions(p.read_text())
     }
     assert found == CACHES
+
+
+PUBLIC_MEMOS = {"tableaux.enumerate_standard"}
+
+
+def public_memos(source):
+    """Memoized functions of ``source`` whose names do not start with ``_``."""
+    return [name for name in cached_functions(source) if not name.startswith("_")]
+
+
+def test_scan_finds_every_public_memo():
+    source = (
+        "from functools import cache\n"
+        "@cache\ndef a(n): pass\n"
+        "@cache\ndef _b(n): pass\n"
+        "def c(n): return _b(n)\n"
+    )
+    assert public_memos(source) == ["a"]
+
+
+def test_memos_are_private():
+    found = {
+        f"{p.stem}.{name}"
+        for p in (ROOT / "src" / "qschur").glob("*.py")
+        for name in public_memos(p.read_text())
+    }
+    assert found == PUBLIC_MEMOS
 
 
 def accumulating_functions(source):

@@ -262,7 +262,7 @@ def test_skew_quasi_schur_reads_one_down_set(monkeypatch):
         calls.append(beta)
         return real_covers(beta)
 
-    skew_qs_schur.cache_clear()
+    qsym._skew_qs_schur.cache_clear()
     compositions._below.cache_clear()
     monkeypatch.setattr(compositions, "_covers", counting_covers)
     assert skew_qs_schur((2, 3, 1, 2), (1,)).terms == {(1, 2, 2, 1, 1): 1, (2, 3, 1, 1): 1}
@@ -279,8 +279,18 @@ def test_skew_quasi_schur_reads_one_down_set(monkeypatch):
         # (1, 2) in the memo first: a bool part must not read its entry
         lambda: (qs_schur((1, 2)), qs_schur((True, 2))),
         lambda: qs_schur([1, 2]),
+        lambda: (qs_schur((1, 2)), skew_qs_schur((True, 2), ())),
+        lambda: skew_qs_schur([1, 2], ()),
     ],
-    ids=["zero-inner", "zero-outer", "negative", "bool-part", "list"],
+    ids=[
+        "zero-inner",
+        "zero-outer",
+        "negative",
+        "bool-part",
+        "list",
+        "skew-bool-part",
+        "skew-list",
+    ],
 )
 def test_skew_quasi_schur_rejects_non_compositions(call):
     with pytest.raises(ValueError, match="is not a composition"):

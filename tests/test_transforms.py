@@ -229,10 +229,11 @@ def test_standard_words_of_shape():
 
 
 def test_restricted_moves_connect_small_graphs():
-    for alpha in comps_upto(6):
-        connected, count = restricted_move_components(alpha)
-        assert connected
-        assert count == 1
+    """Through weight 8 every graph is connected except that of (1, 3, 1, 3),
+    whose 9 words fall into 2 components."""
+    found = {alpha: restricted_move_components(alpha) for alpha in comps_upto(8)}
+    assert found.pop((1, 3, 1, 3)) == (False, 2)
+    assert set(found.values()) == {(True, 1)}
 
 
 def test_rigid_row_pair_golden():
