@@ -7,10 +7,10 @@ default; commands whose result is a single graded element also accept
 ``--format tsv`` and then emit one ``index<TAB>coefficient`` row per term.
 
 Each command is one entry of :data:`COMMANDS`: its help, the function that
-adds its arguments and its handler.  :func:`main` builds the parser of the
-command it runs and no other; ``-h``, a missing or an unknown command get
-the parser of every command.  Only the ``verify`` command imports
-:mod:`qschur.verify`.
+adds its arguments and its handler.  :func:`main` parses a named command's
+arguments with that command's parser alone, no top-level parser holding a
+sub-parser; ``-h``, a missing or an unknown command get the parser of
+every command.  Only the ``verify`` command imports :mod:`qschur.verify`.
 """
 
 from __future__ import annotations
@@ -405,10 +405,27 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_command(command: str, rest: list) -> argparse.Namespace:
+    """Parse the arguments after a named command with that command's parser
+    alone, no top-level parser around it.  Its errors and ``-h`` read as
+    the full parser's sub-parser would, and leftover arguments are reported
+    by :func:`build_parser`'s top-level parser, as ``parse_args`` would."""
+    add_arguments = COMMANDS[command][1]
+    parser = argparse.ArgumentParser(prog=f"qschur {command}")
+    add_arguments(parser)
+    args, extras = parser.parse_known_args(rest)
+    if extras:
+        build_parser(command).error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = command
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in COMMANDS:
+        args = _parse_command(argv[0], argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][2](args)
     except FileNotFoundError as exc:

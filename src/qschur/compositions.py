@@ -16,16 +16,19 @@ applied step and every tableau grown from a chain reads its moves off it,
 and :func:`down_covers` is its inverse.  The order itself is read off
 memoized down-sets: ``_below(gamma)`` holds every composition below
 ``gamma``, built level by level down :func:`down_covers`, so :func:`leq`
-is a membership test and every walk pruned to an upper bound keeps a cover
-only when it lies in that bound's down-set.  The public poset functions
-raise ``ValueError`` on an argument that is not a composition.
+is a membership test and :func:`interval_chains` keeps a cover only when
+it lies in its upper end's down-set.  The public poset functions raise
+``ValueError`` on an argument that is not a composition.
 
 Beside it sits ``_young_covers``, the cover rule of Young's lattice, to
 which L_C is analogous; both list covers by ascending (row, column) of the
 added cell, at most one per column.  Saturated chains of either order encode
 standard fillings, and one depth-first walk, ``_chains``, lists them.
 :func:`chain_descents` counts chains of L_C by descent composition without
-listing them: the engine behind skew quasi-Schur functions and products.
+listing them, walking up :func:`covers` or down :func:`down_covers`: the
+engine behind products (up from the inner shape) and skew quasi-Schur
+functions (down from the outer shape, which bounds the walk without a
+down-set).
 """
 
 from __future__ import annotations
@@ -278,51 +281,54 @@ def _chains(beta: Composition, gamma: Composition, up) -> tuple[tuple[ChainStep,
 
 
 def chain_descents(
-    beta: Composition, levels: int, top: Composition | None = None
+    start: Composition, levels: int, *, down: bool = False
 ) -> dict[Composition, dict[Composition, int]]:
-    """Saturated chains ``levels`` covers up from ``beta``, counted by their
-    upper end and their descent composition: ``{gamma: {tau: chains}}``.
+    """Saturated chains of ``levels`` covers from ``start``, counted by
+    their other end and their descent composition: ``{end: {tau: chains}}``.
 
-    Read as a standard composition filling, a chain puts entry
-    ``levels - t + 1`` in the cell added at step t, and i is a descent when
-    i + 1 sits weakly right of i.  So i is a descent exactly when the cell
-    added at step ``levels - i`` lies in a column weakly right of the cell
-    added at step ``levels - i + 1``.  The walk goes one level at a time
-    over states (composition, column of the last added cell, descent
-    composition so far, its parts read from the top entry down) and adds
-    up chain counts, so no chain is listed.  With ``top``, a cover is kept
-    only when it lies in the memoized down-set of ``top``.
+    Up (the default), a chain grows ``start`` along :func:`covers`;
+    ``down=True``, it shrinks ``start`` along :func:`down_covers`, and its
+    ends are the compositions ``levels`` below.  Read as a standard
+    composition filling, a chain puts its largest entry in the last cell
+    added, and i is a descent when i + 1 sits weakly right of i.  Down, the
+    cells removed take the entries 1, 2, ... in order, so i is a descent
+    when the cell removed at step i + 1 lies weakly right of the one
+    removed at step i; up, the cell added at step t takes entry
+    ``levels - t + 1`` and the comparison runs the other way.  The walk
+    goes one level at a time over states (composition, column of the last
+    cell moved, descent composition so far) and adds up chain counts, so
+    no chain is listed.  Raises ``ValueError`` when ``start`` is not a
+    composition or ``levels`` is not a non-negative int.
     """
-    require_composition(beta)
-    below = None
-    if top is not None:
-        require_composition(top)
-        below = _below(top)
-    states: dict = {(beta, 0, ()): 1}
-    moves: dict = {}  # composition -> (cover, column added) kept under top
+    require_composition(start)
+    if not (type(levels) is int and levels >= 0):
+        raise ValueError(f"{levels!r} is not a non-negative int")
+    # Columns are stored signed so that one test, ``key >= last``, reads a
+    # descent both ways: down, column >= last column; up, last >= column.
+    moves_of, sign = (_down_covers, 1) if down else (_covers, -1)
+    states: dict = {(start, 0, ()): 1}
+    moves: dict = {}  # composition -> (next composition, signed column)
     for _ in range(levels):
         grown: dict = {}
         for (comp, last, runs), count in states.items():
             if comp not in moves:
                 moves[comp] = [
-                    (bigger, step.column)
-                    for bigger, step in _covers(comp)
-                    if below is None or bigger in below
+                    (nxt, sign * step.column) for nxt, step in moves_of(comp)
                 ]
-            for bigger, column in moves[comp]:
+            for nxt, key in moves[comp]:
                 if not runs:
                     grown_runs = (1,)
-                elif last >= column:  # a descent: start a new part
+                elif key >= last:  # a descent: start a new part
                     grown_runs = runs + (1,)
                 else:
                     grown_runs = runs[:-1] + (runs[-1] + 1,)
-                key = (bigger, column, grown_runs)
-                grown[key] = grown.get(key, 0) + count
+                state = (nxt, key, grown_runs)
+                grown[state] = grown.get(state, 0) + count
         states = grown
     out: dict = {}
-    for (gamma, _, runs), count in states.items():
-        tally = out.setdefault(gamma, {})
-        tau = runs[::-1]
+    for (end, _, runs), count in states.items():
+        tally = out.setdefault(end, {})
+        tau = runs if down else runs[::-1]  # up, runs go from the top entry down
         tally[tau] = tally.get(tau, 0) + count
     return out
 

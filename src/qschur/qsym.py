@@ -39,7 +39,6 @@ from .compositions import (
     compositions_of,
     is_composition,
     is_partition,
-    leq,
     require_composition,
     strong,
     underlying_partition,
@@ -251,7 +250,11 @@ def qs_schur(alpha: Composition) -> GradedElement:
 def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """Fundamental-basis expansion over standard fillings of gamma over beta:
     one L term per saturated chain from beta up to gamma, at the chain's
-    descent composition (:func:`~qschur.compositions.chain_descents`).
+    descent composition.  One walk down from ``gamma``
+    (:func:`~qschur.compositions.chain_descents` with ``down=True``) tallies
+    the chains to every composition |gamma| - |beta| levels below, and the
+    skew function is ``beta``'s tally, so no down-set and no order check
+    is built.
 
     Zero when ``beta`` is not below ``gamma`` in the cover order; raises
     ``ValueError`` when either is not a composition, checked before the
@@ -265,9 +268,10 @@ def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
 @cache
 def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """:func:`skew_qs_schur` on checked compositions, memoized."""
-    if not leq(beta, gamma):
+    levels = sum(gamma) - sum(beta)
+    if levels < 0:
         return zero("QSym", "L")
-    tally = chain_descents(beta, sum(gamma) - sum(beta), gamma)[gamma]
+    tally = chain_descents(gamma, levels, down=True).get(beta, {})
     return GradedElement("QSym", "L", tally)
 
 

@@ -557,6 +557,8 @@ def _check_peel_orders(d: int, rng: random.Random) -> tuple:
 
 @_register("skew-vanishing-matches-order", "duality")
 def _check_skew_vanishing(d: int, rng: random.Random) -> tuple:
+    """S_{gamma//beta} is nonzero exactly when beta <= gamma: the skew walks
+    down from gamma and ``leq`` reads gamma's down-set, two independent routes."""
     cases = 0
     for gamma in _comps_upto(d):
         for beta in _comps_upto(sum(gamma)):

@@ -316,6 +316,9 @@ PARITY_ARGV = [
     ["skew", "--outer", "2", "--basis", "Q"],
     ["pieri", "--kind", "diagonal", "--n", "1", "--beta", "1"],
     ["skew", "--outer", "2", "extra"],
+    ["skew", "--bogus", "--outer", "2", "extra"],
+    ["poset", "covers", "--comp", "2,1", "extra"],
+    ["poset", "bogus"],
     ["skew", "-h"],
     ["poset", "-h"],
     ["verify", "bogus"],
@@ -329,8 +332,11 @@ PARITY_ARGV = [
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=" ".join)
 def test_main_reads_alike_under_both_parsers(monkeypatch, capsys, argv):
     alone = run_exiting(capsys, argv)
-    full_parser = build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    monkeypatch.setattr(
+        cli,
+        "_parse_command",
+        lambda command, rest: build_parser().parse_args([command, *rest]),
+    )
     assert run_exiting(capsys, argv) == alone
 
 
@@ -344,7 +350,10 @@ def test_main_builds_only_its_command(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
     code, _, _ = run(capsys, "skew", "--outer", "2,1", "--basis", "L")
-    assert (code, built) == (0, ["skew"])
+    assert (code, built) == (0, [])
+    # a command's own sub-commands are still sub-parsers of its parser
+    code, _, _ = run(capsys, "poset", "covers", "--comp", "2,1")
+    assert (code, built) == (0, ["covers", "leq", "interval"])
 
 
 def test_importing_the_cli_leaves_verify_unloaded():

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -131,14 +133,21 @@ def test_order_matches_a_search_up_covers():
             assert leq(beta, gamma) == leq_by_covers(beta, gamma)
 
 
-def test_chain_descents_pruned_to_top_match_the_unpruned_walk():
-    for beta in comps_upto(7):
-        for levels in range(8 - sum(beta)):
-            unpruned = chain_descents(beta, levels)
-            for top in compositions_of(sum(beta) + levels):
-                pruned = chain_descents(beta, levels, top)
-                assert (top in unpruned) == leq_by_covers(beta, top)
-                assert pruned.get(top) == unpruned.get(top)
+def test_chain_descents_down_match_the_walk_up():
+    """Every pair (beta, gamma) through weight 8: the walk down from gamma
+    reaches beta exactly when beta <= gamma, with the tally the walk up from
+    beta gives gamma."""
+    up = {
+        (beta, levels): chain_descents(beta, levels)
+        for beta in comps_upto(8)
+        for levels in range(9 - sum(beta))
+    }
+    for gamma in comps_upto(8):
+        for levels in range(sum(gamma) + 1):
+            down = chain_descents(gamma, levels, down=True)
+            for beta in compositions_of(sum(gamma) - levels):
+                assert (beta in down) == leq_by_covers(beta, gamma)
+                assert down.get(beta) == up[beta, levels].get(gamma)
 
 
 def test_leq_reflexive_and_weight_monotone():
@@ -262,7 +271,7 @@ def test_poset_functions_reject_non_compositions():
         (interval_chains, ((0, 1), (1, 1))),
         (interval_chains, ((1,), (2, 0))),
         (chain_descents, ((0, 1), 1)),
-        (chain_descents, ((1,), 1, (0, 2))),
+        (partial(chain_descents, down=True), ((0, 1), 1)),
         (labeled_chains, ((1, 1), (0, 1))),
         (descent_pieri_K, ((2,), (0, 1))),
         (chain_to_tableau, ((0, "a"), ())),
@@ -278,6 +287,16 @@ def test_poset_functions_reject_non_compositions():
     ]
     for f, args in calls:
         with pytest.raises(ValueError, match="is not a composition"):
+            f(*args)
+    # a level count must be a non-negative int, and a bool is not one
+    levels = [
+        (chain_descents, ((1,), -1)),
+        (partial(chain_descents, down=True), ((1,), -1)),
+        (chain_descents, ((1,), True)),
+        (chain_descents, ((1,), 1.0)),
+    ]
+    for f, args in levels:
+        with pytest.raises(ValueError, match="is not a non-negative int"):
             f(*args)
 
 

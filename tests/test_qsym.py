@@ -252,22 +252,31 @@ def test_skew_quasi_schur_vanishes_off_the_order():
             assert bool(skew_qs_schur(gamma, beta)) == leq_by_covers(beta, gamma)
 
 
-def test_skew_quasi_schur_reads_one_down_set(monkeypatch):
-    """The order check and the chain walk of one skew share the down-set of
-    its outer shape, and the walk asks for the covers of 8 compositions."""
+def test_skew_quasi_schur_walks_down_without_a_down_set(monkeypatch):
+    """A skew walks down from its outer shape: it builds no down-set and
+    asks for the down covers of a fixed number of compositions, one per
+    composition on the levels above the inner shape."""
     calls = []
-    real_covers = compositions._covers
+    real_down_covers = compositions._down_covers
 
-    def counting_covers(beta):
-        calls.append(beta)
-        return real_covers(beta)
+    def counting_down_covers(gamma):
+        calls.append(gamma)
+        return real_down_covers(gamma)
 
     qsym._skew_qs_schur.cache_clear()
     compositions._below.cache_clear()
-    monkeypatch.setattr(compositions, "_covers", counting_covers)
+    monkeypatch.setattr(compositions, "_down_covers", counting_down_covers)
     assert skew_qs_schur((2, 3, 1, 2), (1,)).terms == {(1, 2, 2, 1, 1): 1, (2, 3, 1, 1): 1}
-    assert compositions._below.cache_info().misses == 1
     assert len(calls) == 8
+    # One cell apart: a single level, so the outer shape alone is asked,
+    # both for a cover and for a pair the order does not relate (the cell
+    # of row 5 cannot be removed while row 2 has length 2).
+    outer = (3, 2, 4, 1, 3, 2, 1)
+    for inner, terms in [((3, 1, 4, 1, 3, 2, 1), {(1,): 1}), ((3, 2, 4, 1, 2, 2, 1), {})]:
+        calls.clear()
+        assert skew_qs_schur(outer, inner).terms == terms
+        assert calls == [outer]
+    assert compositions._below.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
