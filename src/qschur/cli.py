@@ -334,19 +334,13 @@ def _args_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--max-degree", type=int, default=5)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: QSCHUR_JOBS or 1)",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default: 1)")
 
 
 def _cmd_verify(args) -> int:
-    from .verify import default_jobs, run_suite
+    from .verify import run_suite
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    report = run_suite(args.suite, args.max_degree, args.seed, jobs)
+    report = run_suite(args.suite, args.max_degree, args.seed, args.jobs)
     emit(report)
     return 0 if report["ok"] else 1
 
@@ -385,22 +379,13 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qschur`` parser: every subcommand, or only ``command``'s.
-
-    A parser for one command still names every command in its usage, so
-    its messages read exactly as the full parser's do for that command.
-    The full parser leaves the metavar unset, since a metavar would also
-    rename the argument in its "arguments are required: command" error.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The ``qschur`` parser with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="qschur", description="quasisymmetric Schur function toolkit"
     )
-    names = COMMANDS if command is None else (command,)
-    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, _ = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -409,13 +394,14 @@ def _parse_command(command: str, rest: list) -> argparse.Namespace:
     """Parse the arguments after a named command with that command's parser
     alone, no top-level parser around it.  Its errors and ``-h`` read as
     the full parser's sub-parser would, and leftover arguments are reported
-    by :func:`build_parser`'s top-level parser, as ``parse_args`` would."""
+    by :func:`build_parser`'s parser, as ``parse_args`` would; only that
+    error path builds every sub-parser."""
     add_arguments = COMMANDS[command][1]
     parser = argparse.ArgumentParser(prog=f"qschur {command}")
     add_arguments(parser)
     args, extras = parser.parse_known_args(rest)
     if extras:
-        build_parser(command).error(f"unrecognized arguments: {' '.join(extras)}")
+        build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
     args.command = command
     return args
 

@@ -13,12 +13,13 @@ from ``beta``:
 
 :func:`covers` is the one statement of this rule: every chain walk, every
 applied step and every tableau grown from a chain reads its moves off it,
-and :func:`down_covers` is its inverse.  The order itself is read off
-memoized down-sets: ``_below(gamma)`` holds every composition below
-``gamma``, built level by level down :func:`down_covers`, so :func:`leq`
-is a membership test and :func:`interval_chains` keeps a cover only when
-it lies in its upper end's down-set.  The public poset functions raise
-``ValueError`` on an argument that is not a composition.
+and :func:`down_covers` is its inverse.  The order itself has a closed
+form, as containment does in Young's lattice: ``_leq`` asks that ``beta``
+fit bottom-aligned in ``gamma`` with no row growing past a row above it
+that started at least as long, and both :func:`leq` and
+:func:`interval_chains` use it, so no function here keeps a cache.  The
+public poset functions raise ``ValueError`` on an argument that is not a
+composition.
 
 Beside it sits ``_young_covers``, the cover rule of Young's lattice, to
 which L_C is analogous; both list covers by ascending (row, column) of the
@@ -34,7 +35,6 @@ down-set).
 from __future__ import annotations
 
 import itertools
-from functools import cache
 from typing import Iterator, NamedTuple
 
 Composition = tuple[int, ...]
@@ -78,7 +78,7 @@ def is_composition(alpha: tuple[int, ...]) -> bool:
 def require_composition(*alphas: tuple[int, ...]) -> None:
     """Raise ``ValueError`` naming the first argument that is not a
     composition, a tuple of positive ints (a list is rejected too, since the
-    memoized poset functions key on their arguments)."""
+    memoized functions built on the poset key on their arguments)."""
     for alpha in alphas:
         if not (isinstance(alpha, tuple) and is_composition(alpha)):
             raise ValueError(f"{alpha} is not a composition")
@@ -209,7 +209,7 @@ def down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]
 
 
 def _down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
-    """:func:`down_covers` without the argument check, for the down-sets."""
+    """:func:`down_covers` without the argument check, for the down walks."""
     out: list[tuple[Composition, ChainStep]] = []
     if gamma and gamma[0] == 1:
         out.append((gamma[1:], PREPEND))
@@ -223,23 +223,38 @@ def _down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...
 
 
 def leq(beta: Composition, gamma: Composition) -> bool:
-    """Order relation generated by :func:`covers` (reflexive closure):
-    whether ``beta`` lies in the memoized down-set of ``gamma``."""
+    """Order relation generated by :func:`covers` (reflexive closure),
+    decided by the closed form ``_leq`` without walking the poset."""
     require_composition(beta, gamma)
-    return beta in _below(gamma)
+    return _leq(beta, gamma)
 
 
-@cache
-def _below(gamma: Composition) -> frozenset[Composition]:
-    """Every composition below ``gamma``, ``gamma`` included: the down-set
-    read level by level down :func:`down_covers`, one set per upper bound
-    shared by :func:`leq` and the walks pruned to ``gamma``."""
-    below = {gamma}
-    level = below
-    while level:
-        level = {smaller for comp in level for smaller, _ in _down_covers(comp)}
-        below |= level
-    return frozenset(below)
+def _leq(beta: Composition, gamma: Composition) -> bool:
+    """Whether ``beta <= gamma``, for compositions already checked.
+
+    Row j of ``beta`` grows into row j of ``top``, the bottom ``len(beta)``
+    rows of ``gamma``.  Then ``beta <= gamma`` exactly when ``beta`` fits
+    bottom-aligned in ``gamma`` and there are no i < j with
+    ``beta[j] <= beta[i]`` and ``top[j] > top[i]``.
+
+    Necessary: rows only grow, new rows appear only on top, and a cover
+    grows only the first row of a given length.  So if row j lies below
+    row i and starts no longer, j can step up from length q only while i
+    is not at q, and by induction j never becomes longer than i.
+
+    Sufficient, by induction on ``|gamma| - |beta|``: if some row is
+    short of its target, grow the topmost row of the largest current
+    length among the short rows.  A row above it of that length would be
+    finished while it is not, which the second condition forbids, so the
+    step is a cover; and any row below it at the new length is longer than
+    the old maximum, hence finished, so both conditions still hold.  If
+    no row is short, prepend a 1.
+    """
+    top = gamma[len(gamma) - len(beta) :]
+    return is_rev_contained(beta, gamma) and not any(
+        b_j <= b_i and t_j > t_i
+        for (b_i, t_i), (b_j, t_j) in itertools.combinations(zip(beta, top), 2)
+    )
 
 
 def interval_chains(
@@ -249,15 +264,14 @@ def interval_chains(
 
     Each chain is the sequence of added cells, in the order the diagram is
     grown.  A depth-first walk up :func:`covers` keeps a cover only when it
-    lies in the memoized down-set of ``gamma``; since the covers of a
+    lies below ``gamma`` by the closed form ``_leq``; since the covers of a
     composition come in ascending (row, column) order, the chains come out
     sorted lexicographically by their (row, column) step sequences.  The
     chains themselves are not cached: they are built afresh on every call.
     """
     require_composition(beta, gamma)
-    below = _below(gamma)
     return _chains(
-        beta, gamma, lambda comp: [pair for pair in _covers(comp) if pair[0] in below]
+        beta, gamma, lambda comp: [c for c in _covers(comp) if _leq(c[0], gamma)]
     )
 
 

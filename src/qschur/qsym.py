@@ -33,8 +33,7 @@ from functools import cache
 
 from .compositions import (
     Composition,
-    _below,
-    canonical_key,
+    _leq,
     chain_descents,
     compositions_of,
     is_composition,
@@ -580,9 +579,9 @@ def coproduct(f: GradedElement) -> dict:
     """Coproduct as a dict (left index, right index) -> coefficient.
 
     Supports the QSym bases: deconcatenations for M, deconcatenations plus
-    near-deconcatenations for L, and skew expansion for S over the down-set
-    of each index, in canonical order.  Raises ``ValueError`` on an index
-    that is not a composition.
+    near-deconcatenations for L, and skew expansion for S over every
+    composition below each index (the closed-form order test), in canonical
+    order.  Raises ``ValueError`` on an index that is not a composition.
     """
     if f.ring != "QSym":
         raise ValueError("coproduct implemented on QSym")
@@ -592,7 +591,9 @@ def coproduct(f: GradedElement) -> dict:
         if f.basis == "S":
             return {
                 (idx, beta): k
-                for beta in sorted(_below(alpha), key=canonical_key)
+                for n in range(sum(alpha) + 1)
+                for beta in _comps(n)
+                if _leq(beta, alpha)
                 for idx, k in convert(skew_qs_schur(alpha, beta), "S").terms.items()
             }
         cuts = _deconcatenations(alpha)

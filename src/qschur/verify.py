@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import random
 import time
 from collections import Counter
@@ -30,7 +29,6 @@ from .applications import (
     _set_comps_by_shape,
     chi_nc,
     descent_pieri_K,
-    knuth_class,
     kostka,
     lift,
     m_pi_nc,
@@ -558,7 +556,8 @@ def _check_peel_orders(d: int, rng: random.Random) -> tuple:
 @_register("skew-vanishing-matches-order", "duality")
 def _check_skew_vanishing(d: int, rng: random.Random) -> tuple:
     """S_{gamma//beta} is nonzero exactly when beta <= gamma: the skew walks
-    down from gamma and ``leq`` reads gamma's down-set, two independent routes."""
+    down from gamma and ``leq`` decides the order by its closed form, two
+    independent routes."""
     cases = 0
     for gamma in _comps_upto(d):
         for beta in _comps_upto(sum(gamma)):
@@ -913,6 +912,12 @@ def _srt_pairs(total: int) -> list[tuple[Tableau, Tableau]]:
 def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
     cases = 0
     standard_counts: dict[Composition, int] = {}  # brute force once per shape
+
+    def standard_count(lam: Composition) -> int:
+        if lam not in standard_counts:
+            standard_counts[lam] = _brute_standard_count(straight(PARTITION, lam))
+        return standard_counts[lam]
+
     for t1, t2 in _srt_pairs(d):
         cases += 1
         terms = pr_product(t1, t2)
@@ -920,18 +925,18 @@ def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
             return cases, f"duplicate product terms for {t1.rows} * {t2.rows}"
         counts, total = pr_product_words(t1, t2)
         m, n = t1.shape.size, t2.shape.size
+        # a Knuth class has one word per standard filling of its shape
         expected_total = (
-            len(knuth_class(t1)) * len(knuth_class(t2)) * math.comb(m + n, n)
+            standard_count(t1.shape.outer)
+            * standard_count(t2.shape.outer)
+            * math.comb(m + n, n)
         )
         if total != expected_total:
             return cases, f"shuffle count off for {t1.rows} * {t2.rows}"
         if frozenset(terms) != set(counts):
             return cases, f"terms differ from shuffle route at {t1.rows} * {t2.rows}"
         for t, mult in counts.items():
-            lam = t.shape.outer
-            if lam not in standard_counts:
-                standard_counts[lam] = _brute_standard_count(straight(PARTITION, lam))
-            if mult != standard_counts[lam]:
+            if mult != standard_count(t.shape.outer):
                 return cases, (
                     f"term {t.rows} of {t1.rows} * {t2.rows} appears {mult} times, "
                     "not once per standard filling of its shape"
@@ -1312,22 +1317,14 @@ def run_check(name: str, max_degree: int, seed: int) -> CheckResult:
     return CheckResult(name, ok, cases, degree, elapsed, counterexample, note)
 
 
-def default_jobs() -> int:
-    raw = os.environ.get("QSCHUR_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(
-    suite: str, max_degree: int, seed: int = DEFAULT_SEED, jobs: int | None = None
+    suite: str, max_degree: int, seed: int = DEFAULT_SEED, jobs: int = 1
 ) -> dict:
     if suite not in SUITES:
         raise KeyError(suite)
     _require_degree(max_degree)
     names = SUITES[suite]
-    jobs = default_jobs() if jobs is None else max(1, jobs)
+    jobs = max(1, jobs)
     started = time.perf_counter()
     if jobs == 1:
         results = [run_check(name, max_degree, seed) for name in names]

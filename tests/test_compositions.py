@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from qschur.applications import descent_pieri_K, labeled_chains
 from qschur.compositions import (
     ChainStep,
-    _below,
     _young_covers,
     apply_step,
     chain_descents,
@@ -126,11 +125,41 @@ def test_down_covers_invert_covers():
 
 
 def test_order_matches_a_search_up_covers():
-    comps = comps_upto(7)
+    """The closed form against a search up the covers, on every pair
+    through weight 9."""
+    comps = comps_upto(9)
     for gamma in comps:
-        assert _below(gamma) == {b for b in comps if leq_by_covers(b, gamma)}
         for beta in comps:
             assert leq(beta, gamma) == leq_by_covers(beta, gamma)
+
+
+@pytest.mark.parametrize(
+    "beta, gamma, expected",
+    [
+        # row 5 must grow from 2, but row 2 above it has length 2 for good,
+        # and only the first row of a length may grow
+        ((3, 2, 4, 1, 2, 2, 1), (3, 2, 4, 1, 3, 2, 1), False),
+        # both rows start at 1; the top one grows first and stops at 2,
+        # so the bottom one can never pass 2
+        ((1, 1), (2, 3), False),
+        # the bottom row starts shorter and would have to end longer
+        ((2, 1), (2, 3), False),
+        # of two rows of length 2 only the top one may grow
+        ((2, 2), (2, 3), False),
+        # the (1,1) -> (2,3) pair again, above a row that stays at 1
+        ((1, 1, 1), (2, 3, 1), False),
+        # grow the top row twice, then the bottom one once
+        ((1, 1), (3, 2), True),
+        # grow the top row of the two of length 2
+        ((2, 2), (3, 2), True),
+        # (1,2) -> (1,3) -> (2,3), then prepend a 1 and grow it
+        ((1, 2), (2, 2, 3), True),
+        # the top 1 grows to 3, then the next 1 is the first of its length
+        ((1, 1, 1), (3, 2, 1), True),
+    ],
+)
+def test_order_witnesses(beta, gamma, expected):
+    assert leq(beta, gamma) == leq_by_covers(beta, gamma) == expected
 
 
 def test_chain_descents_down_match_the_walk_up():

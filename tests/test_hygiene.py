@@ -42,7 +42,6 @@ ROOT = Path(__file__).resolve().parent.parent
 CACHES = {
     "applications._set_comps_by_shape",
     "applications._set_compositions",
-    "compositions._below",
     "nsym._rect_census",
     "qsym._comps",
     "qsym._schur_in_monomial",
