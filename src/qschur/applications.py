@@ -30,7 +30,6 @@ from .compositions import (
     partitions_of,
     require_composition,
 )
-from .nsym import _rect_census
 from .qsym import (
     GradedElement,
     TruncatedPolynomial,
@@ -48,6 +47,8 @@ from .tableaux import (
     column_word,
     content,
     enumerate_semistandard,
+    enumerate_standard,
+    skew_shape,
     straight,
     validate,
 )
@@ -116,6 +117,20 @@ def _require_straight_srt(t: Tableau) -> None:
         raise ValueError("expected a standard reverse filling of straight shape")
 
 
+@cache
+def _rect_census(
+    nu: Composition, mu: Composition
+) -> dict[Tableau, tuple[Tableau, ...]]:
+    """The standard reverse fillings of nu/mu grouped by the insertion
+    tableau of their column word, each group in :func:`enumerate_standard`
+    order, so each filling is inserted once however many products read
+    its shape.  Callers must not modify the returned dict."""
+    census: dict[Tableau, list[Tableau]] = {}
+    for t in enumerate_standard(skew_shape(PARTITION, nu, mu)):
+        census.setdefault(insertion_tableau(column_word(t)), []).append(t)
+    return {p: tuple(group) for p, group in census.items()}
+
+
 def pr_product(t1: Tableau, t2: Tableau) -> tuple[Tableau, ...]:
     """Product of two standard reverse fillings.
 
@@ -123,7 +138,7 @@ def pr_product(t1: Tableau, t2: Tableau) -> tuple[Tableau, ...]:
     to ``t1`` (shifted up by the size of ``t2``) on the inner shape and
     whose remaining skew part has column word inserting to ``t2``.  Those
     skew parts are the class of ``t2`` in the rectification census of each
-    outer shape (:func:`~qschur.nsym._rect_census`).  Row r of a term is
+    outer shape (:func:`_rect_census`).  Row r of a term is
     row r of ``t1``, shifted, followed by the skew part of row r of its
     census filling.
     """

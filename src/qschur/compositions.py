@@ -264,15 +264,22 @@ def interval_chains(
 
     Each chain is the sequence of added cells, in the order the diagram is
     grown.  A depth-first walk up :func:`covers` keeps a cover only when it
-    lies below ``gamma`` by the closed form ``_leq``; since the covers of a
-    composition come in ascending (row, column) order, the chains come out
-    sorted lexicographically by their (row, column) step sequences.  The
-    chains themselves are not cached: they are built afresh on every call.
+    lies below ``gamma`` by the closed form ``_leq``; each composition's
+    covers are filtered once per call, however many chains pass through
+    it.  Since the covers of a composition come in ascending (row, column)
+    order, the chains come out sorted lexicographically by their (row,
+    column) step sequences.  Nothing outlives the call: the chains are
+    built afresh every time.
     """
     require_composition(beta, gamma)
-    return _chains(
-        beta, gamma, lambda comp: [c for c in _covers(comp) if _leq(c[0], gamma)]
-    )
+    kept: dict = {}  # composition -> its covers below gamma
+
+    def up(comp: Composition):
+        if comp not in kept:
+            kept[comp] = [c for c in _covers(comp) if _leq(c[0], gamma)]
+        return kept[comp]
+
+    return _chains(beta, gamma, up)
 
 
 def _chains(beta: Composition, gamma: Composition, up) -> tuple[tuple[ChainStep, ...], ...]:

@@ -13,16 +13,14 @@ each L_tau once, however many gamma share it.  A single coefficient
 (:func:`lr_coeff`) peels its one skew function into S instead.  The
 forgetful map onto symmetric functions and the classical
 Littlewood-Richardson coefficients, which the products refine, live here
-too.  The classical coefficients read off a rectification census: the
-standard reverse fillings of each skew partition shape, grouped by the
-insertion tableau of their column word, so each filling is inserted once
-however many targets are asked about.
+too.  A classical coefficient is a quasi-Schur one on shapes padded by one
+column (:func:`classical_lr`), so it comes from the same down walk and
+peel as :func:`lr_coeff`, and no tableau is inserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .compositions import (
     Composition,
@@ -41,17 +39,7 @@ from .qsym import (
     linear,
     skew_qs_schur,
 )
-from .tableaux import (
-    COMPOSITION,
-    PARTITION,
-    Tableau,
-    canonical_srt,
-    column_word,
-    enumerate_standard,
-    skew_shape,
-    strip_kind,
-)
-from .transforms import insertion_tableau
+from .tableaux import COMPOSITION, skew_shape, strip_kind
 
 
 def lr_coeff(alpha: Composition, beta: Composition, gamma: Composition) -> int:
@@ -182,23 +170,23 @@ def forget(f: GradedElement) -> GradedElement:
     )
 
 
-@cache
-def _rect_census(
-    nu: Composition, mu: Composition
-) -> dict[Tableau, tuple[Tableau, ...]]:
-    """The standard reverse fillings of nu/mu grouped by the insertion
-    tableau of their column word, each group in :func:`enumerate_standard`
-    order.  Callers must not modify the returned dict."""
-    census: dict[Tableau, list[Tableau]] = {}
-    for t in enumerate_standard(skew_shape(PARTITION, nu, mu)):
-        census.setdefault(insertion_tableau(column_word(t)), []).append(t)
-    return {p: tuple(group) for p, group in census.items()}
-
-
 def classical_lr(lam: Composition, mu: Composition, nu: Composition) -> int:
-    """Classical Littlewood-Richardson coefficient: the number of standard
-    reverse fillings of nu/mu whose column word inserts to the canonical
-    standard filling of ``lam``, read off :func:`_rect_census`.
+    """Classical Littlewood-Richardson coefficient c^nu_{lam mu}, computed
+    as the quasi-Schur coefficient ``lr_coeff(lam, mu+, nu+)``.
+
+    nu+ adds one cell to every row of nu, and mu+ does the same to mu
+    padded with zeros to len(nu) rows.  Between mu+ and nu+ the cover
+    order L_C is Young's lattice from mu to nu shifted one column right:
+    no prepend fits, since nu+ already has len(nu) rows, and a cover grows
+    only the first row of each length, which keeps the rows weakly
+    decreasing and is exactly when a row of a partition may grow.  So the
+    chains and their descents match the standard fillings of nu/mu and
+    theirs, and S_{nu+//mu+} is the skew Schur function s_{nu/mu}
+    (Gessel's fundamental expansion; the verify check
+    padded-skew-is-skew-schur compares the two).  As s_lam is the sum of
+    S_alpha over the rearrangements alpha of lam (Haglund, Luoto, Mason
+    and van Willigenburg), the coefficient of S_lam in it is c^nu_{lam mu}.
+    Padding by one column is enough; a wider pad only lengthens the walk.
 
     Raises ``ValueError`` when an argument is not a partition (a weakly
     decreasing tuple of positive ints).
@@ -208,4 +196,5 @@ def classical_lr(lam: Composition, mu: Composition, nu: Composition) -> int:
             raise ValueError(f"{part} is not a partition")
     if sum(lam) + sum(mu) != sum(nu) or not is_contained(mu, nu):
         return 0
-    return len(_rect_census(nu, mu).get(canonical_srt(lam), ()))
+    padded = mu + (0,) * (len(nu) - len(mu))
+    return lr_coeff(lam, tuple(p + 1 for p in padded), tuple(p + 1 for p in nu))

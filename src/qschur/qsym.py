@@ -33,7 +33,7 @@ from functools import cache
 
 from .compositions import (
     Composition,
-    _leq,
+    canonical_key,
     chain_descents,
     compositions_of,
     is_composition,
@@ -579,9 +579,13 @@ def coproduct(f: GradedElement) -> dict:
     """Coproduct as a dict (left index, right index) -> coefficient.
 
     Supports the QSym bases: deconcatenations for M, deconcatenations plus
-    near-deconcatenations for L, and skew expansion for S over every
-    composition below each index (the closed-form order test), in canonical
-    order.  Raises ``ValueError`` on an index that is not a composition.
+    near-deconcatenations for L, and for S the skew expansions over every
+    composition beta below each index alpha, beta in canonical order.  Each
+    level k of a down walk from alpha
+    (:func:`~qschur.compositions.chain_descents` with ``down=True``) lists
+    the beta k cells below it with S_{alpha//beta} as their tallies, so no
+    order test runs and each tally is peeled into S once.  Raises
+    ``ValueError`` on an index that is not a composition.
     """
     if f.ring != "QSym":
         raise ValueError("coproduct implemented on QSym")
@@ -589,13 +593,13 @@ def coproduct(f: GradedElement) -> dict:
 
     def split(alpha) -> dict:
         if f.basis == "S":
-            return {
-                (idx, beta): k
-                for n in range(sum(alpha) + 1)
-                for beta in _comps(n)
-                if _leq(beta, alpha)
-                for idx, k in convert(skew_qs_schur(alpha, beta), "S").terms.items()
-            }
+            out = {}
+            for k in range(sum(alpha), -1, -1):
+                level = chain_descents(alpha, k, down=True)
+                for beta in sorted(level, key=canonical_key):
+                    for idx, c in _l_to_s(level[beta]).items():
+                        out[idx, beta] = c
+            return out
         cuts = _deconcatenations(alpha)
         if f.basis == "L":
             cuts = itertools.chain(cuts, _near_deconcatenations(alpha))

@@ -50,6 +50,7 @@ from .compositions import (
     covers,
     down_covers,
     interval_chains,
+    is_contained,
     is_rev_contained,
     leq,
     partitions_of,
@@ -96,6 +97,7 @@ from .tableaux import (
     colseq,
     column_word,
     content,
+    descent_composition,
     descents,
     destandardize,
     enumerate_semistandard,
@@ -691,7 +693,34 @@ def _check_pieri_support(d: int, rng: random.Random) -> tuple:
 # classical
 
 
-@_register("factorization-over-rearrangements", "classical", cap=6)
+@_register("padded-skew-is-skew-schur", "classical")
+def _check_padded_skew(d: int, rng: random.Random) -> tuple:
+    """The paper's skew quasi-Schur functions include the classical skew
+    Schur functions: with one cell added to every row of nu and of mu
+    (padded with zeros to len(nu) rows), S_{nu+//mu+} is s_{nu/mu}, read
+    here from Gessel's expansion over the standard reverse fillings of
+    nu/mu.  ``classical_lr`` peels the former, so this keeps the fillings
+    as its oracle."""
+    cases = 0
+    for nu in _parts_upto(d):
+        for mu in _parts_upto(sum(nu)):
+            if not is_contained(mu, nu):
+                continue
+            cases += 1
+            padded = mu + (0,) * (len(nu) - len(mu))
+            got = skew_qs_schur(
+                tuple(p + 1 for p in nu), tuple(p + 1 for p in padded)
+            )
+            fillings = enumerate_standard(skew_shape(PARTITION, nu, mu))
+            expected = GradedElement(
+                "QSym", "L", [(descent_composition(t), 1) for t in fillings]
+            )
+            if got != expected:
+                return cases, f"padded skew differs from s_{nu}/{mu}"
+    return cases, None
+
+
+@_register("factorization-over-rearrangements", "classical", cap=7)
 def _check_factorization(d: int, rng: random.Random) -> tuple:
     cases = 0
     for alpha in _comps_upto(d):
@@ -711,7 +740,7 @@ def _check_factorization(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("schur-product-matches-classical", "classical", cap=6)
+@_register("schur-product-matches-classical", "classical", cap=7)
 def _check_schur_product(d: int, rng: random.Random) -> tuple:
     cases = 0
     for lam in _parts_upto(d):
@@ -733,7 +762,7 @@ def _check_schur_product(d: int, rng: random.Random) -> tuple:
     return cases, None
 
 
-@_register("classical-commutativity", "classical", cap=6)
+@_register("classical-commutativity", "classical", cap=7)
 def _check_classical_symmetry(d: int, rng: random.Random) -> tuple:
     cases = 0
     for lam in _parts_upto(d):

@@ -40,9 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CACHES = {
+    "applications._rect_census",
     "applications._set_comps_by_shape",
     "applications._set_compositions",
-    "nsym._rect_census",
     "qsym._comps",
     "qsym._schur_in_monomial",
     "qsym._skew_qs_schur",

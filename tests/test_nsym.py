@@ -265,7 +265,7 @@ def test_classical_lr_rejects_non_partitions():
 
 
 def test_classical_lr_census_matches_filter_route():
-    parts = [lam for n in range(7) for lam in partitions_of(n)]
+    parts = [lam for n in range(9) for lam in partitions_of(n)]
     for nu in parts:
         for lam in parts:
             for mu in parts:

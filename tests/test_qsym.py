@@ -183,10 +183,22 @@ def test_fundamental_coproduct_golden():
 
 
 def test_schur_coproduct_runs_over_the_down_set_in_canonical_order():
-    for alpha in comps_upto(5):
+    # A second route, one skew function per beta: test every composition of
+    # weight at most |alpha| against the order and convert each S_{alpha//beta}.
+    for alpha in comps_upto(8):
         delta = coproduct(basis_element("QSym", "S", alpha))
-        inner = list(dict.fromkeys(beta for _, beta in delta))
-        assert inner == [beta for beta in comps_upto(5) if leq_by_covers(beta, alpha)]
+        expected = [
+            ((idx, beta), k)
+            for beta in comps_upto(sum(alpha))
+            if leq(beta, alpha)
+            for idx, k in convert(skew_qs_schur(alpha, beta), "S").terms.items()
+        ]
+        assert list(delta.items()) == expected
+        if sum(alpha) <= 5:
+            inner = list(dict.fromkeys(beta for _, beta in delta))
+            assert inner == [
+                beta for beta in comps_upto(5) if leq_by_covers(beta, alpha)
+            ]
 
 
 @pytest.mark.parametrize("basis", "MLS")
