@@ -6,7 +6,9 @@ Knuth-move graph (:func:`knuth_class`), with no census of n! permutations.
 
 Set compositions are tuples of disjoint increasing tuples of integers
 whose union is an initial segment 1..n; dropping the block order (for set
-partitions) we sort blocks by their minima.
+partitions) we sort blocks by their minima.  They are generated one shape
+at a time and never stored.  Kostka numbers and :func:`qs_rs` count the
+fillings of each content by an M coefficient of S_alpha, enumerating none.
 """
 
 from __future__ import annotations
@@ -24,29 +26,31 @@ from .compositions import (
     Composition,
     apply_step,
     comp_of_set,
+    compositions_of,
     interval_chains,
     is_contained,
+    is_partition,
     is_weak_composition,
     partitions_of,
     require_composition,
+    strong,
 )
 from .qsym import (
     GradedElement,
     TruncatedPolynomial,
+    _placements,
     _rearrangements,
     _require_basis_indices,
     basis_element,
     convert,
     let_variables_commute,
     linear,
+    qs_schur,
 )
 from .tableaux import (
-    COMPOSITION,
     PARTITION,
     Tableau,
     column_word,
-    content,
-    enumerate_semistandard,
     enumerate_standard,
     skew_shape,
     straight,
@@ -57,38 +61,38 @@ from .transforms import _move_component, insertion_tableau, p_move, unpack_colum
 SetComposition = tuple[tuple[int, ...], ...]
 
 
-def _ordered_set_partitions(items: tuple[int, ...]) -> Iterable[SetComposition]:
-    if not items:
-        yield ()
-        return
-    for r in range(1, len(items) + 1):
-        for block in itertools.combinations(items, r):
-            taken = set(block)
-            rest = tuple(x for x in items if x not in taken)
-            for tail in _ordered_set_partitions(rest):
+def _set_compositions_of_shape(alpha: Composition) -> Iterable[SetComposition]:
+    """The set compositions of 1..|alpha| whose block sizes read ``alpha``,
+    in lexicographic order: each block takes a choice of the entries the
+    blocks before it left."""
+
+    def grow(rest: tuple[int, ...], sizes: Composition) -> Iterable[SetComposition]:
+        if not sizes:
+            yield ()
+            return
+        for block in itertools.combinations(rest, sizes[0]):
+            left = tuple(x for x in rest if x not in block)
+            for tail in grow(left, sizes[1:]):
                 yield (block,) + tail
+
+    return grow(tuple(range(1, sum(alpha) + 1)), alpha)
 
 
 def set_compositions(n: int) -> tuple[SetComposition, ...]:
     """All set compositions of 1..n, sorted by block count then lex; raises
-    ``ValueError`` when ``n`` is not a non-negative int, checked before the
-    memo, which would take ``True`` for ``1``."""
-    if not (type(n) is int and n >= 0):
-        raise ValueError(f"{n!r} is not a non-negative int")
-    return _set_compositions(n)
-
-
-@cache
-def _set_compositions(n: int) -> tuple[SetComposition, ...]:
-    """:func:`set_compositions` on a checked size, memoized."""
-    all_of_them = _ordered_set_partitions(tuple(range(1, n + 1)))
-    return tuple(sorted(all_of_them, key=lambda pi: (len(pi), pi)))
+    ``ValueError`` when ``n`` is not a non-negative int (as
+    :func:`~qschur.compositions.compositions_of` does)."""
+    shapes = map(_set_compositions_of_shape, compositions_of(n))
+    every = itertools.chain.from_iterable(shapes)
+    return tuple(sorted(every, key=lambda pi: (len(pi), pi)))
 
 
 def _is_set_composition(pi: SetComposition) -> bool:
     """Whether ``pi`` is a tuple of nonempty increasing tuples of ints whose
     entries are exactly 1..n."""
-    if not all(type(b) is tuple and b and {int}.issuperset(map(type, b)) for b in pi):
+    if type(pi) is not tuple or not all(
+        type(b) is tuple and b and {int}.issuperset(map(type, b)) for b in pi
+    ):
         return False
     entries = sorted(x for block in pi for x in block)
     return entries == list(range(1, len(entries) + 1)) and all(
@@ -98,14 +102,6 @@ def _is_set_composition(pi: SetComposition) -> bool:
 
 def shape_of_blocks(pi: SetComposition) -> Composition:
     return tuple(len(block) for block in pi)
-
-
-@cache
-def _set_comps_by_shape(n: int) -> dict[Composition, tuple[SetComposition, ...]]:
-    grouped: dict[Composition, list[SetComposition]] = {}
-    for pi in set_compositions(n):
-        grouped.setdefault(shape_of_blocks(pi), []).append(pi)
-    return {alpha: tuple(pis) for alpha, pis in grouped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -222,31 +218,36 @@ def nsym_image_sum(terms: Iterable[Tableau]) -> GradedElement:
 # noncommuting variables
 
 
+def _m_pi(pi: SetComposition, m: int, choices) -> TruncatedPolynomial:
+    """One word per choice ``choices(range(1, m + 1), len(pi))`` of a
+    variable per block; raises ``ValueError`` when ``pi`` is not a set
+    composition of 1..n."""
+    if not _is_set_composition(pi):
+        raise ValueError(f"{pi} does not index a basis element")
+    block_of = {j: b for b, block in enumerate(pi) for j in block}
+    word = [block_of[j] for j in range(1, len(block_of) + 1)]
+    words = (tuple(c[b] for b in word) for c in choices(range(1, m + 1), len(pi)))
+    return TruncatedPolynomial(m, False, dict.fromkeys(words, 1))
+
+
 def m_pi_nc(pi: SetComposition, m: int) -> TruncatedPolynomial:
     """Monomial in noncommuting x_1..x_m attached to a set composition:
-    one word per strictly increasing choice of a variable per block."""
-    n = sum(len(block) for block in pi)
-    block_of = {j: b for b, block in enumerate(pi) for j in block}
-    terms = {}
-    for chosen in itertools.combinations(range(1, m + 1), len(pi)):
-        terms[tuple(chosen[block_of[j]] for j in range(1, n + 1))] = 1
-    return TruncatedPolynomial(m, False, terms)
+    one word per strictly increasing choice of a variable per block.
+    Raises ``ValueError`` when ``pi`` is not a set composition of 1..n."""
+    return _m_pi(pi, m, itertools.combinations)
 
 
 def m_pi_sym(pi: SetComposition, m: int) -> TruncatedPolynomial:
     """Set-partition analogue: any injective choice of variables, so the
-    block order of ``pi`` is immaterial."""
-    n = sum(len(block) for block in pi)
-    block_of = {j: b for b, block in enumerate(pi) for j in block}
-    terms = {}
-    for chosen in itertools.permutations(range(1, m + 1), len(pi)):
-        terms[tuple(chosen[block_of[j]] for j in range(1, n + 1))] = 1
-    return TruncatedPolynomial(m, False, terms)
+    block order of ``pi`` is immaterial; raises as :func:`m_pi_nc` does."""
+    return _m_pi(pi, m, itertools.permutations)
 
 
 def kostka(alpha: Composition, beta: tuple[int, ...]) -> int:
     """Number of semistandard composition fillings of ``alpha`` with
-    content ``beta``.
+    content ``beta``: S_alpha is the sum of x^T over the fillings T, and
+    quasisymmetric, so this is its M_{strong(beta)} coefficient (the verify
+    check schur-content-polynomial compares the two).
 
     Raises ``ValueError`` unless ``alpha`` is a composition and ``beta`` a
     weak composition (a sequence of non-negative ints).
@@ -255,11 +256,7 @@ def kostka(alpha: Composition, beta: tuple[int, ...]) -> int:
     beta = tuple(beta)
     if not is_weak_composition(beta):
         raise ValueError(f"{beta} is not a weak composition")
-    if sum(alpha) != sum(beta):
-        return 0
-    m = len(beta)
-    shape = straight(COMPOSITION, alpha)
-    return sum(1 for t in enumerate_semistandard(shape, m) if content(t, m) == beta)
+    return convert(qs_schur(alpha), "M").coefficient(strong(beta))
 
 
 def qs_rs(alpha: Composition, m: int) -> TruncatedPolynomial:
@@ -267,22 +264,33 @@ def qs_rs(alpha: Composition, m: int) -> TruncatedPolynomial:
 
     Sums, over semistandard fillings of ``alpha`` with entries at most
     ``m``, every distinct rearrangement of the entry multiset, weighted by
-    the product of the content factorials.  The verify check
+    the product of the content factorials.  The fillings of each content
+    beta number c, the M_strong(beta) coefficient of S_alpha (:func:`kostka`),
+    so each word of content beta gets c * beta!.  The verify check
     analogue-dual-route compares it with the set-composition expansion.
+    Raises ``ValueError`` when ``alpha`` is not a composition or ``m`` not
+    a non-negative int.
     """
-    terms = []
-    for t in enumerate_semistandard(straight(COMPOSITION, alpha), m):
-        values = sorted(t.entries().values())
-        repeats = math.prod(math.factorial(k) for k in Counter(values).values())
-        terms.extend((word, repeats) for word in set(itertools.permutations(values)))
+    require_composition(alpha)
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be a non-negative int, got {m!r}")
+    terms: dict = {}
+    for sigma, c in convert(qs_schur(alpha), "M").terms.items():
+        weight = c * math.prod(math.factorial(p) for p in sigma)
+        for beta in _placements(sigma, m):
+            letters = [i for i, k in enumerate(beta, 1) for _ in range(k)]
+            terms.update(dict.fromkeys(set(itertools.permutations(letters)), weight))
     return TruncatedPolynomial(m, False, terms)
 
 
 def s_rs(lam: Composition, m: int) -> TruncatedPolynomial:
     """Schur analogue in noncommuting variables: sum of :func:`qs_rs` over
-    all rearrangements of ``lam``."""
+    all rearrangements of ``lam``; raises ``ValueError`` when ``lam`` is
+    not a partition, or as :func:`qs_rs` does."""
+    if not (isinstance(lam, tuple) and is_partition(lam)):
+        raise ValueError(f"{lam} is not a partition")
     return TruncatedPolynomial(
-        m, False, linear(_rearrangements(tuple(lam)), lambda a: qs_rs(a, m).terms)
+        m, False, linear(_rearrangements(lam), lambda a: qs_rs(a, m).terms)
     )
 
 
@@ -294,19 +302,18 @@ def chi_nc(p: TruncatedPolynomial) -> TruncatedPolynomial:
 def lift(f: GradedElement) -> GradedElement:
     """Lift a quasisymmetric element into noncommuting variables.
 
-    Spreads each monomial term over the set compositions with matching
-    block sizes, scaled so that projecting back is the identity.
+    Spreads each monomial term M_alpha over the set compositions of shape
+    ``alpha``, scaled so that projecting back is the identity.
     """
     if f.ring != "QSym":
         raise ValueError("lift applies to QSym elements")
     f = convert(f, "M")
 
     def spread(alpha) -> dict:
-        n = sum(alpha)
         factor = Fraction(
-            math.prod(math.factorial(p) for p in alpha), math.factorial(n)
+            math.prod(math.factorial(p) for p in alpha), math.factorial(sum(alpha))
         )
-        return dict.fromkeys(_set_comps_by_shape(n).get(alpha, ()), factor)
+        return dict.fromkeys(_set_compositions_of_shape(alpha), factor)
 
     return GradedElement("NCQSym", "M_Pi", linear(f.terms, spread))
 
@@ -324,6 +331,7 @@ def project(f: GradedElement) -> GradedElement:
 
 
 def ncqsym_to_polynomial(f: GradedElement, m: int) -> TruncatedPolynomial:
+    """Evaluate at noncommuting x_1..x_m; raises as :func:`m_pi_nc` does."""
     if (f.ring, f.basis) != ("NCQSym", "M_Pi"):
         raise ValueError("expected an NCQSym element")
     return TruncatedPolynomial(

@@ -278,11 +278,6 @@ def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
 # basis conversion
 
 
-@cache
-def _comps(n: int) -> tuple[Composition, ...]:
-    return tuple(compositions_of(n))
-
-
 def _strong_refinements(alpha: Composition):
     """Strong compositions refining ``alpha``: blockwise concatenations."""
     for parts in itertools.product(*(tuple(compositions_of(a)) for a in alpha)):
@@ -360,9 +355,8 @@ def _schur_in_monomial(lam: Composition) -> dict:
 
 def _rearrangements(lam: Composition) -> dict:
     """Each composition whose parts sort to ``lam``, with coefficient 1."""
-    return dict.fromkeys(
-        (alpha for alpha in _comps(sum(lam)) if underlying_partition(alpha) == lam), 1
-    )
+    comps = compositions_of(sum(lam))
+    return dict.fromkeys((a for a in comps if underlying_partition(a) == lam), 1)
 
 
 def _distinct_rearrangements(lam: Composition) -> int:

@@ -59,8 +59,8 @@ class SkewShape:
     """A skew diagram ``outer/inner`` of one kind.
 
     ``outer`` and ``inner`` must be tuples of positive ints (a list is
-    rejected with ``ValueError``): shapes are hashable, and the enumerators
-    below are memoized on them.
+    rejected with ``ValueError``): shapes are hashable, and
+    :func:`enumerate_standard` below is memoized on them.
     """
 
     kind: str
@@ -548,17 +548,9 @@ def enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, .
     filling exactly once.
 
     ``max_entry`` must be a non-negative ``int`` (else ``ValueError``).
-    Memoized per (shape, max_entry): every call on an equal pair returns the
-    same tuple of frozen tableaux.
     """
     if isinstance(max_entry, bool) or not isinstance(max_entry, int) or max_entry < 0:
         raise ValueError(f"max_entry must be a non-negative int, got {max_entry!r}")
-    return _enumerate_semistandard(shape, max_entry)
-
-
-@cache
-def _enumerate_semistandard(shape: SkewShape, max_entry: int) -> tuple[Tableau, ...]:
-    """:func:`enumerate_semistandard` without the argument check, memoized."""
     out = []
     for that in enumerate_standard(shape):
         cuts = tuple(sorted(descents(that)))

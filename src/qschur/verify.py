@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .applications import (
-    _set_comps_by_shape,
+    _set_compositions_of_shape,
     chi_nc,
     descent_pieri_K,
     kostka,
@@ -1005,15 +1005,14 @@ def _qs_rs_by_set_compositions(alpha: Composition, m: int) -> TruncatedPolynomia
     """The analogue expanded over set compositions: each content beta
     contributes its Kostka number times the factorials of its parts, once
     per set composition of shape beta."""
-    n = sum(alpha)
-    by_shape = _set_comps_by_shape(n)
     summands = []
-    for beta in compositions_of(n):
+    for beta in compositions_of(sum(alpha)):
         k = kostka(alpha, beta)
         if not k:
             continue
         weight = k * math.prod(math.factorial(p) for p in beta)
-        summands.extend(weight * m_pi_nc(pi, m) for pi in by_shape.get(beta, ()))
+        pis = _set_compositions_of_shape(beta)
+        summands.extend(weight * m_pi_nc(pi, m) for pi in pis)
     return _poly_sum(m, False, summands)
 
 

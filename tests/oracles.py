@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 from qschur.compositions import (
@@ -25,6 +27,7 @@ from qschur.compositions import (
 )
 from qschur.qsym import (
     GradedElement,
+    TruncatedPolynomial,
     convert,
     from_polynomial,
     sym_to_qsym,
@@ -39,6 +42,7 @@ from qschur.tableaux import (
     column_word,
     descent_composition,
     destandardize,
+    enumerate_semistandard,
     enumerate_standard,
     make_tableau,
     straight,
@@ -556,6 +560,22 @@ def product_by_peel(alpha, beta):
         if c:
             terms[gamma] = c
     return GradedElement("NSym", "S_star", terms)
+
+
+# --- the noncommuting analogue by fillings ------------------------------------
+# qs_rs as the paper defines it, and as it was before it read the fillings
+# of each content off the M-expansion of S_alpha: every semistandard filling
+# of alpha with entries at most m contributes each distinct rearrangement of
+# its entries, weighted by the product of its content factorials.
+
+
+def qs_rs_by_fillings(alpha, m):
+    terms = []
+    for t in enumerate_semistandard(straight(COMPOSITION, alpha), m):
+        values = sorted(t.entries().values())
+        repeats = math.prod(math.factorial(k) for k in Counter(values).values())
+        terms.extend((word, repeats) for word in set(itertools.permutations(values)))
+    return TruncatedPolynomial(m, False, terms)
 
 
 # --- rectification by composition insertion and test-only helpers ------------

@@ -50,6 +50,7 @@ from oracles import (
     knuth_class_by_filter,
     knuth_classes_by_census,
     pr_product_by_filter,
+    qs_rs_by_fillings,
     shuffles,
 )
 
@@ -199,8 +200,18 @@ def test_set_composition_counts_are_ordered_bell():
     assert set(set_compositions(2)) == {((1,), (2,)), ((2,), (1,)), ((1, 2),)}
 
 
+def test_set_compositions_are_the_surjective_words_in_order():
+    for n in range(6):
+        expected = set()
+        for k in range(n + 1):
+            for word in itertools.product(range(k), repeat=n):
+                if set(word) == set(range(k)):
+                    blocks = (tuple(j + 1 for j in range(n) if word[j] == b) for b in range(k))
+                    expected.add(tuple(blocks))
+        assert set_compositions(n) == tuple(sorted(expected, key=lambda pi: (len(pi), pi)))
+
+
 def test_set_compositions_reject_negative_sizes():
-    set_compositions(1)  # a cached 1 must not answer for True
     for n in (-1, -3, 1.5, True):
         with pytest.raises(ValueError, match="is not a non-negative int"):
             set_compositions(n)
@@ -266,6 +277,37 @@ def test_qs_rs_golden():
     assert p.terms == {(1, 2, 2): 2, (2, 1, 2): 2, (2, 2, 1): 2}
 
 
+def test_qs_rs_matches_the_fillings_scan():
+    for n in range(6):
+        for alpha in compositions_of(n):
+            for m in {max(n - 1, 0), n, n + 1}:
+                assert qs_rs(alpha, m) == qs_rs_by_fillings(alpha, m), (alpha, m)
+
+
+def test_qs_rs_is_the_scaled_lift_of_the_quasi_schur_function():
+    for n in range(5):
+        for alpha in compositions_of(n):
+            lifted = lift(qs_schur(alpha))
+            for m in (n, n + 1):
+                ours = qs_rs(alpha, m).terms
+                scaled = ncqsym_to_polynomial(lifted, m).terms
+                assert all(type(c) is int for c in ours.values())
+                assert all((math.factorial(n) * c).denominator == 1 for c in scaled.values())
+                assert ours == {w: int(math.factorial(n) * c) for w, c in scaled.items()}
+
+
+@pytest.mark.parametrize("alpha, m", [((2, 0), 2), ([1, 2], 2), ((1, 2), -1), ((1, 2), True)])
+def test_qs_rs_rejects_bad_input(alpha, m):
+    with pytest.raises(ValueError):
+        qs_rs(alpha, m)
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0), [2, 1], (2.0, 1)])
+def test_s_rs_rejects_non_partitions(lam):
+    with pytest.raises(ValueError, match="is not a partition"):
+        s_rs(lam, 2)
+
+
 def test_schur_analogue_sums_rearrangements():
     lam = (2, 1)
     total = qs_rs((2, 1), 3) + qs_rs((1, 2), 3)
@@ -295,6 +337,24 @@ def test_lift_then_project_is_identity():
         "QSym", "M", {(2, 1): 3, (1, 1, 1): -2, (4,): Fraction(1, 3)}
     )
     assert project(lift(f)) == f
+
+
+def test_lift_spreads_m_alpha_over_the_set_compositions_of_shape_alpha():
+    for n in range(6):
+        for alpha in compositions_of(n):
+            support = set(lift(basis_element("QSym", "M", alpha)).terms)
+            shaped = {pi for pi in set_compositions(n) if shape_of_blocks(pi) == alpha}
+            assert support == shaped
+
+
+@pytest.mark.parametrize("pi", [((1,), (1,)), ((2,),), ((2, 1),), ((1,), ()), (1,), [(1,)]])
+def test_nc_monomials_reject_non_set_compositions(pi):
+    for monomial in (m_pi_nc, m_pi_sym):
+        with pytest.raises(ValueError, match="does not index a basis element"):
+            monomial(pi, 2)
+    if type(pi) is tuple:
+        with pytest.raises(ValueError, match="does not index a basis element"):
+            ncqsym_to_polynomial(GradedElement("NCQSym", "M_Pi", {pi: 1}), 2)
 
 
 def test_project_rejects_non_set_compositions():

@@ -297,14 +297,13 @@ def test_enumerators_are_memoized():
     shape = SkewShape(COMPOSITION, (1, 4, 3), (1, 2))
     equal = SkewShape(COMPOSITION, (1, 4, 3), (1, 2))
     assert enumerate_standard(shape) is enumerate_standard(equal)
-    assert enumerate_semistandard(shape, 3) is enumerate_semistandard(shape, 3)
 
 
 @pytest.mark.parametrize("kind", [PARTITION, COMPOSITION])
 @pytest.mark.parametrize("bad", [-1, 2.0, "2", None, True, [2]])
 def test_enumerate_semistandard_rejects_bad_max_entry(kind, bad):
     shape = straight(kind, (2, 1))
-    assert len(enumerate_semistandard(shape, 2)) > 0  # 2.0 must not hit this entry
+    assert len(enumerate_semistandard(shape, 2)) > 0
     with pytest.raises(ValueError):
         enumerate_semistandard(shape, bad)
 
