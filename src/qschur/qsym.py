@@ -354,9 +354,17 @@ def _schur_in_monomial(lam: Composition) -> dict:
 
 
 def _rearrangements(lam: Composition) -> dict:
-    """Each composition whose parts sort to ``lam``, with coefficient 1."""
-    comps = compositions_of(sum(lam))
-    return dict.fromkeys((a for a in comps if underlying_partition(a) == lam), 1)
+    """Each composition whose parts sort to ``lam``, with coefficient 1, in
+    the order of ``compositions_of`` (lexicographic): each distinct part
+    leads, smallest first, the rearrangements of the other parts."""
+    if not lam:
+        return {(): 1}
+    out = {}
+    for part in sorted(set(lam)):
+        rest = list(lam)
+        rest.remove(part)
+        out.update(((part,) + a, 1) for a in _rearrangements(tuple(rest)))
+    return out
 
 
 def _distinct_rearrangements(lam: Composition) -> int:
@@ -403,9 +411,11 @@ def convert(f: GradedElement, basis: str) -> GradedElement:
 
 
 def sym_to_qsym(f: GradedElement) -> GradedElement:
-    """The inclusion of symmetric functions, landing in the M basis."""
+    """The inclusion of symmetric functions, landing in the M basis.
+    Raises ``ValueError`` on an index that is not a partition."""
     if f.ring != "Sym":
         raise ValueError("expected a Sym element")
+    _require_basis_indices(is_partition, f)
     if f.basis == "h":
         raise ValueError("expand h through to_polynomial; inclusion needs m or s")
     if f.basis == "s":
@@ -420,6 +430,7 @@ def sym_to_qsym(f: GradedElement) -> GradedElement:
 def to_polynomial(f: GradedElement, m: int) -> TruncatedPolynomial:
     """Evaluate ``f`` at (x_1, ..., x_m, 0, 0, ...)."""
     if f.ring == "Sym":
+        _require_basis_indices(is_partition, f)
         if f.basis == "h":
 
             def h_product(lam):
@@ -607,8 +618,10 @@ def coproduct(f: GradedElement) -> dict:
 
 
 def is_symmetric(f: GradedElement) -> bool:
-    """Whether a QSym element is invariant under rearranging its indices."""
+    """Whether a QSym element is invariant under rearranging its indices;
+    a Sym element is, once its indices check out as partitions."""
     if f.ring == "Sym":
+        _require_basis_indices(is_partition, f)
         return True
     g = convert(f, "M")
     by_partition: dict[Composition, list] = {}

@@ -1,16 +1,21 @@
 """Exhaustive identity checks at bounded degree, grouped into named suites.
 
-Every check sweeps a finite family of cases and either passes or returns a
-counterexample payload; a check that sweeps no case fails.  Each check is
-registered with its suite and, where a full sweep would grow too costly,
-a degree cap: :func:`run_check` hands it ``min(max_degree, cap)`` and
-reports that number as ``effective_degree`` next to ``cases``.  Uncapped
-checks sweep the requested maximum degree, which must be nonnegative;
-fixed-size witnesses declare cap 0, since they do not scale at all.  Where
-a check compares a library function with a second route (rectification
-against a fold of :func:`insert_ssct`, skew coefficients against the
-rectification census, products against whole skew functions converted to
-S), the second route lives here, not in the library.
+Every check is a generator over a finite family of cases: it yields once
+per case it sweeps and returns a counterexample string at the first
+failure, while falling off the end passes.  A check that returns a
+:class:`Note` passes and reports that finding.  :func:`run_check` alone
+counts the yields; a check that raises, or sweeps no case, fails.
+
+Each check is registered with its suite and, where a full sweep would
+grow too costly, a degree cap: :func:`run_check` hands it
+``min(max_degree, cap)`` and reports that number as ``effective_degree``
+next to ``cases``.  Uncapped checks sweep the requested maximum degree,
+which must be nonnegative; fixed-size witnesses declare cap 0 and yield
+once, since they do not scale at all.  Where a check compares a library
+function with a second route (rectification against a fold of
+:func:`insert_ssct`, skew coefficients against the rectification census,
+products against whole skew functions converted to S), the second route
+lives here, not in the library.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Generator
 
 from .applications import (
     _set_compositions_of_shape,
@@ -154,7 +159,12 @@ class CheckResult:
         }
 
 
-CheckFn = Callable[[int, random.Random], tuple]
+class Note(str):
+    """What a check returns to report a finding without failing."""
+
+
+Sweep = Generator[None, None, str | None]
+CheckFn = Callable[[int, random.Random], Sweep]
 _CHECKS: dict[str, CheckFn] = {}
 CAPS: dict[str, int] = {}
 SUITES: dict[str, tuple[str, ...]] = {}
@@ -239,45 +249,42 @@ def _exact_rank(rows: list[dict]) -> int:
 
 
 @_register("partial-sums-roundtrip", "poset", cap=10)
-def _check_partial_sums(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_partial_sums(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for alpha in compositions_of(n):
-            cases += 1
+            yield
             if comp_of_set(set_of(alpha), n) != alpha:
-                return cases, f"composition {alpha} does not survive the roundtrip"
+                return f"composition {alpha} does not survive the roundtrip"
         for r in range(n):
             for cuts in itertools.combinations(range(1, n), r):
-                cases += 1
+                yield
                 s = frozenset(cuts)
                 if set_of(comp_of_set(s, n)) != s:
-                    return cases, f"subset {sorted(s)} of [{n - 1}] does not survive"
-    return cases, None
+                    return f"subset {sorted(s)} of [{n - 1}] does not survive"
 
 
 @_register("covers-shape", "poset")
-def _check_covers_shape(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_covers_shape(d: int, rng: random.Random) -> Sweep:
     for beta in _comps_upto(d):
         ups = covers(beta)
         seen = {g for g, _ in ups}
         if len(seen) != len(ups):
-            return cases, f"duplicate covers above {beta}"
+            return f"duplicate covers above {beta}"
         for gamma, step in ups:
-            cases += 1
+            yield
             if sum(gamma) != sum(beta) + 1 or not is_rev_contained(beta, gamma):
-                return cases, f"bad cover {beta} -> {gamma}"
+                return f"bad cover {beta} -> {gamma}"
             if (beta, step) not in down_covers(gamma):
-                return cases, f"{gamma} does not list {beta} as a lower cover"
+                return f"{gamma} does not list {beta} as a lower cover"
         for delta, step in down_covers(beta):
-            cases += 1
+            yield
             if (beta, step) not in covers(delta):
-                return cases, f"{delta} does not list {beta} as an upper cover"
-    return cases, None
+                return f"{delta} does not list {beta} as an upper cover"
 
 
 @_register("non-lattice-witness", "poset", cap=0)
-def _check_non_lattice(d: int, rng: random.Random) -> tuple:
+def _check_non_lattice(d: int, rng: random.Random) -> Sweep:
+    yield
     pair = ((2, 2, 2), (2, 3, 2))
     lower = [
         delta
@@ -290,37 +297,32 @@ def _check_non_lattice(d: int, rng: random.Random) -> tuple:
         if not any(delta != other and leq(delta, other) for other in lower)
     ]
     if len(maximal) < 2:
-        return 1, f"expected >= 2 maximal common lower bounds, found {maximal}"
-    return 1, None
+        return f"expected >= 2 maximal common lower bounds, found {maximal}"
 
 
 @_register("chain-count-matches-brute-force", "poset", cap=6)
-def _check_chain_counts(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_chain_counts(d: int, rng: random.Random) -> Sweep:
     for gamma in _comps_upto(d):
         for beta in _comps_upto(sum(gamma)):
             if not is_rev_contained(beta, gamma):
                 continue
-            cases += 1
+            yield
             expected = _brute_standard_count(skew_shape(COMPOSITION, gamma, beta))
             got = len(interval_chains(beta, gamma))
             if got != expected:
-                return cases, (
+                return (
                     f"interval {beta} .. {gamma}: {got} chains but "
                     f"{expected} standard fillings"
                 )
-    return cases, None
 
 
 @_register("order-implies-reverse-containment", "poset")
-def _check_leq_revcon(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_leq_revcon(d: int, rng: random.Random) -> Sweep:
     for gamma in _comps_upto(d):
         for beta in _comps_upto(sum(gamma)):
-            cases += 1
+            yield
             if leq(beta, gamma) and not is_rev_contained(beta, gamma):
-                return cases, f"{beta} <= {gamma} but not rev-contained"
-    return cases, None
+                return f"{beta} <= {gamma} but not rev-contained"
 
 
 # ---------------------------------------------------------------------------
@@ -328,79 +330,68 @@ def _check_leq_revcon(d: int, rng: random.Random) -> tuple:
 
 
 @_register("fundamental-is-refinement-sum", "bases")
-def _check_fundamental_refinements(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_fundamental_refinements(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
-        cases += 1
+        yield
         expanded = convert(basis_element("QSym", "L", alpha), "M")
         expected = {
             beta: 1 for beta in compositions_of(sum(alpha)) if refines(beta, alpha)
         }
         if expanded.terms != expected:
-            return cases, f"L_{alpha} expands to {expanded.terms}"
-    return cases, None
+            return f"L_{alpha} expands to {expanded.terms}"
 
 
 @_register("basis-conversion-roundtrips", "bases")
-def _check_conversion_roundtrips(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_conversion_roundtrips(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
         for basis in ("M", "L", "S"):
             f = basis_element("QSym", basis, alpha)
             for path in (("L", "M"), ("M", "L"), ("S", "L"), ("L", "S")):
-                cases += 1
+                yield
                 g = f
                 for b in path:
                     g = convert(g, b)
                 if convert(g, basis) != f:
-                    return cases, f"{basis}_{alpha} broken via {'->'.join(path)}"
-    return cases, None
+                    return f"{basis}_{alpha} broken via {'->'.join(path)}"
 
 
 @_register("schur-content-polynomial", "bases")
-def _check_schur_content(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_schur_content(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
-        cases += 1
+        yield
         m = max(sum(alpha), 1)
         fillings = enumerate_semistandard(straight(COMPOSITION, alpha), m)
         direct = TruncatedPolynomial(m, True, Counter(content(t, m) for t in fillings))
         if to_polynomial(qs_schur(alpha), m) != direct:
-            return cases, f"content sum mismatch for {alpha}"
-    return cases, None
+            return f"content sum mismatch for {alpha}"
 
 
 @_register("schur-inverts-to-single-term", "bases")
-def _check_schur_inversion(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_schur_inversion(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
-        cases += 1
+        yield
         back = convert(qs_schur(alpha), "S")
         if back.terms != {alpha: 1}:
-            return cases, f"S_{alpha} reads back as {back.terms}"
-    return cases, None
+            return f"S_{alpha} reads back as {back.terms}"
 
 
 @_register("schur-sum-over-rearrangements", "bases")
-def _check_schur_sum(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_schur_sum(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
-        cases += 1
+        yield
         m = max(sum(lam), 1)
         rearranged = [
             a for a in compositions_of(sum(lam)) if underlying_partition(a) == lam
         ]
         total = _poly_sum(m, True, (to_polynomial(qs_schur(a), m) for a in rearranged))
         if to_polynomial(basis_element("Sym", "s", lam), m) != total:
-            return cases, f"Schur sum fails for {lam}"
-    return cases, None
+            return f"Schur sum fails for {lam}"
 
 
 @_register("monomial-symmetric-sum", "bases")
-def _check_monomial_symmetric(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_monomial_symmetric(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
-        cases += 1
+        yield
         m = max(sum(lam), 1)
         rearranged = [
             a for a in compositions_of(sum(lam)) if underlying_partition(a) == lam
@@ -409,72 +400,64 @@ def _check_monomial_symmetric(d: int, rng: random.Random) -> tuple:
             m, True, (to_polynomial(_m_element(a), m) for a in rearranged)
         )
         if to_polynomial(basis_element("Sym", "m", lam), m) != total:
-            return cases, f"monomial sum fails for {lam}"
-    return cases, None
+            return f"monomial sum fails for {lam}"
 
 
 @_register("complete-homogeneous-positivity", "bases", cap=5)
-def _check_h_positive(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_h_positive(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
-        cases += 1
+        yield
         n = sum(lam)
         p = to_polynomial(basis_element("Sym", "h", lam), max(n, 1))
         expansion = schur_expansion(from_polynomial(p, n))
         if any(c < 0 for c in expansion.terms.values()):
-            return cases, f"negative Schur coefficient in h_{lam}"
+            return f"negative Schur coefficient in h_{lam}"
         if n and expansion.terms.get(lam) != 1:
-            return cases, f"h_{lam} lacks unit coefficient at {lam}"
-    return cases, None
+            return f"h_{lam} lacks unit coefficient at {lam}"
 
 
 @_register("random-polynomial-roundtrip", "bases", cap=6)
-def _check_from_polynomial(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_from_polynomial(d: int, rng: random.Random) -> Sweep:
     comps = _comps_upto(d)[1:] or [()]
     for _ in range(20):
-        cases += 1
+        yield
         chosen = rng.sample(comps, k=min(4, len(comps)))
         f = GradedElement(
             "QSym", "M", {alpha: rng.randint(-3, 3) for alpha in chosen}
         )
         n = max((sum(a) for a in f.terms), default=0)
         if from_polynomial(to_polynomial(f, max(n, 1)), n) != f:
-            return cases, f"roundtrip failed for {sorted(f.terms)}"
-    return cases, None
+            return f"roundtrip failed for {sorted(f.terms)}"
 
 
 @_register("rejects-non-quasisymmetric", "bases", cap=0)
-def _check_rejection(d: int, rng: random.Random) -> tuple:
-    p = commutative_monomial(2, (1, 0))
+def _check_rejection(d: int, rng: random.Random) -> Sweep:
+    yield
     try:
-        from_polynomial(p, 1)
+        from_polynomial(commutative_monomial(2, (1, 0)), 1)
     except ValueError:
-        return 1, None
-    return 1, "x1 alone in two variables was accepted as quasisymmetric"
+        return None
+    return "x1 alone in two variables was accepted as quasisymmetric"
 
 
 @_register("coproduct-counit", "bases")
-def _check_counit(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_counit(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
         for basis in ("M", "L", "S"):
-            cases += 1
+            yield
             f = basis_element("QSym", basis, alpha)
             delta = coproduct(f)
             left = {r: c for (l, r), c in delta.items() if l == ()}
             right = {l: c for (l, r), c in delta.items() if r == ()}
             if left != {alpha: 1} or right != {alpha: 1}:
-                return cases, f"counit fails for {basis}_{alpha}"
-    return cases, None
+                return f"counit fails for {basis}_{alpha}"
 
 
 @_register("coproduct-coassociative", "bases", cap=6)
-def _check_coassociativity(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_coassociativity(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
         for basis in ("M", "L"):
-            cases += 1
+            yield
             delta = coproduct(basis_element("QSym", basis, alpha))
             lhs = []
             rhs = []
@@ -484,17 +467,15 @@ def _check_coassociativity(d: int, rng: random.Random) -> tuple:
                 for (x, y), c2 in coproduct(basis_element("QSym", basis, b)).items():
                     rhs.append(((a, x, y), c * c2))
             if _accumulate(lhs) != _accumulate(rhs):
-                return cases, f"coassociativity fails for {basis}_{alpha}"
-    return cases, None
+                return f"coassociativity fails for {basis}_{alpha}"
 
 
 @_register("coproduct-multiplicative", "bases", cap=3)
-def _check_bialgebra(d: int, rng: random.Random) -> tuple:
+def _check_bialgebra(d: int, rng: random.Random) -> Sweep:
     small = _comps_upto(d)
-    cases = 0
     for alpha in small:
         for beta in small:
-            cases += 1
+            yield
             f, g = _m_element(alpha), _m_element(beta)
             lhs = coproduct(multiply(f, g))
             rhs = []
@@ -506,49 +487,42 @@ def _check_bialgebra(d: int, rng: random.Random) -> tuple:
                         for ri, cr in right.terms.items():
                             rhs.append(((li, ri), c1 * c2 * cl * cr))
             if lhs != _accumulate(rhs):
-                return cases, f"coproduct not multiplicative at {alpha}, {beta}"
-    return cases, None
+                return f"coproduct not multiplicative at {alpha}, {beta}"
 
 
 @_register("skew-coproduct-nonnegative", "bases")
-def _check_skew_coproduct(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_skew_coproduct(d: int, rng: random.Random) -> Sweep:
     for gamma in _comps_upto(d):
-        cases += 1
+        yield
         delta = coproduct(basis_element("QSym", "S", gamma))
         bad = [(k, c) for k, c in delta.items() if not isinstance(c, int) or c < 0]
         if bad:
-            return cases, f"coproduct of S_{gamma} has terms {bad[:3]}"
-    return cases, None
+            return f"coproduct of S_{gamma} has terms {bad[:3]}"
 
 
 @_register("symmetry-detection", "bases")
-def _check_symmetry(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_symmetry(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
-        cases += 1
+        yield
         f = sym_to_qsym(basis_element("Sym", "s", lam))
         if not is_symmetric(f):
-            return cases, f"s_{lam} flagged as not symmetric"
+            return f"s_{lam} flagged as not symmetric"
         if schur_expansion(f).terms != ({lam: 1} if lam else {(): 1}):
-            return cases, f"s_{lam} does not peel back to itself"
-    return cases, None
+            return f"s_{lam} does not peel back to itself"
 
 
 @_register("peel-orders-are-unitriangular", "bases")
-def _check_peel_orders(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_peel_orders(d: int, rng: random.Random) -> Sweep:
     for basis, indices, key, expansion in (
         ("S", _comps_upto(d), _l_to_s_key, lambda alpha: qs_schur(alpha).terms),
         ("s", _parts_upto(d), _m_to_s_key, _schur_in_monomial),
     ):
         for index in indices:
-            cases += 1
+            yield
             terms = expansion(index)
             lower = all(key(i) < key(index) for i in terms if i != index)
             if terms.get(index) != 1 or not lower:
-                return cases, f"{basis}_{index} is not unitriangular: {terms}"
-    return cases, None
+                return f"{basis}_{index} is not unitriangular: {terms}"
 
 
 # ---------------------------------------------------------------------------
@@ -556,17 +530,15 @@ def _check_peel_orders(d: int, rng: random.Random) -> tuple:
 
 
 @_register("skew-vanishing-matches-order", "duality")
-def _check_skew_vanishing(d: int, rng: random.Random) -> tuple:
+def _check_skew_vanishing(d: int, rng: random.Random) -> Sweep:
     """S_{gamma//beta} is nonzero exactly when beta <= gamma: the skew walks
     down from gamma and ``leq`` decides the order by its closed form, two
     independent routes."""
-    cases = 0
     for gamma in _comps_upto(d):
         for beta in _comps_upto(sum(gamma)):
-            cases += 1
+            yield
             if bool(skew_qs_schur(gamma, beta)) != leq(beta, gamma):
-                return cases, f"vanishing mismatch at {gamma} over {beta}"
-    return cases, None
+                return f"vanishing mismatch at {gamma} over {beta}"
 
 
 def _rect_census(beta: Composition, gamma: Composition) -> Counter:
@@ -577,14 +549,13 @@ def _rect_census(beta: Composition, gamma: Composition) -> Counter:
 
 
 @_register("skew-coefficients-are-lr", "duality")
-def _check_duality(d: int, rng: random.Random) -> tuple:
+def _check_duality(d: int, rng: random.Random) -> Sweep:
     """The S-expansion of each skew quasi-Schur function against the LR
     rule: fillings of gamma over beta rectifying to the canonical filling
     of alpha.  ``lr_coeff`` reads its coefficients off the former, so this
     keeps the rectification route as its oracle."""
-    cases = 0
     for beta, gamma in _interval_pairs(d):
-        cases += 1
+        yield
         in_schur = convert(skew_qs_schur(gamma, beta), "S")
         census = _rect_census(beta, gamma)
         expected = {}
@@ -593,20 +564,18 @@ def _check_duality(d: int, rng: random.Random) -> tuple:
             if c:
                 expected[alpha] = c
         if in_schur.terms != expected:
-            return cases, (
+            return (
                 f"duality fails at {gamma} over {beta}: "
                 f"{in_schur.terms} vs {expected}"
             )
-    return cases, None
 
 
 @_register("product-matches-skew-peel", "duality")
-def _check_product_by_peel(d: int, rng: random.Random) -> tuple:
+def _check_product_by_peel(d: int, rng: random.Random) -> Sweep:
     """Products, read off one column of the L-to-S change, against the
     duality applied term by term: the coefficient of S*_gamma in
     S*_alpha S*_beta is the S_alpha coefficient of the whole S_{gamma//beta}
     converted to S."""
-    cases = 0
     for beta in _comps_upto(d):
         for n in range(d - sum(beta) + 1):
             expected: dict = {}  # alpha -> {gamma: coefficient}
@@ -615,12 +584,11 @@ def _check_product_by_peel(d: int, rng: random.Random) -> tuple:
                 for alpha, c in skew.terms.items():
                     expected.setdefault(alpha, {})[gamma] = c
             for alpha in compositions_of(n):
-                cases += 1
+                yield
                 got = product_nc_schur(alpha, beta).terms
                 want = expected.get(alpha, {})
                 if got != want:
-                    return cases, f"product {alpha} * {beta}: {got} vs {want}"
-    return cases, None
+                    return f"product {alpha} * {beta}: {got} vs {want}"
 
 
 # ---------------------------------------------------------------------------
@@ -628,36 +596,31 @@ def _check_product_by_peel(d: int, rng: random.Random) -> tuple:
 
 
 @_register("forgetful-algebra-map", "products", cap=6)
-def _check_forgetful(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_forgetful(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
         for beta in _comps_upto(d - sum(alpha)):
-            cases += 1
+            yield
             lhs = convert(forget(product_nc_schur(alpha, beta)), "m")
             rhs = multiply(
                 basis_element("Sym", "s", underlying_partition(alpha)),
                 basis_element("Sym", "s", underlying_partition(beta)),
             )
             if lhs != rhs:
-                return cases, f"forgetful map breaks at {alpha} * {beta}"
-    return cases, None
+                return f"forgetful map breaks at {alpha} * {beta}"
 
 
 @_register("product-unit", "products")
-def _check_product_unit(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_product_unit(d: int, rng: random.Random) -> Sweep:
     for beta in _comps_upto(d):
-        cases += 1
+        yield
         unit_left = product_nc_schur((), beta)
         unit_right = product_nc_schur(beta, ())
         if unit_left.terms != {beta: 1} or unit_right.terms != {beta: 1}:
-            return cases, f"unit fails at {beta}"
-    return cases, None
+            return f"unit fails at {beta}"
 
 
 @_register("product-associative", "products", cap=5)
-def _check_product_associative(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_product_associative(d: int, rng: random.Random) -> Sweep:
     triples = [
         (a, b, c)
         for a in _comps_upto(d)
@@ -665,28 +628,25 @@ def _check_product_associative(d: int, rng: random.Random) -> tuple:
         for c in _comps_upto(d - sum(a) - sum(b))
     ]
     for a, b, c in triples:
-        cases += 1
+        yield
         left = multiply_nc(product_nc_schur(a, b), basis_element("NSym", "S_star", c))
         right = multiply_nc(basis_element("NSym", "S_star", a), product_nc_schur(b, c))
         if left != right:
-            return cases, f"associativity fails at {a}, {b}, {c}"
-    return cases, None
+            return f"associativity fails at {a}, {b}, {c}"
 
 
 @_register("pieri-support-within-strips", "products")
-def _check_pieri_support(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_pieri_support(d: int, rng: random.Random) -> Sweep:
     for kind in ("row", "column"):
         for beta in _comps_upto(d):
             for n in range(d - sum(beta) + 1):
-                cases += 1
+                yield
                 report = strip_report(kind, n, beta)
                 if report.extra or report.nonunit:
-                    return cases, (
+                    return (
                         f"{kind} strip {n} on {beta}: extra={report.extra} "
                         f"nonunit={report.nonunit}"
                     )
-    return cases, None
 
 
 # ---------------------------------------------------------------------------
@@ -694,19 +654,18 @@ def _check_pieri_support(d: int, rng: random.Random) -> tuple:
 
 
 @_register("padded-skew-is-skew-schur", "classical")
-def _check_padded_skew(d: int, rng: random.Random) -> tuple:
+def _check_padded_skew(d: int, rng: random.Random) -> Sweep:
     """The paper's skew quasi-Schur functions include the classical skew
     Schur functions: with one cell added to every row of nu and of mu
     (padded with zeros to len(nu) rows), S_{nu+//mu+} is s_{nu/mu}, read
     here from Gessel's expansion over the standard reverse fillings of
     nu/mu.  ``classical_lr`` peels the former, so this keeps the fillings
     as its oracle."""
-    cases = 0
     for nu in _parts_upto(d):
         for mu in _parts_upto(sum(nu)):
             if not is_contained(mu, nu):
                 continue
-            cases += 1
+            yield
             padded = mu + (0,) * (len(nu) - len(mu))
             got = skew_qs_schur(
                 tuple(p + 1 for p in nu), tuple(p + 1 for p in padded)
@@ -716,13 +675,11 @@ def _check_padded_skew(d: int, rng: random.Random) -> tuple:
                 "QSym", "L", [(descent_composition(t), 1) for t in fillings]
             )
             if got != expected:
-                return cases, f"padded skew differs from s_{nu}/{mu}"
-    return cases, None
+                return f"padded skew differs from s_{nu}/{mu}"
 
 
 @_register("factorization-over-rearrangements", "classical", cap=7)
-def _check_factorization(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_factorization(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
         for beta in _comps_upto(d - sum(alpha)):
             product = product_nc_schur(alpha, beta)
@@ -732,20 +689,16 @@ def _check_factorization(d: int, rng: random.Random) -> tuple:
             lam = underlying_partition(alpha)
             mu = underlying_partition(beta)
             for nu in partitions_of(sum(alpha) + sum(beta)):
-                cases += 1
+                yield
                 if grouped.get(nu, 0) != classical_lr(lam, mu, nu):
-                    return cases, (
-                        f"factorization fails: alpha={alpha} beta={beta} nu={nu}"
-                    )
-    return cases, None
+                    return f"factorization fails: alpha={alpha} beta={beta} nu={nu}"
 
 
 @_register("schur-product-matches-classical", "classical", cap=7)
-def _check_schur_product(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_schur_product(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
         for mu in _parts_upto(d - sum(lam)):
-            cases += 1
+            yield
             product = multiply(
                 basis_element("Sym", "s", lam), basis_element("Sym", "s", mu)
             )
@@ -758,20 +711,17 @@ def _check_schur_product(d: int, rng: random.Random) -> tuple:
                 },
             )
             if convert(expected, "m") != product:
-                return cases, f"Schur product mismatch at {lam}, {mu}"
-    return cases, None
+                return f"Schur product mismatch at {lam}, {mu}"
 
 
 @_register("classical-commutativity", "classical", cap=7)
-def _check_classical_symmetry(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_classical_symmetry(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
         for mu in _parts_upto(d - sum(lam)):
             for nu in partitions_of(sum(lam) + sum(mu)):
-                cases += 1
+                yield
                 if classical_lr(lam, mu, nu) != classical_lr(mu, lam, nu):
-                    return cases, f"c^{nu} differs between {lam},{mu} and {mu},{lam}"
-    return cases, None
+                    return f"c^{nu} differs between {lam},{mu} and {mu},{lam}"
 
 
 # ---------------------------------------------------------------------------
@@ -779,19 +729,16 @@ def _check_classical_symmetry(d: int, rng: random.Random) -> tuple:
 
 
 @_register("restricted-graph-connected", "g-alpha")
-def _check_connectivity(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_connectivity(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
-        cases += 1
+        yield
         connected, components = restricted_move_components(alpha)
         if not connected:
-            return cases, f"graph for {alpha} has {components} components"
-    return cases, None
+            return f"graph for {alpha} has {components} components"
 
 
 @_register("knuth-moves-preserve-insertion", "g-alpha", cap=6)
-def _check_knuth_moves(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_knuth_moves(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for word in itertools.permutations(range(1, n + 1)):
             p_tab, q_tab = rsk(word)
@@ -802,28 +749,26 @@ def _check_knuth_moves(d: int, rng: random.Random) -> tuple:
                 except ValueError:
                     moved = None
                 if moved is not None:
-                    cases += 1
+                    yield
                     if insertion_tableau(moved) != p_tab:
-                        return cases, f"p-move {k} changes P of {word}"
+                        return f"p-move {k} changes P of {word}"
                 try:
                     moved = q_move(word, k)
                 except ValueError:
                     moved = None
                 if moved is not None:
-                    cases += 1
+                    yield
                     if rsk(moved)[1] != q_tab:
-                        return cases, f"q-move {k} changes Q of {word}"
+                        return f"q-move {k} changes Q of {word}"
                     moved_descents = {
                         i for i in range(1, n) if moved[i - 1] > moved[i]
                     }
                     if moved_descents != word_descents:
-                        return cases, f"q-move {k} changes descents of {word}"
-    return cases, None
+                        return f"q-move {k} changes descents of {word}"
 
 
 @_register("pq-moves-commute", "g-alpha", cap=6)
-def _check_move_commutation(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_move_commutation(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for word in itertools.permutations(range(1, n + 1)):
             for i in range(1, n - 1):
@@ -833,10 +778,9 @@ def _check_move_commutation(d: int, rng: random.Random) -> tuple:
                         two = q_move(p_move(word, i), j)
                     except ValueError:
                         continue
-                    cases += 1
+                    yield
                     if one != two:
-                        return cases, f"p_{i} and q_{j} disagree on {word}"
-    return cases, None
+                        return f"p_{i} and q_{j} disagree on {word}"
 
 
 # ---------------------------------------------------------------------------
@@ -852,21 +796,18 @@ def _uniform_pairs(d: int) -> list[tuple[Composition, Composition]]:
 
 
 @_register("uniform-shapes-lack-rigid-pairs", "rigidity")
-def _check_uniform_rigidity(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_uniform_rigidity(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _uniform_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
             for r in range(1, len(gamma)):
-                cases += 1
+                yield
                 if is_rigid_row_pair(t, r):
-                    return cases, f"rigid rows {r},{r + 1} in uniform {gamma}/{beta}"
-    return cases, None
+                    return f"rigid rows {r},{r + 1} in uniform {gamma}/{beta}"
 
 
 @_register("uniform-q-moves-stay-in-shape", "rigidity", cap=6)
-def _check_uniform_closure(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_uniform_closure(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _uniform_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
         words = {column_word(t) for t in enumerate_standard(shape)}
@@ -877,12 +818,9 @@ def _check_uniform_closure(d: int, rng: random.Random) -> tuple:
                     moved = q_move(word, k)
                 except ValueError:
                     continue
-                cases += 1
+                yield
                 if moved not in words:
-                    return cases, (
-                        f"q-move {k} leaves the shape {gamma}/{beta} from {word}"
-                    )
-    return cases, None
+                    return f"q-move {k} leaves the shape {gamma}/{beta} from {word}"
 
 
 # ---------------------------------------------------------------------------
@@ -890,35 +828,29 @@ def _check_uniform_closure(d: int, rng: random.Random) -> tuple:
 
 
 @_register("uniform-implies-symmetric", "uniform-symmetry")
-def _check_uniform_symmetric(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_uniform_symmetric(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _uniform_pairs(d):
-        cases += 1
+        yield
         f = skew_qs_schur(gamma, beta)
         if not is_symmetric(convert(f, "M")):
-            return cases, f"uniform {gamma} over {beta} is not symmetric"
+            return f"uniform {gamma} over {beta} is not symmetric"
         expansion = schur_expansion(f)
         if any(not isinstance(c, int) or c < 0 for c in expansion.terms.values()):
-            return cases, f"uniform {gamma} over {beta} is not Schur-positive"
-    return cases, None
+            return f"uniform {gamma} over {beta} is not Schur-positive"
 
 
 @_register("symmetric-non-uniform-scan", "uniform-symmetry")
-def _check_symmetric_scan(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_symmetric_scan(d: int, rng: random.Random) -> Sweep:
     witnesses = []
     for beta, gamma in _interval_pairs(d):
         if skew_shape(COMPOSITION, gamma, beta).is_uniform():
             continue
-        cases += 1
+        yield
         if is_symmetric(convert(skew_qs_schur(gamma, beta), "M")):
             witnesses.append(f"{gamma} over {beta}")
-    note = (
-        "symmetric non-uniform shapes: " + "; ".join(witnesses)
-        if witnesses
-        else "no symmetric non-uniform shapes found"
-    )
-    return cases, None, note
+    if witnesses:
+        return Note("symmetric non-uniform shapes: " + "; ".join(witnesses))
+    return Note("no symmetric non-uniform shapes found")
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +870,7 @@ def _srt_pairs(total: int) -> list[tuple[Tableau, Tableau]]:
 
 
 @_register("pr-matches-word-shuffles", "pr", cap=6)
-def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_pr_shuffles(d: int, rng: random.Random) -> Sweep:
     standard_counts: dict[Composition, int] = {}  # brute force once per shape
 
     def standard_count(lam: Composition) -> int:
@@ -948,10 +879,10 @@ def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
         return standard_counts[lam]
 
     for t1, t2 in _srt_pairs(d):
-        cases += 1
+        yield
         terms = pr_product(t1, t2)
         if len(set(terms)) != len(terms):
-            return cases, f"duplicate product terms for {t1.rows} * {t2.rows}"
+            return f"duplicate product terms for {t1.rows} * {t2.rows}"
         counts, total = pr_product_words(t1, t2)
         m, n = t1.shape.size, t2.shape.size
         # a Knuth class has one word per standard filling of its shape
@@ -961,40 +892,35 @@ def _check_pr_shuffles(d: int, rng: random.Random) -> tuple:
             * math.comb(m + n, n)
         )
         if total != expected_total:
-            return cases, f"shuffle count off for {t1.rows} * {t2.rows}"
+            return f"shuffle count off for {t1.rows} * {t2.rows}"
         if frozenset(terms) != set(counts):
-            return cases, f"terms differ from shuffle route at {t1.rows} * {t2.rows}"
+            return f"terms differ from shuffle route at {t1.rows} * {t2.rows}"
         for t, mult in counts.items():
             if mult != standard_count(t.shape.outer):
-                return cases, (
+                return (
                     f"term {t.rows} of {t1.rows} * {t2.rows} appears {mult} times, "
                     "not once per standard filling of its shape"
                 )
-    return cases, None
 
 
 @_register("pr-empty-unit", "pr", cap=5)
-def _check_pr_unit(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_pr_unit(d: int, rng: random.Random) -> Sweep:
     empty = make_tableau(straight(PARTITION, ()), {})
     for lam in _parts_upto(d):
         for t in enumerate_standard(straight(PARTITION, lam)):
-            cases += 1
+            yield
             if pr_product(t, empty) != (t,) or pr_product(empty, t) != (t,):
-                return cases, f"empty factor breaks product for {t.rows}"
-    return cases, None
+                return f"empty factor breaks product for {t.rows}"
 
 
 @_register("image-anti-morphism", "pr", cap=6)
-def _check_anti_morphism(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_anti_morphism(d: int, rng: random.Random) -> Sweep:
     for t1, t2 in _srt_pairs(d):
-        cases += 1
+        yield
         lhs = nsym_image_sum(pr_product(t1, t2))
         rhs = multiply_nc(nsym_image(t2), nsym_image(t1))
         if lhs != rhs:
-            return cases, f"anti-morphism fails at {t1.rows} * {t2.rows}"
-    return cases, None
+            return f"anti-morphism fails at {t1.rows} * {t2.rows}"
 
 
 # ---------------------------------------------------------------------------
@@ -1017,48 +943,41 @@ def _qs_rs_by_set_compositions(alpha: Composition, m: int) -> TruncatedPolynomia
 
 
 @_register("analogue-dual-route", "ncqsym", cap=4)
-def _check_qs_rs_routes(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_qs_rs_routes(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for alpha in compositions_of(n):
             for m in (max(n - 1, 1), n or 1):
-                cases += 1
+                yield
                 if qs_rs(alpha, m) != _qs_rs_by_set_compositions(alpha, m):
-                    return cases, f"evaluation routes disagree for {alpha}, m={m}"
-    return cases, None
+                    return f"evaluation routes disagree for {alpha}, m={m}"
 
 
 @_register("commuting-projection", "ncqsym", cap=4)
-def _check_chi_projection(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_chi_projection(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for alpha in compositions_of(n):
-            cases += 1
+            yield
             m = max(n, 1)
             lhs = chi_nc(qs_rs(alpha, m))
             rhs = math.factorial(n) * to_polynomial(qs_schur(alpha), m)
             if lhs != rhs:
-                return cases, f"projection of the analogue fails for {alpha}"
-    return cases, None
+                return f"projection of the analogue fails for {alpha}"
 
 
 @_register("schur-analogue-sum", "ncqsym", cap=4)
-def _check_s_rs(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_s_rs(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
-        cases += 1
+        yield
         n = sum(lam)
         m = max(n, 1)
         lhs = chi_nc(s_rs(lam, m))
         rhs = math.factorial(n) * to_polynomial(basis_element("Sym", "s", lam), m)
         if lhs != rhs:
-            return cases, f"Schur analogue fails for {lam}"
-    return cases, None
+            return f"Schur analogue fails for {lam}"
 
 
 @_register("block-order-sum", "ncqsym", cap=4)
-def _check_block_orderings(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_block_orderings(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         by_partition: dict = {}
         for pi in set_compositions(n):
@@ -1067,38 +986,33 @@ def _check_block_orderings(d: int, rng: random.Random) -> tuple:
         for key, group in by_partition.items():
             rep = tuple(sorted(key, key=min))
             for m in range(1, 4):
-                cases += 1
+                yield
                 total = _poly_sum(m, False, (m_pi_nc(pi, m) for pi in group))
                 if total != m_pi_sym(rep, m):
-                    return cases, f"orderings of {rep} do not sum to m_pi at m={m}"
-    return cases, None
+                    return f"orderings of {rep} do not sum to m_pi at m={m}"
 
 
 @_register("lift-projects-back", "ncqsym", cap=4)
-def _check_lift(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_lift(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for alpha in compositions_of(n):
-            cases += 1
+            yield
             f = _m_element(alpha)
             lifted = lift(f)
             if project(lifted) != f:
-                return cases, f"projection of the lift differs at {alpha}"
+                return f"projection of the lift differs at {alpha}"
             m = max(n, 1)
             if chi_nc(ncqsym_to_polynomial(lifted, m)) != to_polynomial(f, m):
-                return cases, f"lift of {alpha} commutes wrongly with evaluation"
-    return cases, None
+                return f"lift of {alpha} commutes wrongly with evaluation"
 
 
 @_register("analogues-linearly-independent", "ncqsym", cap=4)
-def _check_independence(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_independence(d: int, rng: random.Random) -> Sweep:
     for n in range(1, d + 1):
-        cases += 1
+        yield
         rows = [qs_rs(alpha, n).terms for alpha in compositions_of(n)]
         if _exact_rank(rows) != len(rows):
-            return cases, f"analogues of degree {n} are linearly dependent"
-    return cases, None
+            return f"analogues of degree {n} are linearly dependent"
 
 
 # ---------------------------------------------------------------------------
@@ -1106,13 +1020,11 @@ def _check_independence(d: int, rng: random.Random) -> tuple:
 
 
 @_register("chain-descents-match-skew", "pieri-operator")
-def _check_pieri_operator(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_pieri_operator(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _interval_pairs(d):
-        cases += 1
+        yield
         if descent_pieri_K(gamma, beta) != skew_qs_schur(gamma, beta):
-            return cases, f"descent series differs at {gamma} over {beta}"
-    return cases, None
+            return f"descent series differs at {gamma} over {beta}"
 
 
 # ---------------------------------------------------------------------------
@@ -1130,80 +1042,70 @@ def _straight_ssrts(size_bound: int, entry_bound: int):
 
 
 @_register("column-sort-roundtrip", "roundtrips", cap=7)
-def _check_pack_unpack(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_pack_unpack(d: int, rng: random.Random) -> Sweep:
     for t in _straight_sscts(d, 4):
-        cases += 1
+        yield
         packed = pack_columns(t)
         if validate(packed) not in ("SSRT", "SRT"):
-            return cases, f"packing {t.rows} gives an invalid filling"
+            return f"packing {t.rows} gives an invalid filling"
         if packed.shape.outer != underlying_partition(t.shape.outer):
-            return cases, f"packing {t.rows} lands on {packed.shape.outer}"
+            return f"packing {t.rows} lands on {packed.shape.outer}"
         if unpack_columns(packed) != t:
-            return cases, f"unpack(pack) moves {t.rows}"
+            return f"unpack(pack) moves {t.rows}"
     for s in _straight_ssrts(d, 4):
-        cases += 1
+        yield
         if pack_columns(unpack_columns(s)) != s:
-            return cases, f"pack(unpack) moves {s.rows}"
-    return cases, None
+            return f"pack(unpack) moves {s.rows}"
 
 
 @_register("standardization-roundtrip", "roundtrips", cap=7)
-def _check_standardization(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_standardization(d: int, rng: random.Random) -> Sweep:
     for t in itertools.chain(_straight_sscts(d, 4), _straight_ssrts(d, 4)):
-        cases += 1
+        yield
         std, tau = standardize(t)
         if not std.is_standard():
-            return cases, f"standardization of {t.rows} is not standard"
+            return f"standardization of {t.rows} is not standard"
         if destandardize(std, tau) != t:
-            return cases, f"destandardize(std) moves {t.rows}"
-    return cases, None
+            return f"destandardize(std) moves {t.rows}"
 
 
 @_register("chain-tableau-roundtrip", "roundtrips", cap=7)
-def _check_chain_roundtrip(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_chain_roundtrip(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _interval_pairs(d):
         for chain in interval_chains(beta, gamma):
-            cases += 1
+            yield
             t = chain_to_tableau(beta, chain)
             if validate(t) != "SCT":
-                return cases, f"chain {chain} builds an invalid filling"
+                return f"chain {chain} builds an invalid filling"
             if tableau_to_chain(t) != chain:
-                return cases, f"chain {chain} does not survive the roundtrip"
+                return f"chain {chain} does not survive the roundtrip"
         shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
-            cases += 1
+            yield
             if chain_to_tableau(beta, tableau_to_chain(t)) != t:
-                return cases, f"tableau {t.rows} does not survive the roundtrip"
-    return cases, None
+                return f"tableau {t.rows} does not survive the roundtrip"
 
 
 @_register("split-rejoin", "roundtrips", cap=6)
-def _check_split(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_split(d: int, rng: random.Random) -> Sweep:
     for gamma in _comps_upto(d):
         for t in enumerate_standard(straight(COMPOSITION, gamma)):
             for k in range(t.n + 1):
-                cases += 1
+                yield
                 upper, lower = split_tableau(t, k)
                 if join_split(upper, lower) != t:
-                    return cases, f"split at {k} loses {t.rows}"
-    return cases, None
+                    return f"split at {k} loses {t.rows}"
 
 
 @_register("insertion-via-column-sort", "roundtrips", cap=5)
-def _check_insert_compat(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_insert_compat(d: int, rng: random.Random) -> Sweep:
     for t in _straight_sscts(d, 4):
         for k in range(1, 6):
-            cases += 1
+            yield
             direct = insert_ssct(t, k)
             packed, _ = insert_ssrt(pack_columns(t), k)
             if direct != unpack_columns(packed):
-                return cases, f"insertions disagree on {t.rows} with {k}"
-    return cases, None
+                return f"insertions disagree on {t.rows} with {k}"
 
 
 def _rect_mismatch(t: Tableau, rectified: Tableau) -> str | None:
@@ -1218,93 +1120,82 @@ def _rect_mismatch(t: Tableau, rectified: Tableau) -> str | None:
 
 
 @_register("insertion-reconstructs-tableau", "roundtrips", cap=6)
-def _check_insertion_identity(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_insertion_identity(d: int, rng: random.Random) -> Sweep:
     for s in _straight_ssrts(d, 4):
-        cases += 1
+        yield
         if insertion_tableau(column_word(s)) != s:
-            return cases, f"column word of {s.rows} inserts elsewhere"
+            return f"column word of {s.rows} inserts elsewhere"
     for gamma in _comps_upto(d):
         for t in enumerate_standard(straight(COMPOSITION, gamma)):
-            cases += 1
+            yield
             rectified = rect(t)
             if mismatch := _rect_mismatch(t, rectified):
-                return cases, mismatch
+                return mismatch
             if rectified != t:
-                return cases, f"straight {t.rows} does not rectify to itself"
-    return cases, None
+                return f"straight {t.rows} does not rectify to itself"
 
 
 @_register("rectification-preserves-descents", "roundtrips", cap=6)
-def _check_rect_descents(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_rect_descents(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _interval_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
-            cases += 1
+            yield
             rectified = rect(t)
             if mismatch := _rect_mismatch(t, rectified):
-                return cases, mismatch
+                return mismatch
             if descents(t) != descents(rectified):
-                return cases, f"descents change under rectification: {t.rows}"
-    return cases, None
+                return f"descents change under rectification: {t.rows}"
 
 
 @_register("skew-column-sort-pairing", "roundtrips", cap=7)
-def _check_skew_pairing(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_skew_pairing(d: int, rng: random.Random) -> Sweep:
+    sct_counts: Counter = Counter()  # (partition of gamma, beta) -> SSCT count
     for beta, gamma in _interval_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
         mu = underlying_partition(beta)
-        for t in enumerate_semistandard(shape, 3):
-            cases += 1
+        fillings = enumerate_semistandard(shape, 3)
+        sct_counts[underlying_partition(gamma), beta] += len(fillings)
+        for t in fillings:
+            yield
             image = pack_columns_skew(t)
             if image.shape.outer != underlying_partition(gamma):
-                return cases, f"skew packing of {t.rows} lands on a wrong shape"
+                return f"skew packing of {t.rows} lands on a wrong shape"
             if image.shape.inner != mu:
-                return cases, f"skew packing of {t.rows} moves the base"
+                return f"skew packing of {t.rows} moves the base"
             if validate(image) not in ("SSRT", "SRT"):
-                return cases, f"skew packing of {t.rows} is invalid"
+                return f"skew packing of {t.rows} is invalid"
             if unpack_columns_skew(image, beta) != t:
-                return cases, f"skew unpack(pack) moves {t.rows}"
+                return f"skew unpack(pack) moves {t.rows}"
         for t in enumerate_standard(shape):
-            cases += 1
+            yield
             if colseq(t) != colseq(pack_columns_skew(t)):
-                return cases, f"skew packing changes colseq of {t.rows}"
+                return f"skew packing changes colseq of {t.rows}"
     # counting form: SSCT over beta with fixed partition closure vs SSRT
     for nu in _parts_upto(d):
         for beta in _comps_upto(sum(nu)):
             mu = underlying_partition(beta)
-            if len(mu) > len(nu) or any(m > n for m, n in zip(mu, nu)):
+            if not is_contained(mu, nu):
                 continue
             srt_count = len(enumerate_semistandard(skew_shape(PARTITION, nu, mu), 3))
-            sct_count = 0
-            for gamma in compositions_of(sum(nu)):
-                if underlying_partition(gamma) == nu and leq(beta, gamma):
-                    sct_count += len(
-                        enumerate_semistandard(skew_shape(COMPOSITION, gamma, beta), 3)
-                    )
-            cases += 1
-            if sct_count != srt_count:
-                return cases, f"pairing counts differ for nu={nu}, beta={beta}"
-    return cases, None
+            yield
+            if sct_counts[nu, beta] != srt_count:
+                return f"pairing counts differ for nu={nu}, beta={beta}"
 
 
 @_register("serialization-roundtrip", "roundtrips", cap=5)
-def _check_serialization(d: int, rng: random.Random) -> tuple:
-    cases = 0
+def _check_serialization(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _interval_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
         for t in enumerate_standard(shape):
-            cases += 1
+            yield
             if tableau_from_json(json.loads(json.dumps(to_json_dict(t)))) != t:
-                return cases, f"tableau JSON roundtrip fails for {t.rows}"
+                return f"tableau JSON roundtrip fails for {t.rows}"
     for alpha in _comps_upto(d):
         for f in (qs_schur(alpha), lift(_m_element(alpha))):
-            cases += 1
+            yield
             if element_from_json(json.loads(json.dumps(element_to_json(f)))) != f:
-                return cases, f"element JSON roundtrip fails at {alpha}"
-    return cases, None
+                return f"element JSON roundtrip fails at {alpha}"
 
 
 # ---------------------------------------------------------------------------
@@ -1321,23 +1212,32 @@ def _require_degree(max_degree: int) -> None:
 
 def run_check(name: str, max_degree: int, seed: int) -> CheckResult:
     """Run one check at its effective degree, ``max_degree`` clamped to the
-    check's declared cap; any exception it raises, or a sweep of zero cases,
-    makes it fail.  Raises ``ValueError`` on a negative ``max_degree``."""
+    check's declared cap.  ``cases`` counts the check's yields; a returned
+    string is its counterexample and a returned :class:`Note` its note.  An
+    exception it raises (reported with 0 cases, whatever it yielded first)
+    or a sweep of zero cases makes it fail.  Raises ``ValueError`` on a
+    negative ``max_degree``."""
     _require_degree(max_degree)
     fn = _CHECKS[name]
     degree = min(max_degree, CAPS.get(name, max_degree))
     rng = random.Random(f"{seed}/{name}")
     started = time.perf_counter()
+    cases = 0
     try:
-        result = fn(degree, rng)
+        sweep = fn(degree, rng)
+        while True:
+            next(sweep)
+            cases += 1
+    except StopIteration as stop:
+        outcome = stop.value
     except Exception as exc:
         elapsed = time.perf_counter() - started
         return CheckResult(
             name, False, 0, degree, elapsed, f"{type(exc).__name__}: {exc}"
         )
     elapsed = time.perf_counter() - started
-    cases, counterexample = result[0], result[1]
-    note = result[2] if len(result) > 2 else None
+    note = str(outcome) if isinstance(outcome, Note) else None
+    counterexample = None if isinstance(outcome, Note) else outcome
     if cases == 0:
         empty = f"ran 0 cases at max degree {max_degree}"
         note = empty if note is None else f"{note}; {empty}"

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qschur import compositions, qsym
-from qschur.compositions import compositions_of, leq, partitions_of, refines
+from qschur.compositions import (
+    compositions_of,
+    leq,
+    partitions_of,
+    refines,
+    underlying_partition,
+)
 from qschur.qsym import (
     GradedElement,
     TruncatedPolynomial,
@@ -147,6 +153,27 @@ def test_sym_multiply_rejects_non_partitions(basis):
         for args in ((f, good), (good, f)):
             with pytest.raises(ValueError, match="does not index a basis element"):
                 multiply(*args)
+
+
+@pytest.mark.parametrize("basis", ["s", "m", "h"])
+def test_sym_inclusion_and_evaluation_reject_non_partitions(basis):
+    for bad in [(1, 2), (2, 0), (True,), (-1,), (1.0,)]:
+        f = GradedElement("Sym", basis, {bad: 1})
+        calls = [lambda: to_polynomial(f, 2), lambda: is_symmetric(f)]
+        if basis != "h":
+            calls.append(lambda: sym_to_qsym(f))
+        for call in calls:
+            with pytest.raises(ValueError, match="does not index a basis element"):
+                call()
+
+
+def test_rearrangements_match_the_composition_scan():
+    # The scan over all compositions of |lam| is the second route; the
+    # recursion must give the same keys in the same order.
+    for n in range(10):
+        for lam in partitions_of(n):
+            scan = [a for a in compositions_of(n) if underlying_partition(a) == lam]
+            assert list(qsym._rearrangements(lam).items()) == [(a, 1) for a in scan]
 
 
 def test_multiply_never_uses_the_polynomial_model(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import pytest
@@ -29,6 +30,35 @@ def test_every_check_sits_in_exactly_one_suite():
     for name in _CHECKS:
         assert sum(name in checks for checks in suites.values()) == 1, name
     assert SUITES["all"] == tuple(_CHECKS)
+
+
+def test_every_check_is_a_generator_function():
+    # run_check counts the yields: a check that is not a generator would
+    # fail at once with a TypeError, whatever it returns.
+    for name, fn in _CHECKS.items():
+        assert inspect.isgeneratorfunction(fn), name
+
+
+def test_a_check_that_raises_reports_zero_cases(monkeypatch):
+    real = verify.covers
+
+    def failing(beta):
+        if beta == (1, 1):
+            raise ValueError("no covers today")
+        return real(beta)
+
+    monkeypatch.setattr(verify, "covers", failing)
+    result = run_check("covers-shape", 3, 17)
+    assert (result.ok, result.cases) == (False, 0)
+    assert result.counterexample == "ValueError: no covers today"
+
+
+def test_a_note_passes_and_is_reported():
+    result = run_check("symmetric-non-uniform-scan", 5, 17)
+    assert result.ok and result.cases == 34
+    assert result.counterexample is None
+    assert result.note == "no symmetric non-uniform shapes found"
+    assert type(result.to_json()["note"]) is str
 
 
 def test_analogue_dual_route_reports_disagreement(monkeypatch):
