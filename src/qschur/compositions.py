@@ -26,10 +26,13 @@ which L_C is analogous; both list covers by ascending (row, column) of the
 added cell, at most one per column.  Saturated chains of either order encode
 standard fillings, and one depth-first walk, ``_chains``, lists them.
 :func:`chain_descents` counts chains of L_C by descent composition without
-listing them, walking up :func:`covers` or down :func:`down_covers`: the
-engine behind products (up from the inner shape) and skew quasi-Schur
-functions (down from the outer shape, which bounds the walk without a
-down-set).
+listing them, walking up :func:`covers` or down :func:`down_covers` one
+level at a time and handing back every end of the walk: the engine behind
+products (up from the inner shape) and the S-basis coproduct (down from
+the outer shape, which bounds the walk without a down-set).  A single
+skew quasi-Schur function wants one end only; ``qsym`` tallies it by a
+recursion down :func:`down_covers` memoized per inner shape, and the tests
+pin that recursion to both directions of this walk.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from functools import cache
 
 from .compositions import (
     Composition,
+    _down_covers,
     canonical_key,
     chain_descents,
     compositions_of,
@@ -239,8 +240,11 @@ def let_variables_commute(p: TruncatedPolynomial) -> TruncatedPolynomial:
 
 
 def qs_schur(alpha: Composition) -> GradedElement:
-    """The quasi-Schur function of ``alpha`` in the fundamental basis, read
-    off the memo of :func:`skew_qs_schur`.  Raises ``ValueError`` when
+    """The quasi-Schur function of ``alpha`` in the fundamental basis: the
+    skew function over ``()``, read off the memo of :func:`skew_qs_schur`.
+    Its chains end at ``()``, so every quasi-Schur function shares the
+    tables of ``_chains_down`` with every other: the leads of one peel
+    tally each composition below them once.  Raises ``ValueError`` when
     ``alpha`` is not a composition."""
     require_composition(alpha)
     return _skew_qs_schur(alpha, ())
@@ -249,11 +253,14 @@ def qs_schur(alpha: Composition) -> GradedElement:
 def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """Fundamental-basis expansion over standard fillings of gamma over beta:
     one L term per saturated chain from beta up to gamma, at the chain's
-    descent composition.  One walk down from ``gamma``
-    (:func:`~qschur.compositions.chain_descents` with ``down=True``) tallies
-    the chains to every composition |gamma| - |beta| levels below, and the
-    skew function is ``beta``'s tally, so no down-set and no order check
-    is built.
+    descent composition.  The chains are tallied down from ``gamma`` by
+    ``_chains_down``, a recursion memoized on (composition, ``beta``), so
+    no down-set and no order check is built, and every skew function with
+    inner shape ``beta`` reuses the tables of the compositions below its
+    outer shape.  A walk deeper than ``_DEEPEST`` levels, which only thin
+    shapes can finish, goes one level at a time instead
+    (:func:`~qschur.compositions.chain_descents` with ``down=True``), so the
+    recursion stays within Python's stack.
 
     Zero when ``beta`` is not below ``gamma`` in the cover order; raises
     ``ValueError`` when either is not a composition, checked before the
@@ -264,14 +271,51 @@ def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     return _skew_qs_schur(gamma, beta)
 
 
+# Levels that ``_chains_down`` may recurse through: each costs two frames
+# (the function and its cache), well inside Python's default limit of 1,000.
+_DEEPEST = 200
+
+
 @cache
 def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """:func:`skew_qs_schur` on checked compositions, memoized."""
     levels = sum(gamma) - sum(beta)
     if levels < 0:
         return zero("QSym", "L")
-    tally = chain_descents(gamma, levels, down=True).get(beta, {})
+    if levels > _DEEPEST:
+        tally = chain_descents(gamma, levels, down=True).get(beta, {})
+    else:
+        tally = ((tau, n) for (_, tau), n in _chains_down(gamma, beta).items())
     return GradedElement("QSym", "L", tally)
+
+
+@cache
+def _chains_down(comp: Composition, beta: Composition) -> dict:
+    """The saturated chains from ``comp`` down to ``beta``, counted by the
+    column of the first cell removed and the descent composition:
+    ``{(column, tau): chains}``, empty when ``beta`` is not below ``comp``.
+
+    Read as a standard filling, a chain gives the cells it removes the
+    entries 1, 2, ... in order, and i is a descent when the cell removed at
+    step i + 1 lies weakly right of the one removed at step i.  So a chain
+    that removes the cell at column j and goes on down a chain of the child
+    whose first removal is at column k opens a new run when k >= j, and
+    otherwise lengthens the child's first run: each table follows from the
+    tables of the down covers.  Memoized, a composition's table is built
+    once for all the outer shapes above it, which the memo of
+    ``_skew_qs_schur`` alone, keyed on the pair, could not share.
+    """
+    if comp == beta:
+        return {(math.inf, ()): 1}  # no cell follows: any cell before opens a run
+    if sum(comp) <= sum(beta):
+        return {}
+    out: dict = {}
+    for child, step in _down_covers(comp):
+        j = step.column
+        for (k, tau), n in _chains_down(child, beta).items():
+            key = (j, (1,) + tau) if k >= j else (j, (tau[0] + 1,) + tau[1:])
+            out[key] = out.get(key, 0) + n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +472,10 @@ def sym_to_qsym(f: GradedElement) -> GradedElement:
 
 
 def to_polynomial(f: GradedElement, m: int) -> TruncatedPolynomial:
-    """Evaluate ``f`` at (x_1, ..., x_m, 0, 0, ...)."""
+    """Evaluate ``f`` at (x_1, ..., x_m, 0, 0, ...).  Raises ``ValueError``
+    when ``m`` is not a non-negative int (a bool is not one)."""
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be a non-negative int, got {m!r}")
     if f.ring == "Sym":
         _require_basis_indices(is_partition, f)
         if f.basis == "h":
@@ -464,8 +511,12 @@ def from_polynomial(p: TruncatedPolynomial, n: int) -> GradedElement:
     """Recover the M-basis element whose evaluation is ``p``.
 
     ``p`` must be quasisymmetric in its ``m`` variables with m at least the
-    degree; otherwise a ValueError names an offending pair of monomials.
+    degree and at least ``n``; otherwise a ValueError names an offending
+    pair of monomials or the missing variables.  Raises ``ValueError`` too
+    when ``n`` is not a non-negative int (a bool is not one).
     """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a non-negative int, got {n!r}")
     if not p.commutative:
         raise ValueError("expected a commutative polynomial")
     top = max((sum(k) for k in p.terms), default=0)

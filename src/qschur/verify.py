@@ -215,13 +215,27 @@ def _poly_sum(m: int, commutative: bool, polys) -> TruncatedPolynomial:
 
 
 def _brute_standard_count(shape: SkewShape) -> int:
+    """The standard fillings of ``shape``, counted by judging with
+    ``validate`` every filling whose rows decrease: each row takes a set of
+    the entries, largest first.  ``validate`` rejects any other filling on
+    its rows alone, so this is the count over all n! fillings."""
     cells = shape.cells
     want = "SCT" if shape.kind == COMPOSITION else "SRT"
-    count = 0
-    for perm in itertools.permutations(range(1, len(cells) + 1)):
-        if validate(make_tableau(shape, dict(zip(cells, perm)))) == want:
-            count += 1
-    return count
+    lengths = [len(list(row)) for _, row in itertools.groupby(cells, key=lambda c: c[0])]
+
+    def fillings(entries: list[int], k: int):  # rows k onward, in cell order
+        if k == len(lengths):
+            yield ()
+            return
+        for chosen in itertools.combinations(entries, lengths[k]):
+            rest = [x for x in entries if x not in chosen]
+            for tail in fillings(rest, k + 1):
+                yield chosen[::-1] + tail
+
+    return sum(
+        validate(make_tableau(shape, dict(zip(cells, entries)))) == want
+        for entries in fillings(list(range(1, len(cells) + 1)), 0)
+    )
 
 
 def _exact_rank(rows: list[dict]) -> int:
@@ -300,7 +314,7 @@ def _check_non_lattice(d: int, rng: random.Random) -> Sweep:
         return f"expected >= 2 maximal common lower bounds, found {maximal}"
 
 
-@_register("chain-count-matches-brute-force", "poset", cap=6)
+@_register("chain-count-matches-brute-force", "poset", cap=7)
 def _check_chain_counts(d: int, rng: random.Random) -> Sweep:
     for gamma in _comps_upto(d):
         for beta in _comps_upto(sum(gamma)):

@@ -23,6 +23,7 @@ from qschur.compositions import (
     underlying_partition,
     weak_compositions,
 )
+from qschur.qsym import skew_qs_schur
 from qschur.tableaux import chain_to_tableau
 
 from oracles import brute_sct, chains_above, leq_by_covers
@@ -165,7 +166,8 @@ def test_order_witnesses(beta, gamma, expected):
 def test_chain_descents_down_match_the_walk_up():
     """Every pair (beta, gamma) through weight 8: the walk down from gamma
     reaches beta exactly when beta <= gamma, with the tally the walk up from
-    beta gives gamma."""
+    beta gives gamma, and the memoized recursion behind ``skew_qs_schur``
+    gives that tally too, related pair or not."""
     up = {
         (beta, levels): chain_descents(beta, levels)
         for beta in comps_upto(8)
@@ -177,6 +179,7 @@ def test_chain_descents_down_match_the_walk_up():
             for beta in compositions_of(sum(gamma) - levels):
                 assert (beta in down) == leq_by_covers(beta, gamma)
                 assert down.get(beta) == up[beta, levels].get(gamma)
+                assert skew_qs_schur(gamma, beta).terms == (down.get(beta) or {})
 
 
 def test_leq_reflexive_and_weight_monotone():

@@ -16,7 +16,7 @@ public function checks its arguments and then reads its ``_name`` memo.
 ``PUBLIC_MEMOS`` names the one exception, ``enumerate_standard``, whose
 only argument is a ``SkewShape`` that validates itself when built.
 
-Each of the five caches stays because a ``verify`` pass rereads it.  A
+Five of the six caches stay because a ``verify`` pass rereads them.  A
 degree-5 ``verify all`` pass in a fresh process took 0.99 s at the
 median of 7 interleaved runs, and with one memo unwrapped in every
 module that binds it: 1.44 s without ``_skew_qs_schur`` (the chain walk
@@ -29,11 +29,21 @@ size and by shape, compositions by size, semistandard fillings by shape)
 are gone: lifting M_(8) built and kept all 545,835 set compositions of 8
 to return one term.
 
+The sixth, ``_chains_down`` (the chain tallies from each composition down
+to an inner shape), stays for the cold requests, not for that pass.  Seven
+interleaved degree-5 passes took 0.74-0.86 s with it and 0.74-0.81 s with
+it unwrapped, since below degree 6 few chains pass through a composition.
+But 400 cold ``skew --basis S`` requests of degree 8 (the benchmark's
+inputs at seed 17, skew function and peel into S, caches cleared before
+each) took 248-311 us each with it and 679-1,100 us without: unwrapped,
+the recursion recomputes a composition's table once per chain reaching
+it, and the leads of one peel share nothing.
+
 The accumulation scan lists every function that adds into a dict by hand,
 reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
 ``qsym._accumulate`` and ``qsym.linear``; the other names in
-``ACCUMULATORS`` are the chain walk and the peel, hot loops kept as they
-are.
+``ACCUMULATORS`` are the chain walk, the chain recursion and the peel, hot
+loops kept as they are.
 
 The private-helper scan fails on a module-level, undecorated ``_name``
 function in the package that nothing else in the package references: a
@@ -54,6 +64,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CACHES = {
     "applications._rect_census",
+    "qsym._chains_down",
     "qsym._schur_in_monomial",
     "qsym._skew_qs_schur",
     "tableaux._skew_shape",
@@ -63,6 +74,7 @@ CACHES = {
 ACCUMULATORS = {
     "compositions.chain_descents",
     "qsym._accumulate",
+    "qsym._chains_down",
     "qsym._peel",
 }
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur import compositions, qsym
+from qschur import qsym
 from qschur.compositions import (
     compositions_of,
     leq,
@@ -296,14 +296,15 @@ def test_skew_quasi_schur_walks_down_without_a_down_set(monkeypatch):
     asks for the down covers of a fixed number of compositions, one per
     composition on the levels above the inner shape."""
     calls = []
-    real_down_covers = compositions._down_covers
+    real_down_covers = qsym._down_covers
 
     def counting_down_covers(gamma):
         calls.append(gamma)
         return real_down_covers(gamma)
 
     qsym._skew_qs_schur.cache_clear()
-    monkeypatch.setattr(compositions, "_down_covers", counting_down_covers)
+    qsym._chains_down.cache_clear()
+    monkeypatch.setattr(qsym, "_down_covers", counting_down_covers)
     assert skew_qs_schur((2, 3, 1, 2), (1,)).terms == {(1, 2, 2, 1, 1): 1, (2, 3, 1, 1): 1}
     assert len(calls) == 8
     # One cell apart: a single level, so the outer shape alone is asked,
@@ -314,6 +315,20 @@ def test_skew_quasi_schur_walks_down_without_a_down_set(monkeypatch):
         calls.clear()
         assert skew_qs_schur(outer, inner).terms == terms
         assert calls == [outer]
+
+
+def test_deep_skews_walk_level_by_level(monkeypatch):
+    """A skew more levels deep than the memoized recursion may go walks one
+    level at a time, with the answers the recursion gives: thin shapes
+    deeper than Python's stack still finish."""
+    assert qs_schur((1000,)).terms == {(1000,): 1}
+    assert qs_schur((1,) * 600).terms == {(1,) * 600: 1}
+    assert skew_qs_schur((400,), (50,)).terms == {(350,): 1}
+    pairs = [((2, 3, 1, 2), (1,)), ((3, 1, 2, 2), ()), ((2, 2, 3), (2, 1)), ((1, 3), (2,))]
+    recursed = [skew_qs_schur(gamma, beta) for gamma, beta in pairs]
+    monkeypatch.setattr(qsym, "_DEEPEST", 1)
+    qsym._skew_qs_schur.cache_clear()
+    assert [skew_qs_schur(gamma, beta) for gamma, beta in pairs] == recursed
 
 
 @pytest.mark.parametrize(
@@ -447,6 +462,16 @@ def test_from_polynomial_requires_enough_variables():
     p = commutative_monomial(1, (2,))
     with pytest.raises(ValueError, match="variables"):
         from_polynomial(p, 2)
+
+
+@pytest.mark.parametrize("count", [-1, True, False, 2.0, 2.5, "2"], ids=repr)
+def test_polynomial_variable_counts_must_be_non_negative_ints(count):
+    """Both directions refuse a count that is not a non-negative int: the
+    sign used to give an empty polynomial, a bool to be read as 0 or 1."""
+    with pytest.raises(ValueError, match="non-negative int"):
+        to_polynomial(qs_schur((2, 1)), count)
+    with pytest.raises(ValueError, match="non-negative int"):
+        from_polynomial(commutative_monomial(3, (2, 1, 0)), count)
 
 
 composition_lists = st.lists(
