@@ -25,19 +25,19 @@ Beside it sits ``_young_covers``, the cover rule of Young's lattice, to
 which L_C is analogous; both list covers by ascending (row, column) of the
 added cell, at most one per column.  Saturated chains of either order encode
 standard fillings, and one depth-first walk, ``_chains``, lists them.
-:func:`chain_descents` counts chains of L_C by descent composition without
-listing them, walking up :func:`covers` or down :func:`down_covers` one
-level at a time and handing back every end of the walk: the engine behind
-products (up from the inner shape) and the S-basis coproduct (down from
-the outer shape, which bounds the walk without a down-set).  A single
-skew quasi-Schur function wants one end only; ``qsym`` tallies it by a
-recursion down :func:`down_covers` memoized per inner shape, and the tests
-pin that recursion to both directions of this walk.
+Chains of L_C are counted by descent composition without listing them,
+in one table per composition: its chains down to a fixed inner shape by
+(column of the first cell removed, descent composition).  Only
+``_extend_chains``, the descent rule, builds tables: :func:`chain_descents`
+pushes them up :func:`covers` for products, and ``qsym`` pulls them down
+:func:`down_covers` by a recursion memoized per inner shape for skews and
+the S-basis coproduct.  ``_levels`` lists the compositions k moves away.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, NamedTuple
 
 Composition = tuple[int, ...]
@@ -305,56 +305,59 @@ def _chains(beta: Composition, gamma: Composition, up) -> tuple[tuple[ChainStep,
 
 
 def chain_descents(
-    start: Composition, levels: int, *, down: bool = False
+    start: Composition, levels: int
 ) -> dict[Composition, dict[Composition, int]]:
-    """Saturated chains of ``levels`` covers from ``start``, counted by
-    their other end and their descent composition: ``{end: {tau: chains}}``.
+    """Saturated chains of ``levels`` covers up from ``start``, counted by
+    their top end and their descent composition: ``{end: {tau: chains}}``.
 
-    Up (the default), a chain grows ``start`` along :func:`covers`;
-    ``down=True``, it shrinks ``start`` along :func:`down_covers`, and its
-    ends are the compositions ``levels`` below.  Read as a standard
-    composition filling, a chain puts its largest entry in the last cell
-    added, and i is a descent when i + 1 sits weakly right of i.  Down, the
-    cells removed take the entries 1, 2, ... in order, so i is a descent
-    when the cell removed at step i + 1 lies weakly right of the one
-    removed at step i; up, the cell added at step t takes entry
-    ``levels - t + 1`` and the comparison runs the other way.  The walk
-    goes one level at a time over states (composition, column of the last
-    cell moved, descent composition so far) and adds up chain counts, so
-    no chain is listed.  Raises ``ValueError`` when ``start`` is not a
-    composition or ``levels`` is not a non-negative int.
+    The walk goes up :func:`covers` one level at a time, keeping each
+    composition's table of chains down to ``start`` (``_extend_chains``):
+    a cover's table sums its children's, each lengthened by the cell the
+    cover adds.  Raises ``ValueError`` when ``start`` is not a composition
+    or ``levels`` is not a non-negative int.
     """
     require_composition(start)
     if not (type(levels) is int and levels >= 0):
         raise ValueError(f"{levels!r} is not a non-negative int")
-    # Columns are stored signed so that one test, ``key >= last``, reads a
-    # descent both ways: down, column >= last column; up, last >= column.
-    moves_of, sign = (_down_covers, 1) if down else (_covers, -1)
-    states: dict = {(start, 0, ()): 1}
-    moves: dict = {}  # composition -> (next composition, signed column)
+    tables: dict = {start: {(math.inf, ()): 1}}
     for _ in range(levels):
         grown: dict = {}
-        for (comp, last, runs), count in states.items():
-            if comp not in moves:
-                moves[comp] = [
-                    (nxt, sign * step.column) for nxt, step in moves_of(comp)
-                ]
-            for nxt, key in moves[comp]:
-                if not runs:
-                    grown_runs = (1,)
-                elif key >= last:  # a descent: start a new part
-                    grown_runs = runs + (1,)
-                else:
-                    grown_runs = runs[:-1] + (runs[-1] + 1,)
-                state = (nxt, key, grown_runs)
-                grown[state] = grown.get(state, 0) + count
-        states = grown
+        for comp, table in tables.items():
+            for bigger, step in _covers(comp):
+                _extend_chains(table, step.column, grown.setdefault(bigger, {}))
+        tables = grown
     out: dict = {}
-    for (end, _, runs), count in states.items():
-        tally = out.setdefault(end, {})
-        tau = runs if down else runs[::-1]  # up, runs go from the top entry down
-        tally[tau] = tally.get(tau, 0) + count
+    for end, table in tables.items():
+        tally = out[end] = {}
+        for (_, tau), count in table.items():
+            tally[tau] = tally.get(tau, 0) + count
     return out
+
+
+def _extend_chains(table: dict, column: int, into: dict) -> None:
+    """Add to ``into`` the chains of ``table`` with one cell at ``column``
+    removed before them: the one statement of the descent rule.
+
+    A table counts the saturated chains from a composition down to a fixed
+    inner shape, ``{(column of the first cell removed, tau): chains}``; the
+    inner shape's own table is ``{(inf, ()): 1}``.  Read as a standard
+    filling, a chain gives the cells it removes the entries 1, 2, ... in
+    order, and i is a descent when i + 1 sits weakly right of i.  So the
+    new cell opens a run when the chain's first removal at column k has
+    k >= ``column``, and otherwise lengthens its first run.
+    """
+    for (k, tau), n in table.items():
+        key = (column, (1,) + tau) if k >= column else (column, (tau[0] + 1,) + tau[1:])
+        into[key] = into.get(key, 0) + n
+
+
+def _levels(start: Composition, depth: int, moves) -> list[list[Composition]]:
+    """The compositions 0, 1, ..., ``depth`` steps of ``moves`` (``_covers``
+    or ``_down_covers``) from ``start``, one list per level."""
+    levels = [[start]]
+    for _ in range(depth):
+        levels.append(list(dict.fromkeys(c for comp in levels[-1] for c, _ in moves(comp))))
+    return levels
 
 
 def apply_step(beta: Composition, step: ChainStep) -> Composition:

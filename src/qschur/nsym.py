@@ -3,19 +3,20 @@
 The paper's central duality computes the products: the coefficient of
 S*_gamma in S*_alpha S*_beta equals the coefficient of the quasi-Schur
 function S_alpha in the skew quasi-Schur function S_{gamma//beta}.  One
-walk over saturated chains up from beta
-(:func:`~qschur.compositions.chain_descents`) tallies every
-S_{gamma//beta} in the fundamental basis, tally_gamma[tau] chains at
-L_tau.  With v_alpha[tau] the coefficient of S_alpha in L_tau, one column
-of the inverse of the unitriangular S-to-L change, the product
-coefficient is the sum of tally_gamma[tau] * v_alpha[tau]: a product peels
-each L_tau once, however many gamma share it.  A single coefficient
+walk up from beta (:func:`~qschur.compositions.chain_descents`) pushes the
+chain tables of each level to the next and tallies every S_{gamma//beta}
+in the fundamental basis, tally_gamma[tau] chains at L_tau.  With
+v_alpha[tau] the coefficient of S_alpha in L_tau, one column of the
+inverse of the unitriangular S-to-L change, the product coefficient is the
+sum of tally_gamma[tau] * v_alpha[tau]: a product peels each L_tau once,
+however many gamma share it.  A single coefficient
 (:func:`lr_coeff`) peels its one skew function into S instead.  The
 forgetful map onto symmetric functions and the classical
 Littlewood-Richardson coefficients, which the products refine, live here
 too.  A classical coefficient is a quasi-Schur one on shapes padded by one
 column (:func:`classical_lr`), so it comes from the same down walk and
-peel as :func:`lr_coeff`, and no tableau is inserted.
+peel as :func:`lr_coeff`, and no tableau is inserted.  The strip report
+lists the shapes n levels above beta without counting their chains.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass
 
 from .compositions import (
     Composition,
+    _covers,
+    _levels,
     canonical_key,
     chain_descents,
     is_composition,
@@ -140,7 +143,7 @@ def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
     product = pieri(kind, n, beta)
     which = 0 if kind == "row" else 1
     predicted = []
-    for gamma in chain_descents(beta, n):
+    for gamma in _levels(beta, n, _covers)[-1]:
         if strip_kind(skew_shape(COMPOSITION, gamma, beta))[which]:
             predicted.append(gamma)
     predicted.sort(key=canonical_key)

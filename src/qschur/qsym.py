@@ -34,11 +34,13 @@ from functools import cache
 from .compositions import (
     Composition,
     _down_covers,
+    _extend_chains,
+    _levels,
     canonical_key,
-    chain_descents,
     compositions_of,
     is_composition,
     is_partition,
+    is_weak_composition,
     require_composition,
     strong,
     underlying_partition,
@@ -185,14 +187,29 @@ def zero(ring: str, basis: str) -> GradedElement:
 
 
 class TruncatedPolynomial(_Combination):
-    """A polynomial in x_1..x_m, commutative or word-valued."""
+    """A polynomial in x_1..x_m, commutative or word-valued.  Raises
+    ``ValueError`` unless ``m`` is a non-negative int (a bool is not one)
+    and every monomial fits m variables: an exponent vector of m
+    non-negative ints, or a word of ints in 1..m."""
 
     __slots__ = ("m", "commutative")
 
     def __init__(self, m: int, commutative: bool, terms=()):
+        if type(m) is not int or m < 0:
+            raise ValueError(f"m must be a non-negative int, got {m!r}")
         self.m = m
         self.commutative = commutative
         super().__init__(terms)
+        for mono in self.terms:
+            if not (
+                isinstance(mono, tuple)
+                and (
+                    len(mono) == m and is_weak_composition(mono)
+                    if commutative
+                    else all(type(x) is int and 0 < x <= m for x in mono)
+                )
+            ):
+                raise ValueError(f"{mono!r} is not a monomial in {m} variables")
 
     def _space(self) -> tuple:
         return self.m, self.commutative
@@ -258,9 +275,9 @@ def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     no down-set and no order check is built, and every skew function with
     inner shape ``beta`` reuses the tables of the compositions below its
     outer shape.  A walk deeper than ``_DEEPEST`` levels, which only thin
-    shapes can finish, goes one level at a time instead
-    (:func:`~qschur.compositions.chain_descents` with ``down=True``), so the
-    recursion stays within Python's stack.
+    shapes can finish, fills those tables bottom-up over the levels below
+    ``gamma`` first, so each call recurses one level and the recursion
+    stays within Python's stack.
 
     Zero when ``beta`` is not below ``gamma`` in the cover order; raises
     ``ValueError`` when either is not a composition, checked before the
@@ -280,12 +297,11 @@ _DEEPEST = 200
 def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """:func:`skew_qs_schur` on checked compositions, memoized."""
     levels = sum(gamma) - sum(beta)
-    if levels < 0:
-        return zero("QSym", "L")
     if levels > _DEEPEST:
-        tally = chain_descents(gamma, levels, down=True).get(beta, {})
-    else:
-        tally = ((tau, n) for (_, tau), n in _chains_down(gamma, beta).items())
+        for level in reversed(_levels(gamma, levels, _down_covers)):
+            for comp in level:
+                _chains_down(comp, beta)
+    tally = ((tau, n) for (_, tau), n in _chains_down(gamma, beta).items())
     return GradedElement("QSym", "L", tally)
 
 
@@ -295,26 +311,17 @@ def _chains_down(comp: Composition, beta: Composition) -> dict:
     column of the first cell removed and the descent composition:
     ``{(column, tau): chains}``, empty when ``beta`` is not below ``comp``.
 
-    Read as a standard filling, a chain gives the cells it removes the
-    entries 1, 2, ... in order, and i is a descent when the cell removed at
-    step i + 1 lies weakly right of the one removed at step i.  So a chain
-    that removes the cell at column j and goes on down a chain of the child
-    whose first removal is at column k opens a new run when k >= j, and
-    otherwise lengthens the child's first run: each table follows from the
-    tables of the down covers.  Memoized, a composition's table is built
-    once for all the outer shapes above it, which the memo of
-    ``_skew_qs_schur`` alone, keyed on the pair, could not share.
+    Each down cover's table, lengthened by the cell it removes
+    (``_extend_chains``), adds into this one.  Memoized, a composition's
+    table is built once for all the outer shapes above it, which the memo
+    of ``_skew_qs_schur`` alone, keyed on the pair, could not share.
     """
     if comp == beta:
         return {(math.inf, ()): 1}  # no cell follows: any cell before opens a run
-    if sum(comp) <= sum(beta):
-        return {}
     out: dict = {}
-    for child, step in _down_covers(comp):
-        j = step.column
-        for (k, tau), n in _chains_down(child, beta).items():
-            key = (j, (1,) + tau) if k >= j else (j, (tau[0] + 1,) + tau[1:])
-            out[key] = out.get(key, 0) + n
+    if sum(comp) > sum(beta):
+        for child, step in _down_covers(comp):
+            _extend_chains(_chains_down(child, beta), step.column, out)
     return out
 
 
@@ -636,12 +643,11 @@ def coproduct(f: GradedElement) -> dict:
 
     Supports the QSym bases: deconcatenations for M, deconcatenations plus
     near-deconcatenations for L, and for S the skew expansions over every
-    composition beta below each index alpha, beta in canonical order.  Each
-    level k of a down walk from alpha
-    (:func:`~qschur.compositions.chain_descents` with ``down=True``) lists
-    the beta k cells below it with S_{alpha//beta} as their tallies, so no
-    order test runs and each tally is peeled into S once.  Raises
-    ``ValueError`` on an index that is not a composition.
+    composition beta below each index alpha, beta in canonical order.  The
+    beta are the levels of one down walk from alpha, so no order test runs,
+    and each S_{alpha//beta} is read from :func:`skew_qs_schur`, whose
+    tables for one beta serve every alpha above it, and peeled into S once.
+    Raises ``ValueError`` on an index that is not a composition.
     """
     if f.ring != "QSym":
         raise ValueError("coproduct implemented on QSym")
@@ -650,10 +656,9 @@ def coproduct(f: GradedElement) -> dict:
     def split(alpha) -> dict:
         if f.basis == "S":
             out = {}
-            for k in range(sum(alpha), -1, -1):
-                level = chain_descents(alpha, k, down=True)
+            for level in reversed(_levels(alpha, sum(alpha), _down_covers)):
                 for beta in sorted(level, key=canonical_key):
-                    for idx, c in _l_to_s(level[beta]).items():
+                    for idx, c in _l_to_s(_skew_qs_schur(alpha, beta).terms).items():
                         out[idx, beta] = c
             return out
         cuts = _deconcatenations(alpha)

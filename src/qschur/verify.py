@@ -467,21 +467,33 @@ def _check_counit(d: int, rng: random.Random) -> Sweep:
                 return f"counit fails for {basis}_{alpha}"
 
 
-@_register("coproduct-coassociative", "bases", cap=6)
+def _coassociative(basis: str, alpha: Composition) -> bool:
+    delta = coproduct(basis_element("QSym", basis, alpha))
+    lhs = []
+    rhs = []
+    for (a, b), c in delta.items():
+        for (x, y), c2 in coproduct(basis_element("QSym", basis, a)).items():
+            lhs.append(((x, y, b), c * c2))
+        for (x, y), c2 in coproduct(basis_element("QSym", basis, b)).items():
+            rhs.append(((a, x, y), c * c2))
+    return _accumulate(lhs) == _accumulate(rhs)
+
+
+@_register("coproduct-coassociative", "bases", cap=7)
 def _check_coassociativity(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
         for basis in ("M", "L"):
             yield
-            delta = coproduct(basis_element("QSym", basis, alpha))
-            lhs = []
-            rhs = []
-            for (a, b), c in delta.items():
-                for (x, y), c2 in coproduct(basis_element("QSym", basis, a)).items():
-                    lhs.append(((x, y, b), c * c2))
-                for (x, y), c2 in coproduct(basis_element("QSym", basis, b)).items():
-                    rhs.append(((a, x, y), c * c2))
-            if _accumulate(lhs) != _accumulate(rhs):
+            if not _coassociative(basis, alpha):
                 return f"coassociativity fails for {basis}_{alpha}"
+
+
+@_register("schur-coproduct-coassociative", "bases")
+def _check_schur_coassociativity(d: int, rng: random.Random) -> Sweep:
+    for alpha in _comps_upto(d):
+        yield
+        if not _coassociative("S", alpha):
+            return f"coassociativity fails for S_{alpha}"
 
 
 @_register("coproduct-multiplicative", "bases", cap=3)
@@ -609,7 +621,7 @@ def _check_product_by_peel(d: int, rng: random.Random) -> Sweep:
 # products
 
 
-@_register("forgetful-algebra-map", "products", cap=6)
+@_register("forgetful-algebra-map", "products", cap=7)
 def _check_forgetful(d: int, rng: random.Random) -> Sweep:
     for alpha in _comps_upto(d):
         for beta in _comps_upto(d - sum(alpha)):
@@ -633,7 +645,7 @@ def _check_product_unit(d: int, rng: random.Random) -> Sweep:
             return f"unit fails at {beta}"
 
 
-@_register("product-associative", "products", cap=5)
+@_register("product-associative", "products", cap=7)
 def _check_product_associative(d: int, rng: random.Random) -> Sweep:
     triples = [
         (a, b, c)

@@ -29,7 +29,10 @@ from qschur.compositions import compositions_of, partitions_of
 from qschur.nsym import product_nc_schur
 from qschur.qsym import (
     GradedElement,
+    TruncatedPolynomial,
     basis_element,
+    commutative_monomial,
+    let_variables_commute,
     qs_schur,
     skew_qs_schur,
     to_polynomial,
@@ -355,6 +358,30 @@ def test_nc_monomials_reject_non_set_compositions(pi):
     if type(pi) is tuple:
         with pytest.raises(ValueError, match="does not index a basis element"):
             ncqsym_to_polynomial(GradedElement("NCQSym", "M_Pi", {pi: 1}), 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: commutative_monomial(-1, (2,)),
+        lambda: commutative_monomial(2, (2,)),
+        lambda: commutative_monomial(1, (-1,)),
+        lambda: TruncatedPolynomial(True, True, {(1,): 1}),
+        lambda: TruncatedPolynomial(2.0, False),
+        lambda: m_pi_nc(((1,),), -1),
+        lambda: m_pi_nc(((1,),), True),
+        lambda: ncqsym_to_polynomial(GradedElement("NCQSym", "M_Pi", {((1,),): 1}), -2),
+        lambda: ncqsym_to_polynomial(GradedElement("NCQSym", "M_Pi"), -2),
+        lambda: let_variables_commute(TruncatedPolynomial(1, False, {(3,): 1})),
+        lambda: TruncatedPolynomial(2, False, {(0, 1): 1}),
+    ],
+)
+def test_polynomials_check_their_variable_count_and_monomials(build):
+    """A variable count is a non-negative int and every monomial fits it:
+    a negative count used to give a silent zero, a bool to be kept as the
+    count, and a letter past m an ``IndexError`` once the letters commuted."""
+    with pytest.raises(ValueError, match="non-negative int|variables"):
+        build()
 
 
 def test_project_rejects_non_set_compositions():

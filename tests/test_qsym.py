@@ -318,9 +318,10 @@ def test_skew_quasi_schur_walks_down_without_a_down_set(monkeypatch):
 
 
 def test_deep_skews_walk_level_by_level(monkeypatch):
-    """A skew more levels deep than the memoized recursion may go walks one
-    level at a time, with the answers the recursion gives: thin shapes
-    deeper than Python's stack still finish."""
+    """A skew more levels deep than the memoized recursion may go fills its
+    tables bottom-up, one level at a time, with the answers the recursion
+    gives: thin shapes deeper than Python's stack still finish, and so does
+    a coproduct that reads such skews."""
     assert qs_schur((1000,)).terms == {(1000,): 1}
     assert qs_schur((1,) * 600).terms == {(1,) * 600: 1}
     assert skew_qs_schur((400,), (50,)).terms == {(350,): 1}
@@ -328,7 +329,12 @@ def test_deep_skews_walk_level_by_level(monkeypatch):
     recursed = [skew_qs_schur(gamma, beta) for gamma, beta in pairs]
     monkeypatch.setattr(qsym, "_DEEPEST", 1)
     qsym._skew_qs_schur.cache_clear()
+    qsym._chains_down.cache_clear()
     assert [skew_qs_schur(gamma, beta) for gamma, beta in pairs] == recursed
+    monkeypatch.undo()
+    # the sum of S_(250-k) (x) S_(k); the 50 skews with k < 50 are deeper than _DEEPEST
+    expected = {((250 - k,) if k < 250 else (), (k,) if k else ()): 1 for k in range(251)}
+    assert coproduct(basis_element("QSym", "S", (250,))) == expected
 
 
 @pytest.mark.parametrize(
