@@ -11,15 +11,17 @@ from ``beta``:
 * for each distinct part size ``k`` appearing in ``beta``, increment the
   *first* (leftmost) part of size ``k`` to ``k + 1``.
 
-:func:`covers` is the one statement of this rule: every chain walk, every
-applied step and every tableau grown from a chain reads its moves off it,
-and :func:`down_covers` is its inverse.  The order itself has a closed
-form, as containment does in Young's lattice: ``_leq`` asks that ``beta``
-fit bottom-aligned in ``gamma`` with no row growing past a row above it
-that started at least as long, and both :func:`leq` and
-:func:`interval_chains` use it, so no function here keeps a cache.  The
-public poset functions raise ``ValueError`` on an argument that is not a
-composition.
+``_up_cells`` is the one statement of this rule, and ``_down_cells`` of
+its inverse: each lists the covers with the (row, column) of the cell
+moved.  The chain walks read these cells; :func:`covers`,
+:func:`down_covers` and the code that records chains (every applied step
+and every tableau grown from a chain) wrap each cell as a
+:class:`ChainStep`.  The order itself has a closed form, as containment
+does in Young's lattice: ``_leq`` asks that ``beta`` fit bottom-aligned in
+``gamma`` with no row growing past a row above it that started at least as
+long, and both :func:`leq` and :func:`interval_chains` use it, so no
+function here keeps a cache.  The public poset functions raise
+``ValueError`` on an argument that is not a composition.
 
 Beside it sits ``_young_covers``, the cover rule of Young's lattice, to
 which L_C is analogous; both list covers by ascending (row, column) of the
@@ -27,11 +29,13 @@ added cell, at most one per column.  Saturated chains of either order encode
 standard fillings, and one depth-first walk, ``_chains``, lists them.
 Chains of L_C are counted by descent composition without listing them,
 in one table per composition: its chains down to a fixed inner shape by
-(column of the first cell removed, descent composition).  Only
-``_extend_chains``, the descent rule, builds tables: :func:`chain_descents`
-pushes them up :func:`covers` for products, and ``qsym`` pulls them down
-:func:`down_covers` by a recursion memoized per inner shape for skews and
-the S-basis coproduct.  ``_levels`` lists the compositions k moves away.
+(column of the first cell removed, descent set), the set an int mask.
+Only ``_extend_chains``, the descent rule, builds tables: ``_chain_tables``
+pushes them up the up cells for products and :func:`chain_descents`, and
+``qsym`` pulls them down the down cells by a recursion memoized per inner
+shape for skews and the S-basis coproduct.  A mask becomes a composition
+(``_comp_of_mask``) only where a tally leaves the walk.  ``_levels`` lists
+the compositions k moves away.
 """
 
 from __future__ import annotations
@@ -113,6 +117,26 @@ def comp_of_set(subset: frozenset[int] | set[int], n: int) -> Composition:
     return tuple(points[i + 1] - points[i] for i in range(len(points) - 1))
 
 
+def _comp_of_mask(mask: int) -> Composition:
+    """The descent composition of a chain table's mask (``_extend_chains``).
+
+    A chain of n cells has a mask of n + 1 bits: the sentinel 1 on top, and
+    below it bit i - 1 set when entry i of its filling ends a run, that is
+    when i is a descent or i = n.  So ``set_of(tau)`` is the i < n whose bit
+    i - 1 is set, and the masks of chains of n cells, one per composition
+    of n, are those of [2^n, 2^(n+1)) with bit n - 1 set.
+    """
+    parts = []
+    run = 0
+    while mask > 1:
+        run += 1
+        if mask & 1:
+            parts.append(run)
+            run = 0
+        mask >>= 1
+    return tuple(parts)
+
+
 def refines(beta: tuple[int, ...], alpha: Composition) -> bool:
     """True if weak composition ``beta`` refines ``alpha``.
 
@@ -174,18 +198,27 @@ def covers(beta: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
 
 
 def _covers(beta: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
-    """:func:`covers` without the argument check, for walks that already
-    made it."""
-    out: list[tuple[Composition, ChainStep]] = [
-        ((1,) + beta, PREPEND)
-    ]
+    """:func:`covers` without the argument check, for the code that records
+    chains: ``_up_cells`` with each cell wrapped as a :class:`ChainStep`."""
+    return tuple((gamma, _step(row, column)) for gamma, row, column in _up_cells(beta))
+
+
+def _up_cells(beta: Composition) -> list[tuple[Composition, int, int]]:
+    """The one statement of the up cover rule: each cover of ``beta`` with
+    the (row, column) of the cell it adds, in :func:`covers` order.  The
+    walks that tally chains read these cells and build no step."""
+    out = [((1,) + beta, 1, 1)]
     seen: set[int] = set()
     for r, part in enumerate(beta):
         if part not in seen:
             seen.add(part)
-            gamma = beta[:r] + (part + 1,) + beta[r + 1 :]
-            out.append((gamma, ChainStep("extend-row", r + 1, part + 1)))
-    return tuple(out)
+            out.append((beta[:r] + (part + 1,) + beta[r + 1 :], r + 1, part + 1))
+    return out
+
+
+def _step(row: int, column: int) -> ChainStep:
+    """The step of an L_C cover cell: only the prepend move adds column 1."""
+    return PREPEND if column == 1 else ChainStep("extend-row", row, column)
 
 
 def _young_covers(lam: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
@@ -212,17 +245,24 @@ def down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]
 
 
 def _down_covers(gamma: Composition) -> tuple[tuple[Composition, ChainStep], ...]:
-    """:func:`down_covers` without the argument check, for the down walks."""
-    out: list[tuple[Composition, ChainStep]] = []
+    """:func:`down_covers` without the argument check: ``_down_cells`` with
+    each cell wrapped as a :class:`ChainStep`."""
+    return tuple((beta, _step(row, column)) for beta, row, column in _down_cells(gamma))
+
+
+def _down_cells(gamma: Composition) -> list[tuple[Composition, int, int]]:
+    """The one statement of the down cover rule: each composition ``gamma``
+    covers, with the (row, column) of the cell removed, in
+    :func:`down_covers` order."""
+    out = []
     if gamma and gamma[0] == 1:
-        out.append((gamma[1:], PREPEND))
+        out.append((gamma[1:], 1, 1))
     seen: set[int] = set()  # the sizes of the rows above row r
     for r, part in enumerate(gamma):
         if part >= 2 and part - 1 not in seen:
-            beta = gamma[:r] + (part - 1,) + gamma[r + 1 :]
-            out.append((beta, ChainStep("extend-row", r + 1, part)))
+            out.append((gamma[:r] + (part - 1,) + gamma[r + 1 :], r + 1, part))
         seen.add(part)
-    return tuple(out)
+    return out
 
 
 def leq(beta: Composition, gamma: Composition) -> bool:
@@ -310,28 +350,32 @@ def chain_descents(
     """Saturated chains of ``levels`` covers up from ``start``, counted by
     their top end and their descent composition: ``{end: {tau: chains}}``.
 
-    The walk goes up :func:`covers` one level at a time, keeping each
-    composition's table of chains down to ``start`` (``_extend_chains``):
-    a cover's table sums its children's, each lengthened by the cell the
-    cover adds.  Raises ``ValueError`` when ``start`` is not a composition
-    or ``levels`` is not a non-negative int.
+    The walk (``_chain_tables``) goes up the cover cells one level at a
+    time, keeping each composition's table of chains down to ``start``
+    (``_extend_chains``): a cover's table sums its children's, each
+    lengthened by the cell the cover adds.  The tables key descent sets on
+    masks, decoded here once per descent composition.  Raises
+    ``ValueError`` when ``start`` is not a composition or ``levels`` is not
+    a non-negative int.
     """
     require_composition(start)
     if not (type(levels) is int and levels >= 0):
         raise ValueError(f"{levels!r} is not a non-negative int")
-    tables: dict = {start: {(math.inf, ()): 1}}
+    taus: dict = {}
+    return {end: _tally(table, taus) for end, table in _chain_tables(start, levels).items()}
+
+
+def _chain_tables(start: Composition, levels: int) -> dict[Composition, dict]:
+    """The chain tables ``levels`` covers up from ``start``, on masks: the
+    walk of :func:`chain_descents` before decoding, for the products."""
+    tables: dict = {start: {(math.inf, 1): 1}}
     for _ in range(levels):
         grown: dict = {}
         for comp, table in tables.items():
-            for bigger, step in _covers(comp):
-                _extend_chains(table, step.column, grown.setdefault(bigger, {}))
+            for bigger, _, column in _up_cells(comp):
+                _extend_chains(table, column, grown.setdefault(bigger, {}))
         tables = grown
-    out: dict = {}
-    for end, table in tables.items():
-        tally = out[end] = {}
-        for (_, tau), count in table.items():
-            tally[tau] = tally.get(tau, 0) + count
-    return out
+    return tables
 
 
 def _extend_chains(table: dict, column: int, into: dict) -> None:
@@ -339,24 +383,42 @@ def _extend_chains(table: dict, column: int, into: dict) -> None:
     removed before them: the one statement of the descent rule.
 
     A table counts the saturated chains from a composition down to a fixed
-    inner shape, ``{(column of the first cell removed, tau): chains}``; the
-    inner shape's own table is ``{(inf, ()): 1}``.  Read as a standard
-    filling, a chain gives the cells it removes the entries 1, 2, ... in
-    order, and i is a descent when i + 1 sits weakly right of i.  So the
-    new cell opens a run when the chain's first removal at column k has
-    k >= ``column``, and otherwise lengthens its first run.
+    inner shape, ``{(column of the first cell removed, mask): chains}``,
+    where the mask is the chain's descent set (``_comp_of_mask``); the inner
+    shape's own table is ``{(inf, 1): 1}``.  Read as a standard filling, a
+    chain gives the cells it removes the entries 1, 2, ... in order, and i
+    is a descent when i + 1 sits weakly right of i.  So the new cell, entry
+    1, opens a run when the chain's first removal at column k has k >=
+    ``column``, and otherwise lengthens its first run: the mask shifts up
+    one bit and sets the low bit for a new run.
     """
-    for (k, tau), n in table.items():
-        key = (column, (1,) + tau) if k >= column else (column, (tau[0] + 1,) + tau[1:])
+    for (k, mask), n in table.items():
+        key = (column, mask << 1 | 1) if k >= column else (column, mask << 1)
         into[key] = into.get(key, 0) + n
 
 
+def _tally(table: dict, taus: dict) -> dict[Composition, int]:
+    """A chain table's chains counted by descent composition alone, the
+    columns summed out.  ``taus`` holds the masks decoded so far, mask ->
+    tau, so that tallying many tables of one walk decodes each mask once."""
+    by_mask: dict = {}
+    for (_, mask), n in table.items():
+        by_mask[mask] = by_mask.get(mask, 0) + n
+    out = {}
+    for mask, n in by_mask.items():
+        tau = taus.get(mask)
+        if tau is None:
+            tau = taus[mask] = _comp_of_mask(mask)
+        out[tau] = n
+    return out
+
+
 def _levels(start: Composition, depth: int, moves) -> list[list[Composition]]:
-    """The compositions 0, 1, ..., ``depth`` steps of ``moves`` (``_covers``
-    or ``_down_covers``) from ``start``, one list per level."""
+    """The compositions 0, 1, ..., ``depth`` steps of ``moves`` (``_up_cells``
+    or ``_down_cells``) from ``start``, one list per level."""
     levels = [[start]]
     for _ in range(depth):
-        levels.append(list(dict.fromkeys(c for comp in levels[-1] for c, _ in moves(comp))))
+        levels.append(list(dict.fromkeys(c for comp in levels[-1] for c, _, _ in moves(comp))))
     return levels
 
 

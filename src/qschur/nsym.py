@@ -3,9 +3,10 @@
 The paper's central duality computes the products: the coefficient of
 S*_gamma in S*_alpha S*_beta equals the coefficient of the quasi-Schur
 function S_alpha in the skew quasi-Schur function S_{gamma//beta}.  One
-walk up from beta (:func:`~qschur.compositions.chain_descents`) pushes the
-chain tables of each level to the next and tallies every S_{gamma//beta}
-in the fundamental basis, tally_gamma[tau] chains at L_tau.  With
+walk up from beta (the chain tables behind
+:func:`~qschur.compositions.chain_descents`) pushes the tables of each
+level to the next and tallies every S_{gamma//beta} in the fundamental
+basis, tally_gamma[tau] chains at L_tau.  With
 v_alpha[tau] the coefficient of S_alpha in L_tau, one column of the
 inverse of the unitriangular S-to-L change, the product coefficient is the
 sum of tally_gamma[tau] * v_alpha[tau]: a product peels each L_tau once,
@@ -25,10 +26,11 @@ from dataclasses import dataclass
 
 from .compositions import (
     Composition,
-    _covers,
+    _chain_tables,
+    _comp_of_mask,
     _levels,
+    _up_cells,
     canonical_key,
-    chain_descents,
     is_composition,
     is_contained,
     is_partition,
@@ -74,18 +76,21 @@ def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
     as the dot product of gamma's tally with the column of S_alpha
     coefficients of the L_tau, each entry peeled into S the first time its
     tau turns up, so a product makes at most 2^(|alpha| - 1) peels.  The
-    walk yields compositions only, so the peels skip ``convert``'s index
-    check.  Raises ``ValueError`` when an argument is not a composition.
+    product reads the walk's tables as they are, keyed on descent masks,
+    and keys the column on them too: a mask is decoded into tau only on a
+    column miss, to be peeled.  The walk yields compositions only, so the
+    peels skip ``convert``'s index check.  Raises ``ValueError`` when an
+    argument is not a composition.
     """
     require_composition(alpha, beta)
-    column: dict[Composition, int] = {}  # tau -> coefficient of S_alpha in L_tau
+    column: dict[int, int] = {}  # mask of tau -> coefficient of S_alpha in L_tau
     terms = {}
-    for gamma, tally in chain_descents(beta, sum(alpha)).items():
+    for gamma, table in _chain_tables(beta, sum(alpha)).items():
         c = 0
-        for tau, k in tally.items():
-            v = column.get(tau)
+        for (_, mask), k in table.items():
+            v = column.get(mask)
             if v is None:
-                v = column[tau] = _l_to_s({tau: 1}).get(alpha, 0)
+                v = column[mask] = _l_to_s({_comp_of_mask(mask): 1}).get(alpha, 0)
             c += k * v
         if c:
             terms[gamma] = c
@@ -143,7 +148,7 @@ def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
     product = pieri(kind, n, beta)
     which = 0 if kind == "row" else 1
     predicted = []
-    for gamma in _levels(beta, n, _covers)[-1]:
+    for gamma in _levels(beta, n, _up_cells)[-1]:
         if strip_kind(skew_shape(COMPOSITION, gamma, beta))[which]:
             predicted.append(gamma)
     predicted.sort(key=canonical_key)

@@ -33,9 +33,10 @@ from functools import cache
 
 from .compositions import (
     Composition,
-    _down_covers,
+    _down_cells,
     _extend_chains,
     _levels,
+    _tally,
     canonical_key,
     compositions_of,
     is_composition,
@@ -298,30 +299,30 @@ def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """:func:`skew_qs_schur` on checked compositions, memoized."""
     levels = sum(gamma) - sum(beta)
     if levels > _DEEPEST:
-        for level in reversed(_levels(gamma, levels, _down_covers)):
+        for level in reversed(_levels(gamma, levels, _down_cells)):
             for comp in level:
                 _chains_down(comp, beta)
-    tally = ((tau, n) for (_, tau), n in _chains_down(gamma, beta).items())
-    return GradedElement("QSym", "L", tally)
+    return GradedElement("QSym", "L", _tally(_chains_down(gamma, beta), {}))
 
 
 @cache
 def _chains_down(comp: Composition, beta: Composition) -> dict:
     """The saturated chains from ``comp`` down to ``beta``, counted by the
-    column of the first cell removed and the descent composition:
-    ``{(column, tau): chains}``, empty when ``beta`` is not below ``comp``.
+    column of the first cell removed and the descent set as a mask:
+    ``{(column, mask): chains}``, empty when ``beta`` is not below ``comp``.
 
     Each down cover's table, lengthened by the cell it removes
-    (``_extend_chains``), adds into this one.  Memoized, a composition's
+    (``_extend_chains``, which reads only the cell's column off
+    ``_down_cells``), adds into this one.  Memoized, a composition's
     table is built once for all the outer shapes above it, which the memo
     of ``_skew_qs_schur`` alone, keyed on the pair, could not share.
     """
     if comp == beta:
-        return {(math.inf, ()): 1}  # no cell follows: any cell before opens a run
+        return {(math.inf, 1): 1}  # no cell follows: any cell before opens a run
     out: dict = {}
     if sum(comp) > sum(beta):
-        for child, step in _down_covers(comp):
-            _extend_chains(_chains_down(child, beta), step.column, out)
+        for child, _, column in _down_cells(comp):
+            _extend_chains(_chains_down(child, beta), column, out)
     return out
 
 
@@ -361,7 +362,10 @@ def _peel(terms: dict, key, expansion) -> dict:
 
     ``expansion(i)`` must hold ``i`` with coefficient 1 and otherwise only
     indices smaller under ``key``; an index that survives its own
-    subtraction names no basis element and raises ``ValueError``.
+    subtraction names no basis element and raises ``ValueError``.  So the
+    leads strictly descend, and a lead that does not, which only an
+    expansion holding an index above its own could bring back, raises
+    ``ValueError`` too: such a peel need never end.
     Quasi-Schur functions are unitriangular in the fundamental basis
     (Haglund, Luoto, Mason and van Willigenburg, *Quasisymmetric Schur
     functions*, JCTA 2011); the verify check peel-orders-are-unitriangular
@@ -369,8 +373,13 @@ def _peel(terms: dict, key, expansion) -> dict:
     """
     remaining = dict(terms)
     out: dict = {}
+    last = None  # the key of the previous lead
     while remaining:
         lead = max(remaining, key=key)
+        rank = key(lead)
+        if last is not None and not rank < last:
+            raise ValueError(f"{lead} is not below the previous lead of the peel")
+        last = rank
         c = remaining[lead]
         out[lead] = c
         for index, k in expansion(lead).items():
@@ -656,7 +665,7 @@ def coproduct(f: GradedElement) -> dict:
     def split(alpha) -> dict:
         if f.basis == "S":
             out = {}
-            for level in reversed(_levels(alpha, sum(alpha), _down_covers)):
+            for level in reversed(_levels(alpha, sum(alpha), _down_cells)):
                 for beta in sorted(level, key=canonical_key):
                     for idx, c in _l_to_s(_skew_qs_schur(alpha, beta).terms).items():
                         out[idx, beta] = c

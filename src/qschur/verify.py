@@ -417,7 +417,7 @@ def _check_monomial_symmetric(d: int, rng: random.Random) -> Sweep:
             return f"monomial sum fails for {lam}"
 
 
-@_register("complete-homogeneous-positivity", "bases", cap=5)
+@_register("complete-homogeneous-positivity", "bases", cap=7)
 def _check_h_positive(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
         yield
@@ -430,7 +430,7 @@ def _check_h_positive(d: int, rng: random.Random) -> Sweep:
             return f"h_{lam} lacks unit coefficient at {lam}"
 
 
-@_register("random-polynomial-roundtrip", "bases", cap=6)
+@_register("random-polynomial-roundtrip", "bases", cap=7)
 def _check_from_polynomial(d: int, rng: random.Random) -> Sweep:
     comps = _comps_upto(d)[1:] or [()]
     for _ in range(20):
@@ -763,7 +763,7 @@ def _check_connectivity(d: int, rng: random.Random) -> Sweep:
             return f"graph for {alpha} has {components} components"
 
 
-@_register("knuth-moves-preserve-insertion", "g-alpha", cap=6)
+@_register("knuth-moves-preserve-insertion", "g-alpha", cap=7)
 def _check_knuth_moves(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for word in itertools.permutations(range(1, n + 1)):
@@ -793,7 +793,7 @@ def _check_knuth_moves(d: int, rng: random.Random) -> Sweep:
                         return f"q-move {k} changes descents of {word}"
 
 
-@_register("pq-moves-commute", "g-alpha", cap=6)
+@_register("pq-moves-commute", "g-alpha", cap=7)
 def _check_move_commutation(d: int, rng: random.Random) -> Sweep:
     for n in range(d + 1):
         for word in itertools.permutations(range(1, n + 1)):
@@ -832,7 +832,7 @@ def _check_uniform_rigidity(d: int, rng: random.Random) -> Sweep:
                     return f"rigid rows {r},{r + 1} in uniform {gamma}/{beta}"
 
 
-@_register("uniform-q-moves-stay-in-shape", "rigidity", cap=6)
+@_register("uniform-q-moves-stay-in-shape", "rigidity", cap=7)
 def _check_uniform_closure(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _uniform_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
@@ -895,7 +895,7 @@ def _srt_pairs(total: int) -> list[tuple[Tableau, Tableau]]:
     return out
 
 
-@_register("pr-matches-word-shuffles", "pr", cap=6)
+@_register("pr-matches-word-shuffles", "pr", cap=7)
 def _check_pr_shuffles(d: int, rng: random.Random) -> Sweep:
     standard_counts: dict[Composition, int] = {}  # brute force once per shape
 
@@ -929,7 +929,7 @@ def _check_pr_shuffles(d: int, rng: random.Random) -> Sweep:
                 )
 
 
-@_register("pr-empty-unit", "pr", cap=5)
+@_register("pr-empty-unit", "pr", cap=7)
 def _check_pr_unit(d: int, rng: random.Random) -> Sweep:
     empty = make_tableau(straight(PARTITION, ()), {})
     for lam in _parts_upto(d):
@@ -939,7 +939,7 @@ def _check_pr_unit(d: int, rng: random.Random) -> Sweep:
                 return f"empty factor breaks product for {t.rows}"
 
 
-@_register("image-anti-morphism", "pr", cap=6)
+@_register("image-anti-morphism", "pr", cap=7)
 def _check_anti_morphism(d: int, rng: random.Random) -> Sweep:
     for t1, t2 in _srt_pairs(d):
         yield
@@ -1112,7 +1112,7 @@ def _check_chain_roundtrip(d: int, rng: random.Random) -> Sweep:
                 return f"tableau {t.rows} does not survive the roundtrip"
 
 
-@_register("split-rejoin", "roundtrips", cap=6)
+@_register("split-rejoin", "roundtrips", cap=7)
 def _check_split(d: int, rng: random.Random) -> Sweep:
     for gamma in _comps_upto(d):
         for t in enumerate_standard(straight(COMPOSITION, gamma)):
@@ -1123,7 +1123,7 @@ def _check_split(d: int, rng: random.Random) -> Sweep:
                     return f"split at {k} loses {t.rows}"
 
 
-@_register("insertion-via-column-sort", "roundtrips", cap=5)
+@_register("insertion-via-column-sort", "roundtrips", cap=7)
 def _check_insert_compat(d: int, rng: random.Random) -> Sweep:
     for t in _straight_sscts(d, 4):
         for k in range(1, 6):
@@ -1145,7 +1145,7 @@ def _rect_mismatch(t: Tableau, rectified: Tableau) -> str | None:
     return None
 
 
-@_register("insertion-reconstructs-tableau", "roundtrips", cap=6)
+@_register("insertion-reconstructs-tableau", "roundtrips", cap=7)
 def _check_insertion_identity(d: int, rng: random.Random) -> Sweep:
     for s in _straight_ssrts(d, 4):
         yield
@@ -1161,7 +1161,7 @@ def _check_insertion_identity(d: int, rng: random.Random) -> Sweep:
                 return f"straight {t.rows} does not rectify to itself"
 
 
-@_register("rectification-preserves-descents", "roundtrips", cap=6)
+@_register("rectification-preserves-descents", "roundtrips", cap=7)
 def _check_rect_descents(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _interval_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
@@ -1209,7 +1209,7 @@ def _check_skew_pairing(d: int, rng: random.Random) -> Sweep:
                 return f"pairing counts differ for nu={nu}, beta={beta}"
 
 
-@_register("serialization-roundtrip", "roundtrips", cap=5)
+@_register("serialization-roundtrip", "roundtrips", cap=7)
 def _check_serialization(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _interval_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)

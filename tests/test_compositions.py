@@ -4,6 +4,8 @@ from hypothesis import given, strategies as st
 from qschur.applications import descent_pieri_K, labeled_chains
 from qschur.compositions import (
     ChainStep,
+    _chain_tables,
+    _comp_of_mask,
     _young_covers,
     apply_step,
     chain_descents,
@@ -78,6 +80,24 @@ def test_set_of_comp_of_set_inverse(alpha):
 def test_comp_of_set_set_of_inverse(n, data):
     subset = frozenset(data.draw(st.sets(st.integers(1, max(n - 1, 1)))) & set(range(1, n)))
     assert set_of(comp_of_set(subset, n)) == subset
+
+
+def test_mask_decoder_is_a_bijection_onto_the_compositions():
+    """A chain of n cells has a mask in [2^n, 2^(n+1)) whose bit n - 1 is
+    set, since the last entry always ends its run; ``_comp_of_mask`` takes
+    these 2^(n-1) masks one to one onto the compositions of n, the set bits
+    below bit n - 1 giving ``set_of``.  The chain walk keeps to them."""
+    for n in range(11):
+        masks = [m for m in range(2**n, 2 ** (n + 1)) if n == 0 or m >> (n - 1) & 1]
+        decoded = [_comp_of_mask(m) for m in masks]
+        assert sorted(decoded) == sorted(compositions_of(n))
+        for m, tau in zip(masks, decoded):
+            assert set_of(tau) == {i + 1 for i in range(n - 1) if m >> i & 1}
+    for levels in range(7):
+        for table in _chain_tables((2, 1, 2), levels).values():
+            for _, mask in table:
+                assert mask.bit_length() == levels + 1
+                assert levels == 0 or mask >> (levels - 1) & 1
 
 
 def test_refines_golden():

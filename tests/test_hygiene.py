@@ -42,14 +42,18 @@ it, and the leads of one peel share nothing.
 The accumulation scan lists every function that adds into a dict by hand,
 reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
 ``qsym._accumulate`` and ``qsym.linear``; the other names in
-``ACCUMULATORS`` are the chain-table step, the chain walk that sums its
-tables by descent composition and the peel, hot loops kept as they are.
+``ACCUMULATORS`` are the chain-table step, the tally that sums a chain
+table by descent set and the peel, hot loops kept as they are.
 
 The private-helper scan fails on a module-level, undecorated ``_name``
 function in the package that nothing else in the package references: a
 bare name, an attribute or an imported name anywhere but in that
 function's own body.  Decorated functions, such as ``verify``'s
 ``_check_*`` functions registered through ``_register``, count as used.
+
+The mutant scan keeps ``scripts/mutants.py`` in step with the package:
+each mutant's target text occurs exactly once in the module it changes,
+so a refactor that moves a kernel has to update the mutant with it.
 
 The cap scan keeps ``verify``'s degree caps where the checks are
 registered: no function in ``verify.py`` but ``run_check`` may call
@@ -58,6 +62,7 @@ their helpers) or ``max_degree`` (in the runner).
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,7 +78,7 @@ CACHES = {
 
 ACCUMULATORS = {
     "compositions._extend_chains",
-    "compositions.chain_descents",
+    "compositions._tally",
     "qsym._accumulate",
     "qsym._peel",
 }
@@ -348,3 +353,15 @@ def test_every_private_function_is_called():
     sources = {p.stem: p.read_text() for p in (ROOT / "src" / "qschur").glob("*.py")}
     assert any(private_functions(source) for source in sources.values())
     assert uncalled_private_functions(sources) == []
+
+
+def test_every_mutant_targets_one_place():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    counts = {
+        name: (ROOT / "src" / "qschur" / module).read_text().count(target)
+        for name, module, target, _ in mutants.MUTANTS
+    }
+    assert counts == dict.fromkeys(counts, 1)

@@ -293,18 +293,18 @@ def test_skew_quasi_schur_vanishes_off_the_order():
 
 def test_skew_quasi_schur_walks_down_without_a_down_set(monkeypatch):
     """A skew walks down from its outer shape: it builds no down-set and
-    asks for the down covers of a fixed number of compositions, one per
-    composition on the levels above the inner shape."""
+    asks for the down cover cells of a fixed number of compositions, one
+    per composition on the levels above the inner shape."""
     calls = []
-    real_down_covers = qsym._down_covers
+    real_down_cells = qsym._down_cells
 
-    def counting_down_covers(gamma):
+    def counting_down_cells(gamma):
         calls.append(gamma)
-        return real_down_covers(gamma)
+        return real_down_cells(gamma)
 
     qsym._skew_qs_schur.cache_clear()
     qsym._chains_down.cache_clear()
-    monkeypatch.setattr(qsym, "_down_covers", counting_down_covers)
+    monkeypatch.setattr(qsym, "_down_cells", counting_down_cells)
     assert skew_qs_schur((2, 3, 1, 2), (1,)).terms == {(1, 2, 2, 1, 1): 1, (2, 3, 1, 1): 1}
     assert len(calls) == 8
     # One cell apart: a single level, so the outer shape alone is asked,
@@ -450,6 +450,18 @@ def test_s_conversion_matches_dense_solve():
 def test_peel_rejects_malformed_indices(convert_bad):
     with pytest.raises(ValueError, match="does not index a basis element"):
         convert_bad()
+
+
+def test_peel_stops_at_a_lead_that_does_not_descend():
+    """An expansion holding an index above its own lead hands the peel a
+    larger lead; here each one would bring the next, without end.  The peel
+    raises at the first lead not below the one before it."""
+
+    def expansion(alpha):
+        return {alpha: 1, (sum(alpha) + 1,): 1}
+
+    with pytest.raises(ValueError, match="not below the previous lead"):
+        qsym._peel({(2,): 1}, qsym._l_to_s_key, expansion)
 
 
 def test_schur_basis_inverts_quasi_schur():
