@@ -2,8 +2,10 @@
 """Show that each kernel has a check that kills it.
 
 Each mutant below is a one-line change to a kernel of the package: the
-descent rule, the mask decoder, the up and down cover cells, the peel
-order of quasi-Schur functions and the closed form of the cover order.
+descent rule, the mask decoder and encoder, the up and down cover cells,
+the peel order of quasi-Schur functions (the tuple key and the direction
+of the peel on masks), the column solve of the products and the closed
+form of the cover order.
 For each, the script copies ``src/qschur`` to a temporary directory,
 applies the change, and runs ``verify all`` there under a wall-time limit.
 An unchanged copy runs first as the control and must pass.  A mutant is
@@ -76,10 +78,28 @@ MUTANTS = [
         "out.append((gamma[1:], 1, 2))",
     ),
     (
+        "mask-encoder-low-bit",
+        "compositions.py",
+        "mask = mask << p | 1 << (p - 1)",
+        "mask = mask << p | 1",
+    ),
+    (
         "l-to-s-key-forward",
         "qsym.py",
         "return sum(alpha), alpha[::-1]",
         "return sum(alpha), alpha",
+    ),
+    (
+        "mask-peel-largest-first",
+        "qsym.py",
+        "_peel(masks, operator.neg, _l_row, _comp_of_mask)",
+        "_peel(masks, operator.pos, _l_row, _comp_of_mask)",
+    ),
+    (
+        "column-keeps-diagonal",
+        "qsym.py",
+        "if tau != sigma and tau in x)",
+        "if tau in x)",
     ),
     (
         "leq-strict",

@@ -34,8 +34,9 @@ Only ``_extend_chains``, the descent rule, builds tables: ``_chain_tables``
 pushes them up the up cells for products and :func:`chain_descents`, and
 ``qsym`` pulls them down the down cells by a recursion memoized per inner
 shape for skews and the S-basis coproduct.  A mask becomes a composition
-(``_comp_of_mask``) only where a tally leaves the walk.  ``_levels`` lists
-the compositions k moves away.
+(``_comp_of_mask``) only where a tally leaves the walk, and a composition
+a mask (``_mask_of_comp``) where ``qsym`` changes basis from L to S on
+masks.  ``_levels`` lists the compositions k moves away.
 """
 
 from __future__ import annotations
@@ -118,13 +119,16 @@ def comp_of_set(subset: frozenset[int] | set[int], n: int) -> Composition:
 
 
 def _comp_of_mask(mask: int) -> Composition:
-    """The descent composition of a chain table's mask (``_extend_chains``).
+    """The descent composition of a chain table's mask (``_extend_chains``),
+    the inverse of ``_mask_of_comp``.
 
     A chain of n cells has a mask of n + 1 bits: the sentinel 1 on top, and
     below it bit i - 1 set when entry i of its filling ends a run, that is
     when i is a descent or i = n.  So ``set_of(tau)`` is the i < n whose bit
     i - 1 is set, and the masks of chains of n cells, one per composition
-    of n, are those of [2^n, 2^(n+1)) with bit n - 1 set.
+    of n, are those of [2^n, 2^(n+1)) with bit n - 1 set.  The masks name
+    compositions in ``qsym``'s change of basis from L to S too, where the
+    smallest mask of a degree leads the peel (see ``_mask_of_comp``).
     """
     parts = []
     run = 0
@@ -135,6 +139,30 @@ def _comp_of_mask(mask: int) -> Composition:
             run = 0
         mask >>= 1
     return tuple(parts)
+
+
+def _mask_of_comp(tau: Composition) -> int:
+    """The mask of ``tau`` (``_comp_of_mask``): each part p, taken from the
+    last one, shifts in p bits and sets the top one of them, so the mask
+    reads, from the sentinel down, 1 0^(p - 1) for each part from the last.
+
+    Within one degree, descending mask order is the ascending order of
+    ``qsym._l_to_s_key`` (degree, then the reversed composition in
+    lexicographic order).  Take tau and rho of n, and let their reversals first differ at
+    the part q of tau and the part r of rho, with q < r, so that tau comes
+    first in the key.  The shared last parts give both masks the same top
+    bits, and below them each mask sets the bit that opens its part.  Since
+    r fits in what the shared parts leave of n, q does not use it all up:
+    another part of tau comes next in the reversal, and its bit sits q
+    places below the opening bit, where rho's longer part still has a zero.
+    So tau has the larger mask: a longer part means the next set bit is
+    lower, so the mask is smaller.  And a mask of degree n has n + 1 bits,
+    so every mask of degree n + 1 exceeds every mask of degree n.
+    """
+    mask = 1
+    for p in reversed(tau):
+        mask = mask << p | 1 << (p - 1)
+    return mask
 
 
 def refines(beta: tuple[int, ...], alpha: Composition) -> bool:
@@ -397,15 +425,23 @@ def _extend_chains(table: dict, column: int, into: dict) -> None:
         into[key] = into.get(key, 0) + n
 
 
-def _tally(table: dict, taus: dict) -> dict[Composition, int]:
-    """A chain table's chains counted by descent composition alone, the
-    columns summed out.  ``taus`` holds the masks decoded so far, mask ->
-    tau, so that tallying many tables of one walk decodes each mask once."""
+def _mask_sums(table: dict) -> dict[int, int]:
+    """A chain table's chains counted by descent mask alone, the columns
+    summed out: the fundamental expansion on masks that ``qsym``'s change of
+    basis from L to S peels."""
     by_mask: dict = {}
     for (_, mask), n in table.items():
         by_mask[mask] = by_mask.get(mask, 0) + n
+    return by_mask
+
+
+def _tally(table: dict, taus: dict) -> dict[Composition, int]:
+    """A chain table's chains counted by descent composition alone: the
+    sums of ``_mask_sums``, decoded.  ``taus`` holds the masks decoded so
+    far, mask -> tau, so that tallying many tables of one walk decodes each
+    mask once."""
     out = {}
-    for mask, n in by_mask.items():
+    for mask, n in _mask_sums(table).items():
         tau = taus.get(mask)
         if tau is None:
             tau = taus[mask] = _comp_of_mask(mask)

@@ -9,8 +9,10 @@ level to the next and tallies every S_{gamma//beta} in the fundamental
 basis, tally_gamma[tau] chains at L_tau.  With
 v_alpha[tau] the coefficient of S_alpha in L_tau, one column of the
 inverse of the unitriangular S-to-L change, the product coefficient is the
-sum of tally_gamma[tau] * v_alpha[tau]: a product peels each L_tau once,
-however many gamma share it.  A single coefficient
+sum of tally_gamma[tau] * v_alpha[tau].  The column comes from one
+forward substitution over the quasi-Schur rows at or above S_alpha
+(``qsym._s_column``), keyed on the descent masks the tables carry, so a
+product peels nothing and decodes no tau.  A single coefficient
 (:func:`lr_coeff`) peels its one skew function into S instead.  The
 forgetful map onto symmetric functions and the classical
 Littlewood-Richardson coefficients, which the products refine, live here
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from .compositions import (
     Composition,
     _chain_tables,
-    _comp_of_mask,
     _levels,
     _up_cells,
     canonical_key,
@@ -41,6 +42,7 @@ from .qsym import (
     GradedElement,
     _l_to_s,
     _require_basis_indices,
+    _s_column,
     linear,
     skew_qs_schur,
 )
@@ -55,11 +57,11 @@ def lr_coeff(alpha: Composition, beta: Composition, gamma: Composition) -> int:
     quasi-Schur function S_{gamma//beta}, which also counts the standard
     fillings of gamma over beta that rectify to the canonical filling of
     ``alpha`` (the verify check skew-coefficients-are-lr compares the two).
-    The skew function is peeled into S whole: for one gamma that costs one
-    peel, where the column of :func:`product_nc_schur` would cost one per
-    descent composition, and it keeps this an independent route to the
-    product coefficients.  Raises ``ValueError`` when an argument is not a
-    composition.
+    The skew function is peeled into S whole (``qsym._l_to_s``, on descent
+    masks): for one gamma that costs one peel, where the column of
+    :func:`product_nc_schur` would solve for every tau at or above alpha,
+    and it keeps this an independent route to the product coefficients.
+    Raises ``ValueError`` when an argument is not a composition.
     """
     require_composition(alpha, beta, gamma)
     if sum(alpha) + sum(beta) != sum(gamma):
@@ -73,25 +75,17 @@ def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
     One chain walk up from ``beta`` gives every S_{gamma//beta} in the
     fundamental basis at once; the coefficient of S*_gamma is the S_alpha
     coefficient of that skew function (see :func:`lr_coeff`).  It is read
-    as the dot product of gamma's tally with the column of S_alpha
-    coefficients of the L_tau, each entry peeled into S the first time its
-    tau turns up, so a product makes at most 2^(|alpha| - 1) peels.  The
-    product reads the walk's tables as they are, keyed on descent masks,
-    and keys the column on them too: a mask is decoded into tau only on a
-    column miss, to be peeled.  The walk yields compositions only, so the
-    peels skip ``convert``'s index check.  Raises ``ValueError`` when an
-    argument is not a composition.
+    as the dot product of gamma's table with the column of S_alpha
+    coefficients of the L_tau, both keyed on descent masks: the column comes
+    from one forward substitution (``qsym._s_column``), which reads at most
+    2^(|alpha| - 1) quasi-Schur rows and decodes no mask.  Raises
+    ``ValueError`` when an argument is not a composition.
     """
     require_composition(alpha, beta)
-    column: dict[int, int] = {}  # mask of tau -> coefficient of S_alpha in L_tau
+    column = _s_column(alpha)  # mask of tau -> coefficient of S_alpha in L_tau
     terms = {}
     for gamma, table in _chain_tables(beta, sum(alpha)).items():
-        c = 0
-        for (_, mask), k in table.items():
-            v = column.get(mask)
-            if v is None:
-                v = column[mask] = _l_to_s({_comp_of_mask(mask): 1}).get(alpha, 0)
-            c += k * v
+        c = sum(k * column[mask] for (_, mask), k in table.items() if mask in column)
         if c:
             terms[gamma] = c
     return GradedElement("NSym", "S_star", terms)
@@ -109,11 +103,14 @@ def multiply_nc(f: GradedElement, g: GradedElement) -> GradedElement:
 
 
 def pieri(kind: str, n: int, beta: Composition) -> GradedElement:
-    """Multiply by a single row (``kind="row"``) or column (``"column"``)."""
+    """Multiply by a single row (``kind="row"``) or column (``"column"``)
+    of ``n`` cells.  Raises ``ValueError`` when ``kind`` is neither, when
+    ``n`` is not a nonnegative int (a bool or a float is not one) or when
+    ``beta`` is not a composition."""
     if kind not in ("row", "column"):
         raise ValueError(f"kind must be 'row' or 'column', not {kind!r}")
-    if n < 0:
-        raise ValueError("strip size must be nonnegative")
+    if not (type(n) is int and n >= 0):
+        raise ValueError(f"strip size must be a nonnegative int, not {n!r}")
     alpha: Composition = (n,) if kind == "row" and n else (1,) * n
     return product_nc_schur(alpha, beta)
 
@@ -144,7 +141,8 @@ class StripReport:
 
 
 def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
-    """Compare the strip heuristic against the true product expansion."""
+    """Compare the strip heuristic against the true product expansion;
+    raises ``ValueError`` on the arguments :func:`pieri` rejects."""
     product = pieri(kind, n, beta)
     which = 0 if kind == "row" else 1
     predicted = []

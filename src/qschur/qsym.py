@@ -33,9 +33,12 @@ from functools import cache
 
 from .compositions import (
     Composition,
+    _comp_of_mask,
     _down_cells,
     _extend_chains,
     _levels,
+    _mask_of_comp,
+    _mask_sums,
     _tally,
     canonical_key,
     compositions_of,
@@ -297,12 +300,19 @@ _DEEPEST = 200
 @cache
 def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """:func:`skew_qs_schur` on checked compositions, memoized."""
+    return GradedElement("QSym", "L", _tally(_down_table(gamma, beta), {}))
+
+
+def _down_table(gamma: Composition, beta: Composition) -> dict:
+    """``_chains_down(gamma, beta)``, the tables of the levels below
+    ``gamma`` filled bottom-up first when the walk is deeper than
+    ``_DEEPEST`` levels."""
     levels = sum(gamma) - sum(beta)
     if levels > _DEEPEST:
         for level in reversed(_levels(gamma, levels, _down_cells)):
             for comp in level:
                 _chains_down(comp, beta)
-    return GradedElement("QSym", "L", _tally(_chains_down(gamma, beta), {}))
+    return _chains_down(gamma, beta)
 
 
 @cache
@@ -357,7 +367,7 @@ def _s_to_l(terms: dict) -> dict:
     return linear(terms, lambda alpha: qs_schur(alpha).terms)
 
 
-def _peel(terms: dict, key, expansion) -> dict:
+def _peel(terms: dict, key, expansion, name=str) -> dict:
     """Invert a unitriangular basis change by peeling off leading terms.
 
     ``expansion(i)`` must hold ``i`` with coefficient 1 and otherwise only
@@ -365,11 +375,16 @@ def _peel(terms: dict, key, expansion) -> dict:
     subtraction names no basis element and raises ``ValueError``.  So the
     leads strictly descend, and a lead that does not, which only an
     expansion holding an index above its own could bring back, raises
-    ``ValueError`` too: such a peel need never end.
+    ``ValueError`` too: such a peel need never end.  The errors show a
+    lead as ``name(lead)``, so a peel on encoded indices names what they
+    encode.
     Quasi-Schur functions are unitriangular in the fundamental basis
     (Haglund, Luoto, Mason and van Willigenburg, *Quasisymmetric Schur
     functions*, JCTA 2011); the verify check peel-orders-are-unitriangular
-    covers the orders below (through degree 10 when it was added).
+    covers the orders below (through degree 10 when it was added).  The
+    change from L to S peels on descent masks (``_l_to_s``), where ``-mask``
+    is the key: within a degree, descending mask order is ascending
+    ``_l_to_s_key``, and each row stays in its degree.
     """
     remaining = dict(terms)
     out: dict = {}
@@ -378,7 +393,7 @@ def _peel(terms: dict, key, expansion) -> dict:
         lead = max(remaining, key=key)
         rank = key(lead)
         if last is not None and not rank < last:
-            raise ValueError(f"{lead} is not below the previous lead of the peel")
+            raise ValueError(f"{name(lead)} is not below the previous lead of the peel")
         last = rank
         c = remaining[lead]
         out[lead] = c
@@ -389,7 +404,7 @@ def _peel(terms: dict, key, expansion) -> dict:
             else:
                 remaining.pop(index, None)
         if lead in remaining:
-            raise ValueError(f"{lead} does not index a basis element")
+            raise ValueError(f"{name(lead)} does not index a basis element")
     return out
 
 
@@ -402,7 +417,44 @@ def _m_to_s_key(lam: Composition):
 
 
 def _l_to_s(terms: dict) -> dict:
-    return _peel(terms, _l_to_s_key, lambda alpha: qs_schur(alpha).terms)
+    """L -> S on descent masks (``compositions._mask_of_comp``): the terms
+    are encoded, peeled with the smallest mask leading, the rows read off
+    the chain tables by ``_l_row``, and only the S terms returned are
+    decoded."""
+    masks = {_mask_of_comp(tau): c for tau, c in terms.items()}
+    peeled = _peel(masks, operator.neg, _l_row, _comp_of_mask)
+    return {_comp_of_mask(mask): c for mask, c in peeled.items()}
+
+
+def _l_row(mask: int) -> dict[int, int]:
+    """The quasi-Schur function of the composition of ``mask`` in the
+    fundamental basis, on masks: its chain table down to ``()`` summed by
+    descent mask, with no element built and no mask decoded."""
+    return _mask_sums(_down_table(_comp_of_mask(mask), ()))
+
+
+def _s_column(alpha: Composition) -> dict[int, int]:
+    """Column ``alpha`` of the inverse of the S-to-L change on masks:
+    mask of tau -> the coefficient of S_alpha in L_tau, zeros dropped.
+
+    With K[sigma, tau] the coefficient of L_tau in S_sigma, unitriangular
+    with the smallest mask of each row on its diagonal (``_peel``), the
+    column x solves K x = e_alpha by one forward substitution,
+    x[sigma] = [sigma = alpha] - sum over tau != sigma of K[sigma, tau] x[tau],
+    for sigma from alpha's mask down through the masks of degree |alpha|.
+    x is 0 above alpha's mask, where each row holds only masks at or above
+    its own, so those rows need no solving.  x starts as e_alpha and each
+    row overwrites its own entry, so the sum skips it.
+    """
+    top = _mask_of_comp(alpha)
+    bottom = 3 << sum(alpha) >> 1  # the smallest mask of the degree, (|alpha|,)'s
+    x = {top: 1}
+    for sigma in range(top, bottom - 1, -1):
+        dot = sum(k * x[tau] for tau, k in _l_row(sigma).items() if tau != sigma and tau in x)
+        v = x.pop(sigma, 0) - dot
+        if v:
+            x[sigma] = v
+    return x
 
 
 @cache
@@ -438,7 +490,8 @@ def _distinct_rearrangements(lam: Composition) -> int:
 def convert(f: GradedElement, basis: str) -> GradedElement:
     """Rewrite ``f`` in another basis of the same ring (exactly).
 
-    ``L``/``M`` -> ``S`` (through ``L``) and ``m`` -> ``s`` peel (``_peel``).
+    ``L``/``M`` -> ``S`` (through ``L``, on descent masks) and ``m`` -> ``s``
+    peel (``_peel``).
     In QSym and Sym an index that names no basis element raises
     ``ValueError`` before any route runs, even when ``basis`` is ``f``'s own.
     """

@@ -14,8 +14,9 @@ which must be nonnegative; fixed-size witnesses declare cap 0 and yield
 once, since they do not scale at all.  Where a check compares a library
 function with a second route (rectification against a fold of
 :func:`insert_ssct`, skew coefficients against the rectification census,
-products against whole skew functions converted to S), the second route
-lives here, not in the library.
+products against whole skew functions converted to S, the columns products
+read against one peel per fundamental function), the second route lives
+here, not in the library.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .applications import (
 )
 from .compositions import (
     Composition,
+    _comp_of_mask,
     comp_of_set,
     compositions_of,
     covers,
@@ -76,6 +78,8 @@ from .qsym import (
     _accumulate,
     _l_to_s_key,
     _m_to_s_key,
+    _peel,
+    _s_column,
     _schur_in_monomial,
     basis_element,
     commutative_monomial,
@@ -549,6 +553,23 @@ def _check_peel_orders(d: int, rng: random.Random) -> Sweep:
             lower = all(key(i) < key(index) for i in terms if i != index)
             if terms.get(index) != 1 or not lower:
                 return f"{basis}_{index} is not unitriangular: {terms}"
+
+
+@_register("column-matches-peels", "bases", cap=7)
+def _check_column_by_peels(d: int, rng: random.Random) -> Sweep:
+    """Each column of the inverse L-to-S change, as products read it (one
+    forward substitution on descent masks, ``qsym._s_column``), against
+    the route it replaced: every L_tau of the degree peeled into S on its
+    own, in the ``_l_to_s_key`` order over the rows of :func:`qs_schur`."""
+    for n in range(d + 1):
+        taus = list(compositions_of(n))
+        peels = [(tau, _peel({tau: 1}, _l_to_s_key, lambda a: qs_schur(a).terms)) for tau in taus]
+        for alpha in taus:
+            yield
+            got = {_comp_of_mask(mask): c for mask, c in _s_column(alpha).items()}
+            want = {tau: peel[alpha] for tau, peel in peels if alpha in peel}
+            if got != want:
+                return f"column of S_{alpha}: {got} vs {want}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from qschur.compositions import (
     ChainStep,
     _chain_tables,
     _comp_of_mask,
+    _mask_of_comp,
     _young_covers,
     apply_step,
     chain_descents,
@@ -86,11 +87,14 @@ def test_mask_decoder_is_a_bijection_onto_the_compositions():
     """A chain of n cells has a mask in [2^n, 2^(n+1)) whose bit n - 1 is
     set, since the last entry always ends its run; ``_comp_of_mask`` takes
     these 2^(n-1) masks one to one onto the compositions of n, the set bits
-    below bit n - 1 giving ``set_of``.  The chain walk keeps to them."""
+    below bit n - 1 giving ``set_of``, and ``_mask_of_comp`` inverts it.
+    The chain walk keeps to them."""
+    assert _mask_of_comp((2, 1)) == 0b1110
     for n in range(11):
         masks = [m for m in range(2**n, 2 ** (n + 1)) if n == 0 or m >> (n - 1) & 1]
         decoded = [_comp_of_mask(m) for m in masks]
         assert sorted(decoded) == sorted(compositions_of(n))
+        assert [_mask_of_comp(tau) for tau in decoded] == masks
         for m, tau in zip(masks, decoded):
             assert set_of(tau) == {i + 1 for i in range(n - 1) if m >> i & 1}
     for levels in range(7):

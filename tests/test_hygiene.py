@@ -42,8 +42,8 @@ it, and the leads of one peel share nothing.
 The accumulation scan lists every function that adds into a dict by hand,
 reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
 ``qsym._accumulate`` and ``qsym.linear``; the other names in
-``ACCUMULATORS`` are the chain-table step, the tally that sums a chain
-table by descent set and the peel, hot loops kept as they are.
+``ACCUMULATORS`` are the chain-table step, the sum of a chain table by
+descent mask and the peel, hot loops kept as they are.
 
 The private-helper scan fails on a module-level, undecorated ``_name``
 function in the package that nothing else in the package references: a
@@ -78,7 +78,7 @@ CACHES = {
 
 ACCUMULATORS = {
     "compositions._extend_chains",
-    "compositions._tally",
+    "compositions._mask_sums",
     "qsym._accumulate",
     "qsym._peel",
 }

@@ -1,7 +1,8 @@
 import pytest
 
-from qschur import nsym
+from qschur import qsym
 from qschur.compositions import (
+    _comp_of_mask,
     chain_descents,
     compositions_of,
     leq,
@@ -22,6 +23,7 @@ from qschur.qsym import (
     basis_element,
     convert,
     multiply,
+    qs_schur,
     skew_qs_schur,
 )
 from qschur.tableaux import canonical_sct
@@ -159,21 +161,30 @@ def test_lr_coeff_reads_the_product_coefficients():
                         assert lr_coeff(alpha, beta, gamma) == terms.get(gamma, 0)
 
 
-def test_product_peels_once_per_descent_composition(monkeypatch):
-    # One peel per distinct L_tau, at most 2^(|alpha| - 1) of them, however
-    # many gamma the walk reaches.
+def test_product_column_is_one_forward_substitution(monkeypatch):
+    # The weight-14 product reads each quasi-Schur row at or above S_alpha
+    # once, at most 2^(|alpha| - 1) of them, however many gamma the walk
+    # reaches; its column equals the per-tau peels of the tuple route.
     alpha, beta = WEIGHT_FOURTEEN
-    l_to_s = nsym._l_to_s
-    peeled = []
+    l_row = qsym._l_row
+    rows = []
 
-    def counting_l_to_s(terms):
-        peeled.append(terms)
-        return l_to_s(terms)
+    def counting_l_row(mask):
+        rows.append(mask)
+        return l_row(mask)
 
-    monkeypatch.setattr(nsym, "_l_to_s", counting_l_to_s)
+    monkeypatch.setattr(qsym, "_l_row", counting_l_row)
     got = product_nc_schur(alpha, beta)
     assert len(got.terms) == 109
-    assert len(peeled) <= 2 ** (sum(alpha) - 1) < len(chain_descents(beta, sum(alpha)))
+    assert len(rows) == len(set(rows)) <= 2 ** (sum(alpha) - 1)
+    assert len(rows) < len(chain_descents(beta, sum(alpha)))
+    column = {_comp_of_mask(mask): c for mask, c in qsym._s_column(alpha).items()}
+    peeled = {}
+    for tau in compositions_of(sum(alpha)):
+        c = qsym._peel({tau: 1}, qsym._l_to_s_key, lambda a: qs_schur(a).terms).get(alpha, 0)
+        if c:
+            peeled[tau] = c
+    assert column == peeled
 
 
 def test_pieri_row_equals_strip_product():
@@ -187,6 +198,18 @@ def test_pieri_rejects_bad_arguments():
         pieri("diagonal", 1, (1,))
     with pytest.raises(ValueError, match="nonnegative"):
         pieri("row", -1, (1,))
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("column", True), ("column", 2.5), ("row", 2.0), ("row", -1)],
+    ids=["bool", "float", "integral-float", "negative"],
+)
+def test_strip_size_must_be_a_nonnegative_int(kind, n):
+    # True would pass for 1 and 2.0 for 2; 2.5 used to raise TypeError.
+    for call in (pieri, strip_report):
+        with pytest.raises(ValueError, match=r"^strip size must be a nonnegative int"):
+            call(kind, n, (1,))
 
 
 def test_strip_report_records_known_gap():

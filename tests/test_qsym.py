@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qschur import qsym
 from qschur.compositions import (
+    _mask_of_comp,
     compositions_of,
     leq,
     partitions_of,
@@ -462,6 +463,35 @@ def test_peel_stops_at_a_lead_that_does_not_descend():
 
     with pytest.raises(ValueError, match="not below the previous lead"):
         qsym._peel({(2,): 1}, qsym._l_to_s_key, expansion)
+
+
+def test_descending_masks_are_ascending_l_to_s_keys():
+    """The change from L to S peels on masks with the smallest leading; that
+    is the tuple route's order, largest ``_l_to_s_key`` leading, within
+    every degree."""
+    for n in range(11):
+        comps = list(compositions_of(n))
+        by_key = sorted(comps, key=qsym._l_to_s_key)
+        assert by_key == sorted(comps, key=_mask_of_comp, reverse=True)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (lambda mask: {}, r"^\(2, 1\) does not index a basis element$"),
+        (
+            lambda mask: {mask: 1, mask - 1: 1},
+            r"^\(1, 2\) is not below the previous lead of the peel$",
+        ),
+    ],
+    ids=["lead-survives", "lead-rises"],
+)
+def test_l_to_s_errors_name_the_composition(monkeypatch, row, message):
+    # Rows that break the peel's guard: the error names the composition of
+    # the offending lead, not its mask.
+    monkeypatch.setattr(qsym, "_l_row", row)
+    with pytest.raises(ValueError, match=message):
+        qsym._l_to_s({(2, 1): 1})
 
 
 def test_schur_basis_inverts_quasi_schur():
