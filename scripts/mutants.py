@@ -4,8 +4,9 @@
 Each mutant below is a one-line change to a kernel of the package: the
 descent rule, the mask decoder and encoder, the up and down cover cells,
 the peel order of quasi-Schur functions (the tuple key and the direction
-of the peel on masks), the column solve of the products and the closed
-form of the cover order.
+of the peel on masks), the column solve of the products, the closed form
+of the cover order, the order in which a skew's chain tables are filled
+and the subtraction of the peel.
 For each, the script copies ``src/qschur`` to a temporary directory,
 applies the change, and runs ``verify all`` there under a wall-time limit.
 An unchanged copy runs first as the control and must pass.  A mutant is
@@ -106,6 +107,18 @@ MUTANTS = [
         "compositions.py",
         "b_j <= b_i and t_j > t_i",
         "b_j < b_i and t_j > t_i",
+    ),
+    (
+        "fill-top-down",
+        "qsym.py",
+        "for comp, down in reversed(cells.items()):",
+        "for comp, down in cells.items():",
+    ),
+    (
+        "peel-adds-row",
+        "qsym.py",
+        "val = remaining.get(index, 0) - c * k",
+        "val = remaining.get(index, 0) + c * k",
     ),
 ]
 

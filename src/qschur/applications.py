@@ -101,6 +101,10 @@ def _is_set_composition(pi: SetComposition) -> bool:
 
 
 def shape_of_blocks(pi: SetComposition) -> Composition:
+    """The block sizes of a set composition; raises ``ValueError`` when
+    ``pi`` is not a set composition of 1..n."""
+    if not _is_set_composition(pi):
+        raise ValueError(f"{pi!r} is not a set composition of 1..n")
     return tuple(len(block) for block in pi)
 
 

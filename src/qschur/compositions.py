@@ -31,12 +31,13 @@ Chains of L_C are counted by descent composition without listing them,
 in one table per composition: its chains down to a fixed inner shape by
 (column of the first cell removed, descent set), the set an int mask.
 Only ``_extend_chains``, the descent rule, builds tables: ``_chain_tables``
-pushes them up the up cells for products and :func:`chain_descents`, and
-``qsym`` pulls them down the down cells by a recursion memoized per inner
-shape for skews and the S-basis coproduct.  A mask becomes a composition
-(``_comp_of_mask``) only where a tally leaves the walk, and a composition
-a mask (``_mask_of_comp``) where ``qsym`` changes basis from L to S on
-masks.  ``_levels`` lists the compositions k moves away.
+pushes them up the up cells for products, and ``qsym`` lists the down
+cells below an outer shape and fills their tables bottom-up, into one
+store per inner shape, for skews and the S-basis coproduct.  A mask
+becomes a composition (``_comp_of_mask``) only where a tally leaves the
+walk, and a composition a mask (``_mask_of_comp``) where ``qsym`` changes
+basis from L to S on masks.  ``_levels`` lists the compositions k moves
+away.
 """
 
 from __future__ import annotations
@@ -372,30 +373,11 @@ def _chains(beta: Composition, gamma: Composition, up) -> tuple[tuple[ChainStep,
     return tuple(chains)
 
 
-def chain_descents(
-    start: Composition, levels: int
-) -> dict[Composition, dict[Composition, int]]:
-    """Saturated chains of ``levels`` covers up from ``start``, counted by
-    their top end and their descent composition: ``{end: {tau: chains}}``.
-
-    The walk (``_chain_tables``) goes up the cover cells one level at a
-    time, keeping each composition's table of chains down to ``start``
-    (``_extend_chains``): a cover's table sums its children's, each
-    lengthened by the cell the cover adds.  The tables key descent sets on
-    masks, decoded here once per descent composition.  Raises
-    ``ValueError`` when ``start`` is not a composition or ``levels`` is not
-    a non-negative int.
-    """
-    require_composition(start)
-    if not (type(levels) is int and levels >= 0):
-        raise ValueError(f"{levels!r} is not a non-negative int")
-    taus: dict = {}
-    return {end: _tally(table, taus) for end, table in _chain_tables(start, levels).items()}
-
-
 def _chain_tables(start: Composition, levels: int) -> dict[Composition, dict]:
-    """The chain tables ``levels`` covers up from ``start``, on masks: the
-    walk of :func:`chain_descents` before decoding, for the products."""
+    """The chain tables ``levels`` covers up from ``start``, on masks, for
+    the products: the walk goes up the cover cells one level at a time and
+    frees each level, a cover's table summing its children's, each
+    lengthened by the cell the cover adds (``_extend_chains``)."""
     tables: dict = {start: {(math.inf, 1): 1}}
     for _ in range(levels):
         grown: dict = {}
@@ -435,18 +417,10 @@ def _mask_sums(table: dict) -> dict[int, int]:
     return by_mask
 
 
-def _tally(table: dict, taus: dict) -> dict[Composition, int]:
+def _tally(table: dict) -> dict[Composition, int]:
     """A chain table's chains counted by descent composition alone: the
-    sums of ``_mask_sums``, decoded.  ``taus`` holds the masks decoded so
-    far, mask -> tau, so that tallying many tables of one walk decodes each
-    mask once."""
-    out = {}
-    for mask, n in _mask_sums(table).items():
-        tau = taus.get(mask)
-        if tau is None:
-            tau = taus[mask] = _comp_of_mask(mask)
-        out[tau] = n
-    return out
+    sums of ``_mask_sums``, decoded."""
+    return {_comp_of_mask(mask): n for mask, n in _mask_sums(table).items()}
 
 
 def _levels(start: Composition, depth: int, moves) -> list[list[Composition]]:

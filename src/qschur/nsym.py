@@ -3,10 +3,9 @@
 The paper's central duality computes the products: the coefficient of
 S*_gamma in S*_alpha S*_beta equals the coefficient of the quasi-Schur
 function S_alpha in the skew quasi-Schur function S_{gamma//beta}.  One
-walk up from beta (the chain tables behind
-:func:`~qschur.compositions.chain_descents`) pushes the tables of each
-level to the next and tallies every S_{gamma//beta} in the fundamental
-basis, tally_gamma[tau] chains at L_tau.  With
+walk up from beta (``compositions._chain_tables``) pushes the chain tables
+of each level to the next and tallies every S_{gamma//beta} in the
+fundamental basis, tally_gamma[tau] chains at L_tau.  With
 v_alpha[tau] the coefficient of S_alpha in L_tau, one column of the
 inverse of the unitriangular S-to-L change, the product coefficient is the
 sum of tally_gamma[tau] * v_alpha[tau].  The column comes from one
@@ -17,7 +16,7 @@ product peels nothing and decodes no tau.  A single coefficient
 forgetful map onto symmetric functions and the classical
 Littlewood-Richardson coefficients, which the products refine, live here
 too.  A classical coefficient is a quasi-Schur one on shapes padded by one
-column (:func:`classical_lr`), so it comes from the same down walk and
+column (:func:`classical_lr`), so it comes from the same chain-table fill and
 peel as :func:`lr_coeff`, and no tableau is inserted.  The strip report
 lists the shapes n levels above beta without counting their chains.
 """

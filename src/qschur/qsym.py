@@ -262,11 +262,10 @@ def let_variables_commute(p: TruncatedPolynomial) -> TruncatedPolynomial:
 
 def qs_schur(alpha: Composition) -> GradedElement:
     """The quasi-Schur function of ``alpha`` in the fundamental basis: the
-    skew function over ``()``, read off the memo of :func:`skew_qs_schur`.
-    Its chains end at ``()``, so every quasi-Schur function shares the
-    tables of ``_chains_down`` with every other: the leads of one peel
-    tally each composition below them once.  Raises ``ValueError`` when
-    ``alpha`` is not a composition."""
+    skew function over ``()``.  Its chains end at ``()``, so every
+    quasi-Schur function reads the one store of ``_chain_store(())``: the
+    leads of one peel tally each composition below them once.  Raises
+    ``ValueError`` when ``alpha`` is not a composition."""
     require_composition(alpha)
     return _skew_qs_schur(alpha, ())
 
@@ -274,66 +273,66 @@ def qs_schur(alpha: Composition) -> GradedElement:
 def skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
     """Fundamental-basis expansion over standard fillings of gamma over beta:
     one L term per saturated chain from beta up to gamma, at the chain's
-    descent composition.  The chains are tallied down from ``gamma`` by
-    ``_chains_down``, a recursion memoized on (composition, ``beta``), so
-    no down-set and no order check is built, and every skew function with
+    descent composition.  The chains are tallied from ``gamma``'s table in
+    the store of ``beta`` (``_down_table``), filled bottom-up, so no
+    down-set and no order check is built, and every skew function with
     inner shape ``beta`` reuses the tables of the compositions below its
-    outer shape.  A walk deeper than ``_DEEPEST`` levels, which only thin
-    shapes can finish, fills those tables bottom-up over the levels below
-    ``gamma`` first, so each call recurses one level and the recursion
-    stays within Python's stack.
+    outer shape.
 
     Zero when ``beta`` is not below ``gamma`` in the cover order; raises
     ``ValueError`` when either is not a composition, checked before the
-    memo, which would take ``(True, 2)`` for ``(1, 2)`` and cannot hash a
+    store, which would take ``(True, 2)`` for ``(1, 2)`` and cannot hash a
     list.
     """
     require_composition(gamma, beta)
     return _skew_qs_schur(gamma, beta)
 
 
-# Levels that ``_chains_down`` may recurse through: each costs two frames
-# (the function and its cache), well inside Python's default limit of 1,000.
-_DEEPEST = 200
+def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
+    """:func:`skew_qs_schur` on checked compositions."""
+    return GradedElement("QSym", "L", _tally(_down_table(gamma, beta)))
 
 
 @cache
-def _skew_qs_schur(gamma: Composition, beta: Composition) -> GradedElement:
-    """:func:`skew_qs_schur` on checked compositions, memoized."""
-    return GradedElement("QSym", "L", _tally(_down_table(gamma, beta), {}))
+def _chain_store(beta: Composition) -> dict:
+    """The chain tables down to ``beta`` filled so far, composition ->
+    ``{(column of the first cell removed, descent mask): chains}``
+    (``_extend_chains``), starting from ``beta``'s own table.  One store per
+    inner shape serves every outer shape above it."""
+    return {beta: {(math.inf, 1): 1}}  # no cell follows: any cell before opens a run
 
 
 def _down_table(gamma: Composition, beta: Composition) -> dict:
-    """``_chains_down(gamma, beta)``, the tables of the levels below
-    ``gamma`` filled bottom-up first when the walk is deeper than
-    ``_DEEPEST`` levels."""
-    levels = sum(gamma) - sum(beta)
-    if levels > _DEEPEST:
-        for level in reversed(_levels(gamma, levels, _down_cells)):
-            for comp in level:
-                _chains_down(comp, beta)
-    return _chains_down(gamma, beta)
+    """The chain table of ``gamma`` down to ``beta``, empty when ``beta`` is
+    not below ``gamma``.
 
-
-@cache
-def _chains_down(comp: Composition, beta: Composition) -> dict:
-    """The saturated chains from ``comp`` down to ``beta``, counted by the
-    column of the first cell removed and the descent set as a mask:
-    ``{(column, mask): chains}``, empty when ``beta`` is not below ``comp``.
-
-    Each down cover's table, lengthened by the cell it removes
-    (``_extend_chains``, which reads only the cell's column off
-    ``_down_cells``), adds into this one.  Memoized, a composition's
-    table is built once for all the outer shapes above it, which the memo
-    of ``_skew_qs_schur`` alone, keyed on the pair, could not share.
+    The levels below ``gamma`` are listed down to weight ``|beta| + 1``,
+    stopping at the compositions the store already holds, with each
+    composition's ``_down_cells``; then the tables are filled bottom-up,
+    each one the sum of its down covers' tables lengthened by the cell
+    removed.  A cover of weight ``|beta|`` other than ``beta`` has no
+    chains down to it and adds nothing.
     """
-    if comp == beta:
-        return {(math.inf, 1): 1}  # no cell follows: any cell before opens a run
-    out: dict = {}
-    if sum(comp) > sum(beta):
-        for child, _, column in _down_cells(comp):
-            _extend_chains(_chains_down(child, beta), column, out)
-    return out
+    store = _chain_store(beta)
+    if gamma in store:
+        return store[gamma]
+    cells: dict = {}  # composition not yet stored -> its down cells, top level first
+    level = [gamma]
+    for _ in range(sum(gamma) - sum(beta)):
+        below: dict = {}
+        for comp in level:
+            if comp not in store:
+                cells[comp] = down = _down_cells(comp)
+                for child, _, _ in down:
+                    below[child] = None
+        level = below
+    for comp, down in reversed(cells.items()):
+        table: dict = {}
+        for child, _, column in down:
+            if child in store:
+                _extend_chains(store[child], column, table)
+        store[comp] = table
+    return store.get(gamma, {})
 
 
 # ---------------------------------------------------------------------------

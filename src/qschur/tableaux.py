@@ -567,11 +567,13 @@ def split_tableau(t: Tableau, k: int) -> tuple[Tableau, Tableau]:
     that enlarged base over the original inner shape.  The two reassemble
     to ``t``.  Both halves are sliced from the rows of ``t``: row r of the
     base holds the cells of row r that are inner or hold an entry above k.
+    Raises ``ValueError`` unless ``t`` is an SCT and ``k`` an int in
+    0..n (a bool or a float is not one).
     """
     if validate(t) != "SCT":
         raise ValueError("split needs an SCT")
-    if not 0 <= k <= t.n:
-        raise ValueError(f"split point {k} outside 0..{t.n}")
+    if not (type(k) is int and 0 <= k <= t.n):
+        raise ValueError(f"split point k must be an int in 0..{t.n}, got {k!r}")
     base_len = []
     for row in t.rows:
         m = sum(1 for x in row if x is None or x > k)

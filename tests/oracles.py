@@ -18,7 +18,8 @@ from collections import Counter
 from fractions import Fraction
 
 from qschur.compositions import (
-    chain_descents,
+    _chain_tables,
+    _tally,
     is_contained,
     is_partition,
     partitions_of,
@@ -555,8 +556,8 @@ def multiply_by_polynomials(f, g):
 
 def product_by_peel(alpha, beta):
     terms = {}
-    for gamma, tally in chain_descents(beta, sum(alpha)).items():
-        c = convert(GradedElement("QSym", "L", tally), "S").coefficient(alpha)
+    for gamma, table in _chain_tables(beta, sum(alpha)).items():
+        c = convert(GradedElement("QSym", "L", _tally(table)), "S").coefficient(alpha)
         if c:
             terms[gamma] = c
     return GradedElement("NSym", "S_star", terms)

@@ -223,6 +223,10 @@ def test_set_compositions_reject_negative_sizes():
 def test_shape_of_blocks():
     assert shape_of_blocks(((2,), (1, 3))) == (1, 2)
     assert shape_of_blocks(()) == ()
+    # a string, a repeated entry, a missing 1, a block out of order, a list
+    for pi in ["ab", ((1,), (1,)), ((2,),), ((2, 1),), [(1,)]]:
+        with pytest.raises(ValueError, match="is not a set composition"):
+            shape_of_blocks(pi)
 
 
 def test_nc_monomial_golden():

@@ -16,28 +16,25 @@ public function checks its arguments and then reads its ``_name`` memo.
 ``PUBLIC_MEMOS`` names the one exception, ``enumerate_standard``, whose
 only argument is a ``SkewShape`` that validates itself when built.
 
-Five of the six caches stay because a ``verify`` pass rereads them.  A
-degree-5 ``verify all`` pass in a fresh process took 0.99 s at the
-median of 7 interleaved runs, and with one memo unwrapped in every
-module that binds it: 1.44 s without ``_skew_qs_schur`` (the chain walk
-behind every quasi-Schur function), 1.33 s without
-``enumerate_standard``, 1.49 s without ``_skew_shape``, 1.44 s without
-``_rect_census`` and 1.35 s without ``_schur_in_monomial`` (the Sym
-checks convert s to m once per case).  The runs are noisy, 2 cores
-shared.  The memos that only retired routes read (set compositions by
-size and by shape, compositions by size, semistandard fillings by shape)
-are gone: lifting M_(8) built and kept all 545,835 set compositions of 8
-to return one term.
-
-The sixth, ``_chains_down`` (the chain tallies from each composition down
-to an inner shape), stays for the cold requests, not for that pass.  Seven
-interleaved degree-5 passes took 0.74-0.86 s with it and 0.74-0.81 s with
-it unwrapped, since below degree 6 few chains pass through a composition.
-But 400 cold ``skew --basis S`` requests of degree 8 (the benchmark's
-inputs at seed 17, skew function and peel into S, caches cleared before
-each) took 248-311 us each with it and 679-1,100 us without: unwrapped,
-the recursion recomputes a composition's table once per chain reaching
-it, and the leads of one peel share nothing.
+The five caches stay because a ``verify`` pass rereads them.  A degree-5
+``verify all`` pass in a fresh process took 0.76 s at the median of 7
+interleaved runs, and with one memo unwrapped in every module that binds
+it: 0.91 s without ``_chain_store`` (the chain tables down to each inner
+shape, behind every skew and quasi-Schur function), 0.87 s without
+``enumerate_standard``, 0.88 s without ``_skew_shape`` and 0.82 s without
+``_schur_in_monomial`` (the Sym checks convert s to m once per case).
+``_rect_census`` saves little at degree 5 (0.78 s) but much at degree 7,
+where three interleaved passes took 12.7-14.1 s with it and 15.2-18.0 s
+without.  The runs are noisy, 2 cores shared.  ``_chain_store`` serves
+the cold requests too: 400 cold ``skew --basis S`` requests of degree 8
+(the benchmark's inputs at seed 17, skew function and peel into S, caches
+cleared before each) took 236-276 us each with it and 275-309 us without,
+since unwrapped each quasi-Schur row of the peel fills its own store.
+The memos that only retired routes read (set compositions by size and by
+shape, compositions by size, semistandard fillings by shape) are gone:
+lifting M_(8) built and kept all 545,835 set compositions of 8 to return
+one term.  So is the memo of skew functions, each now tallied afresh from
+its stored table.
 
 The accumulation scan lists every function that adds into a dict by hand,
 reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
@@ -69,9 +66,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CACHES = {
     "applications._rect_census",
-    "qsym._chains_down",
+    "qsym._chain_store",
     "qsym._schur_in_monomial",
-    "qsym._skew_qs_schur",
     "tableaux._skew_shape",
     "tableaux.enumerate_standard",
 }

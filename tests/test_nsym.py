@@ -2,8 +2,8 @@ import pytest
 
 from qschur import qsym
 from qschur.compositions import (
+    _chain_tables,
     _comp_of_mask,
-    chain_descents,
     compositions_of,
     leq,
     partitions_of,
@@ -177,7 +177,7 @@ def test_product_column_is_one_forward_substitution(monkeypatch):
     got = product_nc_schur(alpha, beta)
     assert len(got.terms) == 109
     assert len(rows) == len(set(rows)) <= 2 ** (sum(alpha) - 1)
-    assert len(rows) < len(chain_descents(beta, sum(alpha)))
+    assert len(rows) < len(_chain_tables(beta, sum(alpha)))
     column = {_comp_of_mask(mask): c for mask, c in qsym._s_column(alpha).items()}
     peeled = {}
     for tau in compositions_of(sum(alpha)):

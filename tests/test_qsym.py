@@ -303,8 +303,7 @@ def test_skew_quasi_schur_walks_down_without_a_down_set(monkeypatch):
         calls.append(gamma)
         return real_down_cells(gamma)
 
-    qsym._skew_qs_schur.cache_clear()
-    qsym._chains_down.cache_clear()
+    qsym._chain_store.cache_clear()
     monkeypatch.setattr(qsym, "_down_cells", counting_down_cells)
     assert skew_qs_schur((2, 3, 1, 2), (1,)).terms == {(1, 2, 2, 1, 1): 1, (2, 3, 1, 1): 1}
     assert len(calls) == 8
@@ -318,24 +317,31 @@ def test_skew_quasi_schur_walks_down_without_a_down_set(monkeypatch):
         assert calls == [outer]
 
 
-def test_deep_skews_walk_level_by_level(monkeypatch):
-    """A skew more levels deep than the memoized recursion may go fills its
-    tables bottom-up, one level at a time, with the answers the recursion
-    gives: thin shapes deeper than Python's stack still finish, and so does
-    a coproduct that reads such skews."""
-    assert qs_schur((1000,)).terms == {(1000,): 1}
-    assert qs_schur((1,) * 600).terms == {(1,) * 600: 1}
+def test_deep_skews_walk_level_by_level():
+    """The tables fill bottom-up with no recursion, so thin shapes whose
+    chains are far longer than Python's stack is deep still finish, and so
+    does a coproduct that reads many deep skews."""
+    assert qs_schur((2000,)).terms == {(2000,): 1}
+    assert qs_schur((1,) * 800).terms == {(1,) * 800: 1}
     assert skew_qs_schur((400,), (50,)).terms == {(350,): 1}
-    pairs = [((2, 3, 1, 2), (1,)), ((3, 1, 2, 2), ()), ((2, 2, 3), (2, 1)), ((1, 3), (2,))]
-    recursed = [skew_qs_schur(gamma, beta) for gamma, beta in pairs]
-    monkeypatch.setattr(qsym, "_DEEPEST", 1)
-    qsym._skew_qs_schur.cache_clear()
-    qsym._chains_down.cache_clear()
-    assert [skew_qs_schur(gamma, beta) for gamma, beta in pairs] == recursed
-    monkeypatch.undo()
-    # the sum of S_(250-k) (x) S_(k); the 50 skews with k < 50 are deeper than _DEEPEST
+    # the sum of S_(250-k) (x) S_(k), one skew per inner shape (k)
     expected = {((250 - k,) if k < 250 else (), (k,) if k else ()): 1 for k in range(251)}
     assert coproduct(basis_element("QSym", "S", (250,))) == expected
+
+
+def test_cold_store_fills_what_a_warm_store_reads():
+    """A skew filled into an empty store equals the same skew read from a
+    store that smaller outer shapes warmed, where each call fills only its
+    outer shape's own table: the fill order shows only in a cold store."""
+    pairs = [(gamma, beta) for gamma in comps_upto(6) for beta in comps_upto(sum(gamma) - 1)]
+    qsym._chain_store.cache_clear()
+    warm = [skew_qs_schur(gamma, beta) for gamma, beta in pairs]
+    cold = []
+    for gamma, beta in pairs:
+        qsym._chain_store.cache_clear()
+        cold.append(skew_qs_schur(gamma, beta))
+    assert cold == warm
+    assert sum(bool(f) for f in cold) > len(pairs) // 4
 
 
 @pytest.mark.parametrize(

@@ -416,6 +416,13 @@ def test_split_matches_cell_route():
         split_tableau(canonical_sct((2, 1)), 4)
 
 
+def test_split_point_must_be_an_int():
+    t = canonical_sct((2, 1))
+    for k in (True, 2.0, -1, 4, "1"):
+        with pytest.raises(ValueError, match=r"split point k must be an int in 0\.\.3, got"):
+            split_tableau(t, k)
+
+
 def test_split_lower_is_standardized():
     t = canonical_sct((1, 3, 1, 4))
     upper, lower = split_tableau(t, 4)
