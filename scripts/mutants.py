@@ -5,8 +5,8 @@ Each mutant below is a one-line change to a kernel of the package: the
 descent rule, the mask decoder and encoder, the up and down cover cells,
 the peel order of quasi-Schur functions (the tuple key and the direction
 of the peel on masks), the column solve of the products, the closed form
-of the cover order, the order in which a skew's chain tables are filled
-and the subtraction of the peel.
+of the cover order, the order in which a skew's chain tables are filled,
+the subtraction of the peel and the mask prefixes a product's walk keeps.
 For each, the script copies ``src/qschur`` to a temporary directory,
 applies the change, and runs ``verify all`` there under a wall-time limit.
 An unchanged copy runs first as the control and must pass.  A mutant is
@@ -119,6 +119,12 @@ MUTANTS = [
         "qsym.py",
         "val = remaining.get(index, 0) - c * k",
         "val = remaining.get(index, 0) + c * k",
+    ),
+    (
+        "prefix-shift-short",
+        "compositions.py",
+        "keep = {mask >> (levels - j) for mask in ends}",
+        "keep = {mask >> (levels - j + 1) for mask in ends}",
     ),
 ]
 

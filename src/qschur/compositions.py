@@ -31,7 +31,8 @@ Chains of L_C are counted by descent composition without listing them,
 in one table per composition: its chains down to a fixed inner shape by
 (column of the first cell removed, descent set), the set an int mask.
 Only ``_extend_chains``, the descent rule, builds tables: ``_chain_tables``
-pushes them up the up cells for products, and ``qsym`` lists the down
+pushes them up the up cells for products, cut at each level to the chains
+that can still end at a mask the product reads, and ``qsym`` lists the down
 cells below an outer shape and fills their tables bottom-up, into one
 store per inner shape, for skews and the S-basis coproduct.  A mask
 becomes a composition (``_comp_of_mask``) only where a tally leaves the
@@ -373,17 +374,36 @@ def _chains(beta: Composition, gamma: Composition, up) -> tuple[tuple[ChainStep,
     return tuple(chains)
 
 
-def _chain_tables(start: Composition, levels: int) -> dict[Composition, dict]:
+def _chain_tables(
+    start: Composition, levels: int, ends=None
+) -> dict[Composition, dict]:
     """The chain tables ``levels`` covers up from ``start``, on masks, for
     the products: the walk goes up the cover cells one level at a time and
     frees each level, a cover's table summing its children's, each
-    lengthened by the cell the cover adds (``_extend_chains``)."""
+    lengthened by the cell the cover adds (``_extend_chains``).
+
+    Given ``ends``, the masks a caller will read at the top level, the walk
+    keeps only the chains that can still end at one of them.  A step shifts
+    the mask up one bit and sets at most the new low bit, so no bit changes
+    once set: after j of the levels, a chain can reach mask M only if its
+    mask is ``M >> (levels - j)``, and each level is cut to those prefixes.
+    A composition whose chains are all cut stays listed with an empty table,
+    so every level lists its compositions in the order of the whole walk.
+    """
     tables: dict = {start: {(math.inf, 1): 1}}
-    for _ in range(levels):
+    for j in range(1, levels + 1):
         grown: dict = {}
         for comp, table in tables.items():
             for bigger, _, column in _up_cells(comp):
-                _extend_chains(table, column, grown.setdefault(bigger, {}))
+                into = grown.setdefault(bigger, {})
+                if table:
+                    _extend_chains(table, column, into)
+        if ends is not None:
+            keep = {mask >> (levels - j) for mask in ends}
+            grown = {
+                comp: {key: n for key, n in table.items() if key[1] in keep} if table else table
+                for comp, table in grown.items()
+            }
         tables = grown
     return tables
 

@@ -11,7 +11,9 @@ inverse of the unitriangular S-to-L change, the product coefficient is the
 sum of tally_gamma[tau] * v_alpha[tau].  The column comes from one
 forward substitution over the quasi-Schur rows at or above S_alpha
 (``qsym._s_column``), keyed on the descent masks the tables carry, so a
-product peels nothing and decodes no tau.  A single coefficient
+product peels nothing and decodes no tau.  The column is solved before the
+walk, and the walk carries only the chains whose masks begin a mask of its
+support: no other chain reaches a tau the sum reads.  A single coefficient
 (:func:`lr_coeff`) peels its one skew function into S instead.  The
 forgetful map onto symmetric functions and the classical
 Littlewood-Richardson coefficients, which the products refine, live here
@@ -77,14 +79,17 @@ def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
     as the dot product of gamma's table with the column of S_alpha
     coefficients of the L_tau, both keyed on descent masks: the column comes
     from one forward substitution (``qsym._s_column``), which reads at most
-    2^(|alpha| - 1) quasi-Schur rows and decodes no mask.  Raises
+    2^(|alpha| - 1) quasi-Schur rows and decodes no mask.  The walk is given
+    the column's masks and drops, level by level, every chain whose mask is
+    no prefix of one of them, so it carries only the chains the dot product
+    reads; the gamma still come in the order of the whole walk.  Raises
     ``ValueError`` when an argument is not a composition.
     """
     require_composition(alpha, beta)
     column = _s_column(alpha)  # mask of tau -> coefficient of S_alpha in L_tau
     terms = {}
-    for gamma, table in _chain_tables(beta, sum(alpha)).items():
-        c = sum(k * column[mask] for (_, mask), k in table.items() if mask in column)
+    for gamma, table in _chain_tables(beta, sum(alpha), column).items():
+        c = sum(k * column[mask] for (_, mask), k in table.items())
         if c:
             terms[gamma] = c
     return GradedElement("NSym", "S_star", terms)
@@ -103,9 +108,28 @@ def multiply_nc(f: GradedElement, g: GradedElement) -> GradedElement:
 
 def pieri(kind: str, n: int, beta: Composition) -> GradedElement:
     """Multiply by a single row (``kind="row"``) or column (``"column"``)
-    of ``n`` cells.  Raises ``ValueError`` when ``kind`` is neither, when
-    ``n`` is not a nonnegative int (a bool or a float is not one) or when
-    ``beta`` is not a composition."""
+    of ``n`` cells: S*_(n) S*_beta or S*_(1^n) S*_beta.
+
+    The coefficient of S*_gamma counts the saturated chains from ``beta``
+    to gamma whose added cells sit in strictly increasing columns (row) or
+    weakly decreasing columns (column).  Row case: each S_sigma holds L_tau
+    only where tau's mask is at or above sigma's, and L_sigma once
+    (``qsym._peel``), and (n) has the smallest mask of its degree.  So
+    L_(n) occurs only in S_(n), the S_(n) coefficient of any element is its
+    L_(n) coefficient, and the column, ``_s_column((n,))``, is the mask of
+    (n) alone, solved from one row.  A chain has descent composition (n)
+    when no entry is a descent, that is (``_extend_chains``) when each cell
+    added lies strictly right of the one before; the mask of (n) is its
+    sentinel, one set bit and n - 1 zeros, so the walk cut to its prefixes
+    carries only these monotone chains.  Column case: a chain up from () whose cells
+    never move right starts in column 1 and stays there, so L_(1^n) occurs
+    only in S_(1^n) and the column is again one mask, that of (1^n), though
+    the forward substitution reads all 2^(n - 1) rows to find it; its
+    chains are those in which every entry is a descent.
+
+    Raises ``ValueError`` when ``kind`` is neither, when ``n`` is not a
+    nonnegative int (a bool or a float is not one) or when ``beta`` is not
+    a composition."""
     if kind not in ("row", "column"):
         raise ValueError(f"kind must be 'row' or 'column', not {kind!r}")
     if not (type(n) is int and n >= 0):
@@ -141,7 +165,15 @@ class StripReport:
 
 def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
     """Compare the strip heuristic against the true product expansion;
-    raises ``ValueError`` on the arguments :func:`pieri` rejects."""
+    raises ``ValueError`` on the arguments :func:`pieri` rejects.
+
+    The exact rule is :func:`pieri`'s: gamma is in the row product's
+    support when some chain from ``beta`` adds its cells in strictly
+    increasing columns, in the column product's when some chain adds them
+    in weakly decreasing columns, and the coefficient counts those chains.
+    A strip need not have one: (1, 2) over (1) is a horizontal strip, but
+    its one chain adds column 2 and then column 1, so it is ``missing``.
+    """
     product = pieri(kind, n, beta)
     which = 0 if kind == "row" else 1
     predicted = []

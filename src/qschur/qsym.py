@@ -318,13 +318,14 @@ def _down_table(gamma: Composition, beta: Composition) -> dict:
         return store[gamma]
     cells: dict = {}  # composition not yet stored -> its down cells, top level first
     level = [gamma]
-    for _ in range(sum(gamma) - sum(beta)):
+    for depth in range(sum(gamma) - sum(beta), 0, -1):
         below: dict = {}
         for comp in level:
             if comp not in store:
                 cells[comp] = down = _down_cells(comp)
-                for child, _, _ in down:
-                    below[child] = None
+                if depth > 1:  # the bottom level's children are beta or chainless
+                    for child, _, _ in down:
+                        below[child] = None
         level = below
     for comp, down in reversed(cells.items()):
         table: dict = {}

@@ -184,6 +184,20 @@ def chains_above(beta, levels):
     return out
 
 
+def monotone_chain_counts(beta, n, kind):
+    """The chains ``n`` covers up from ``beta`` whose added cells sit in
+    strictly increasing columns (``kind="row"``) or weakly decreasing
+    columns (``"column"``), counted by upper end: ``{gamma: chains}``."""
+    out = {}
+    for gamma, chains in chains_above(beta, n).items():
+        for chain in chains:
+            columns = [column for _, column in chain]
+            pairs = list(zip(columns, columns[1:]))
+            if all(a < b for a, b in pairs) if kind == "row" else all(a >= b for a, b in pairs):
+                out[gamma] = out.get(gamma, 0) + 1
+    return out
+
+
 def brute_ssrt(nu, mu, max_entry):
     cells, _ = partition_cells(nu, mu)
     return [f for f in _fillings(cells, max_entry) if is_ssrt_filling(nu, mu, f)]

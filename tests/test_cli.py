@@ -70,6 +70,23 @@ def test_weight_fourteen_product_output_is_pinned(capsys, fmt, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, fmt, sha256",
+    [
+        ("2,2,3,1,2", "3,2,1,2,2", "json", "5ef6bd2c6962fdd60fa956006aa2fcaef6476c100581db0ed40965e7271d7fe7"),
+        ("2,2,3,1,2", "3,2,1,2,2", "tsv", "d58597ecaa877c025d0b129ad1766e59e4b433128b76a8a7dd42ed63c0d84204"),
+        ("1,3,2,2,1,2", "2,2,3,1,2", "json", "557bd399a6febc1b9e32d9b76ed60abc87efc2e3b5d7decb3a5a08dcaff794ed"),
+        ("1,3,2,2,1,2", "2,2,3,1,2", "tsv", "b4956554bf9ccb7dd5564aed5a90425213543ff0f85380669ab52955e8179bb0"),
+    ],
+    ids=["weight-20-json", "weight-20-tsv", "weight-21-json", "weight-21-tsv"],
+)
+def test_heavy_product_output_is_pinned(capsys, alpha, beta, fmt, sha256):
+    # Computed by the walk that carried every chain, before it was pruned.
+    code, out, _ = run(capsys, "product", "--alpha", alpha, "--beta", beta, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "product", "--alpha", "1,2", "--beta", "3,2")
     second = run(capsys, "product", "--alpha", "1,2", "--beta", "3,2")

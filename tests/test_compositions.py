@@ -104,6 +104,21 @@ def test_mask_decoder_is_a_bijection_onto_the_compositions():
                 assert levels == 0 or mask >> (levels - 1) & 1
 
 
+def test_pruned_walk_keeps_the_chains_that_reach_its_ends():
+    # Cut to the prefixes of some top masks, the walk lists the same
+    # compositions in the same order, each with exactly the whole walk's
+    # chains that end at one of those masks.
+    for beta in comps_upto(4):
+        for levels in range(1, 6):
+            full = _chain_tables(beta, levels)
+            masks = sorted({mask for table in full.values() for _, mask in table})
+            for ends in (set(), set(masks[::2]), set(masks[1::3]), set(masks)):
+                pruned = _chain_tables(beta, levels, ends)
+                assert list(pruned) == list(full)
+                for gamma, table in full.items():
+                    assert pruned[gamma] == {k: n for k, n in table.items() if k[1] in ends}
+
+
 def test_refines_golden():
     assert refines((4, 0, 3, 2, 1, 2), (7, 2, 3))
     assert not refines((2, 1), (1, 2))

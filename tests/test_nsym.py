@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from qschur import qsym
 from qschur.compositions import (
     _chain_tables,
     _comp_of_mask,
+    _mask_of_comp,
     compositions_of,
     leq,
     partitions_of,
@@ -34,6 +37,7 @@ from oracles import (
     classical_lr_oracle,
     classical_lr_semistandard,
     lr_by_rectification,
+    monotone_chain_counts,
     product_by_peel,
 )
 
@@ -151,6 +155,20 @@ def test_product_matches_peel_of_every_tally():
         assert list(got.items()) == list(product_by_peel(alpha, beta).terms.items())
 
 
+def test_product_matches_peel_above_the_exhaustive_horizon():
+    # Twelve seeded pairs of weight 12 to 16, |alpha| from 6 to 8, where the
+    # pruned walk cuts most chains: the same terms in the same order as the
+    # full walk's per-tally peel.
+    rng = random.Random(17)
+    for _ in range(12):
+        n = rng.randint(12, 16)
+        k = rng.randint(6, 8)
+        alpha = rng.choice(list(compositions_of(k)))
+        beta = rng.choice(list(compositions_of(n - k)))
+        got = product_nc_schur(alpha, beta).terms
+        assert list(got.items()) == list(product_by_peel(alpha, beta).terms.items())
+
+
 def test_lr_coeff_reads_the_product_coefficients():
     for n in range(8):
         for k in range(n + 1):
@@ -191,6 +209,24 @@ def test_pieri_row_equals_strip_product():
     assert pieri("row", 2, (1,)) == product_nc_schur((2,), (1,))
     assert pieri("column", 2, (1,)) == product_nc_schur((1, 1), (1,))
     assert pieri("row", 0, (2, 1)) == S((2, 1))
+
+
+def test_row_and_column_products_read_one_mask():
+    # L_(n) occurs only in S_(n), and L_(1^n) only in S_(1^n) (see pieri),
+    # so the column of each strip product is the strip's own mask.
+    for n in range(1, 11):
+        assert qsym._s_column((n,)) == {_mask_of_comp((n,)): 1}
+    for n in range(1, 8):
+        assert qsym._s_column((1,) * n) == {_mask_of_comp((1,) * n): 1}
+
+
+def test_pieri_counts_monotone_chains():
+    # A row adds its cells in strictly increasing columns, a column in
+    # weakly decreasing ones, counted on the oracle's own covers.
+    for beta in (b for w in range(7) for b in compositions_of(w)):
+        for n in range(5):
+            for kind in ("row", "column"):
+                assert pieri(kind, n, beta).terms == monotone_chain_counts(beta, n, kind)
 
 
 def test_pieri_rejects_bad_arguments():
