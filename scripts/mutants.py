@@ -6,7 +6,9 @@ descent rule, the mask decoder and encoder, the up and down cover cells,
 the peel order of quasi-Schur functions (the tuple key and the direction
 of the peel on masks), the column solve of the products, the closed form
 of the cover order, the order in which a skew's chain tables are filled,
-the subtraction of the peel and the mask prefixes a product's walk keeps.
+the subtraction of the peel, the mask prefixes a product's walk keeps, the
+quasi-shuffles of the M-basis product and the strong refinements behind
+the changes of basis between L and M.
 For each, the script copies ``src/qschur`` to a temporary directory,
 applies the change, and runs ``verify all`` there under a wall-time limit.
 An unchanged copy runs first as the control and must pass.  A mutant is
@@ -125,6 +127,18 @@ MUTANTS = [
         "compositions.py",
         "keep = {mask >> (levels - j) for mask in ends}",
         "keep = {mask >> (levels - j + 1) for mask in ends}",
+    ),
+    (
+        "quasi-shuffle-no-sum",
+        "qsym.py",
+        "(a[i] + b[j], row[j + 1]),",
+        "",
+    ),
+    (
+        "refinement-blocks-reversed",
+        "qsym.py",
+        "out += p",
+        "out = p + out",
     ),
 ]
 

@@ -32,13 +32,13 @@ in one table per composition: its chains down to a fixed inner shape by
 (column of the first cell removed, descent set), the set an int mask.
 Only ``_extend_chains``, the descent rule, builds tables: ``_chain_tables``
 pushes them up the up cells for products, cut at each level to the chains
-that can still end at a mask the product reads, and ``qsym`` lists the down
-cells below an outer shape and fills their tables bottom-up, into one
-store per inner shape, for skews and the S-basis coproduct.  A mask
-becomes a composition (``_comp_of_mask``) only where a tally leaves the
-walk, and a composition a mask (``_mask_of_comp``) where ``qsym`` changes
-basis from L to S on masks.  ``_levels`` lists the compositions k moves
-away.
+that can still end at a mask the product reads and to the compositions
+that still hold one, and ``qsym`` lists the down cells below an outer shape
+and fills their tables bottom-up, into one store per inner shape, for
+skews and the S-basis coproduct.  A mask becomes a composition
+(``_comp_of_mask``) only where a tally leaves the walk, and a composition a
+mask (``_mask_of_comp``) where ``qsym`` changes basis from L to S on masks.
+``_levels`` lists the compositions k moves away.
 """
 
 from __future__ import annotations
@@ -387,22 +387,21 @@ def _chain_tables(
     the mask up one bit and sets at most the new low bit, so no bit changes
     once set: after j of the levels, a chain can reach mask M only if its
     mask is ``M >> (levels - j)``, and each level is cut to those prefixes.
-    A composition whose chains are all cut stays listed with an empty table,
-    so every level lists its compositions in the order of the whole walk.
+    A composition whose chains are all cut leaves the walk, so no table is
+    empty and no emptied composition lists its up cells.
     """
     tables: dict = {start: {(math.inf, 1): 1}}
     for j in range(1, levels + 1):
         grown: dict = {}
         for comp, table in tables.items():
             for bigger, _, column in _up_cells(comp):
-                into = grown.setdefault(bigger, {})
-                if table:
-                    _extend_chains(table, column, into)
+                _extend_chains(table, column, grown.setdefault(bigger, {}))
         if ends is not None:
             keep = {mask >> (levels - j) for mask in ends}
             grown = {
-                comp: {key: n for key, n in table.items() if key[1] in keep} if table else table
+                comp: cut
                 for comp, table in grown.items()
+                if (cut := {key: n for key, n in table.items() if key[1] in keep})
             }
         tables = grown
     return tables

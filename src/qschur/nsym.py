@@ -13,14 +13,16 @@ forward substitution over the quasi-Schur rows at or above S_alpha
 (``qsym._s_column``), keyed on the descent masks the tables carry, so a
 product peels nothing and decodes no tau.  The column is solved before the
 walk, and the walk carries only the chains whose masks begin a mask of its
-support: no other chain reaches a tau the sum reads.  A single coefficient
-(:func:`lr_coeff`) peels its one skew function into S instead.  The
-forgetful map onto symmetric functions and the classical
-Littlewood-Richardson coefficients, which the products refine, live here
-too.  A classical coefficient is a quasi-Schur one on shapes padded by one
-column (:func:`classical_lr`), so it comes from the same chain-table fill and
-peel as :func:`lr_coeff`, and no tableau is inserted.  The strip report
-lists the shapes n levels above beta without counting their chains.
+support (no other chain reaches a tau the sum reads) and the compositions
+that still hold one.  Terms come in canonical order, as serializers write
+them.  A single coefficient (:func:`lr_coeff`) peels its one skew function
+into S instead.  The forgetful map onto symmetric functions and the
+classical Littlewood-Richardson coefficients, which the products refine,
+live here too.  A classical coefficient is a quasi-Schur one on shapes
+padded by one column (:func:`classical_lr`), so it comes from the same
+chain-table fill and peel as :func:`lr_coeff`, and no tableau is inserted.
+The strip report lists the shapes n levels above beta without counting
+their chains.
 """
 
 from __future__ import annotations
@@ -82,16 +84,17 @@ def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
     2^(|alpha| - 1) quasi-Schur rows and decodes no mask.  The walk is given
     the column's masks and drops, level by level, every chain whose mask is
     no prefix of one of them, so it carries only the chains the dot product
-    reads; the gamma still come in the order of the whole walk.  Raises
-    ``ValueError`` when an argument is not a composition.
+    reads and lists no gamma they miss.  The terms come in canonical order
+    (``canonical_key``, which is ``qsym.index_key`` on compositions), not in
+    the walk's.  Raises ``ValueError`` when an argument is not a composition.
     """
     require_composition(alpha, beta)
     column = _s_column(alpha)  # mask of tau -> coefficient of S_alpha in L_tau
-    terms = {}
-    for gamma, table in _chain_tables(beta, sum(alpha), column).items():
-        c = sum(k * column[mask] for (_, mask), k in table.items())
-        if c:
-            terms[gamma] = c
+    tables = _chain_tables(beta, sum(alpha), column)
+    terms = (
+        (gamma, sum(k * column[mask] for (_, mask), k in tables[gamma].items()))
+        for gamma in sorted(tables, key=canonical_key)
+    )
     return GradedElement("NSym", "S_star", terms)
 
 
@@ -181,16 +184,11 @@ def strip_report(kind: str, n: int, beta: Composition) -> StripReport:
         if strip_kind(skew_shape(COMPOSITION, gamma, beta))[which]:
             predicted.append(gamma)
     predicted.sort(key=canonical_key)
-    support = sorted(product.terms, key=canonical_key)
+    support = tuple(product.terms)  # already in canonical order
     missing = tuple(g for g in predicted if g not in product.terms)
     extra = tuple(g for g in support if g not in predicted)
-    nonunit = tuple(
-        (g, c) for g, c in sorted(product.terms.items(), key=lambda t: canonical_key(t[0]))
-        if c != 1
-    )
-    return StripReport(
-        kind, n, beta, tuple(predicted), tuple(support), missing, extra, nonunit
-    )
+    nonunit = tuple((g, c) for g, c in product.terms.items() if c != 1)
+    return StripReport(kind, n, beta, tuple(predicted), support, missing, extra, nonunit)
 
 
 def forget(f: GradedElement) -> GradedElement:

@@ -87,6 +87,24 @@ def test_heavy_product_output_is_pinned(capsys, alpha, beta, fmt, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "kind, fmt, sha256",
+    [
+        ("row", "json", "d8d1ef91bec5c7cc578d30121675b85a5ab163dddc9415f1372943906a0e029b"),
+        ("row", "tsv", "de7dfebaca113b2672038b1016ff5259eda75bb07091ada1775dcc6ba067c62e"),
+        ("column", "json", "13c6172ee3c3d062f442fa028091220486d33e537ba8f84d158820ab194f9707"),
+        ("column", "tsv", "8773c96f3da2b1a779955d1796e7c27390c538c142c2bf8ed9162e405d84582c"),
+    ],
+)
+def test_pieri_output_is_pinned(capsys, kind, fmt, sha256):
+    # Computed when the pruned walk still listed every composition it cut.
+    code, out, _ = run(
+        capsys, "pieri", "--kind", kind, "--n", "10", "--beta", "2,3,1,2,2", "--format", fmt
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "product", "--alpha", "1,2", "--beta", "3,2")
     second = run(capsys, "product", "--alpha", "1,2", "--beta", "3,2")

@@ -105,18 +105,24 @@ def test_mask_decoder_is_a_bijection_onto_the_compositions():
 
 
 def test_pruned_walk_keeps_the_chains_that_reach_its_ends():
-    # Cut to the prefixes of some top masks, the walk lists the same
-    # compositions in the same order, each with exactly the whole walk's
-    # chains that end at one of those masks.
+    # Cut to the prefixes of some top masks, the walk is the whole walk
+    # restricted to the chains that end at one of those masks, with every
+    # composition left without chains dropped; neither walk lists an empty
+    # table.
     for beta in comps_upto(4):
         for levels in range(1, 6):
             full = _chain_tables(beta, levels)
+            assert all(full.values())
             masks = sorted({mask for table in full.values() for _, mask in table})
             for ends in (set(), set(masks[::2]), set(masks[1::3]), set(masks)):
+                restricted = {
+                    gamma: cut
+                    for gamma, table in full.items()
+                    if (cut := {k: n for k, n in table.items() if k[1] in ends})
+                }
                 pruned = _chain_tables(beta, levels, ends)
-                assert list(pruned) == list(full)
-                for gamma, table in full.items():
-                    assert pruned[gamma] == {k: n for k, n in table.items() if k[1] in ends}
+                assert all(pruned.values())
+                assert pruned == restricted
 
 
 def test_refines_golden():

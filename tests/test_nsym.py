@@ -25,6 +25,7 @@ from qschur.qsym import (
     GradedElement,
     basis_element,
     convert,
+    index_key,
     multiply,
     qs_schur,
     skew_qs_schur,
@@ -143,6 +144,9 @@ def test_weight_fourteen_product_golden():
 
 
 def test_product_matches_peel_of_every_tally():
+    # Every pair with |alpha| + |beta| <= 8: the oracle's terms, in the
+    # index_key order the serializers write, whatever order the walk met
+    # the gamma in.
     pairs = [
         (alpha, beta)
         for n in range(9)
@@ -152,13 +156,14 @@ def test_product_matches_peel_of_every_tally():
     ]
     for alpha, beta in pairs + [WEIGHT_FOURTEEN, WEIGHT_SIXTEEN]:
         got = product_nc_schur(alpha, beta).terms
-        assert list(got.items()) == list(product_by_peel(alpha, beta).terms.items())
+        assert list(got) == sorted(got, key=index_key)
+        assert list(got.items()) == product_by_peel(alpha, beta).sorted_terms()
 
 
 def test_product_matches_peel_above_the_exhaustive_horizon():
     # Twelve seeded pairs of weight 12 to 16, |alpha| from 6 to 8, where the
-    # pruned walk cuts most chains: the same terms in the same order as the
-    # full walk's per-tally peel.
+    # pruned walk cuts most chains: the same terms as the full walk's
+    # per-tally peel, in index_key order.
     rng = random.Random(17)
     for _ in range(12):
         n = rng.randint(12, 16)
@@ -166,7 +171,7 @@ def test_product_matches_peel_above_the_exhaustive_horizon():
         alpha = rng.choice(list(compositions_of(k)))
         beta = rng.choice(list(compositions_of(n - k)))
         got = product_nc_schur(alpha, beta).terms
-        assert list(got.items()) == list(product_by_peel(alpha, beta).terms.items())
+        assert list(got.items()) == product_by_peel(alpha, beta).sorted_terms()
 
 
 def test_lr_coeff_reads_the_product_coefficients():
