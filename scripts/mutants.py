@@ -7,8 +7,9 @@ the peel order of quasi-Schur functions (the tuple key and the direction
 of the peel on masks), the column solve of the products, the closed form
 of the cover order, the order in which a skew's chain tables are filled,
 the subtraction of the peel, the mask prefixes a product's walk keeps, the
-quasi-shuffles of the M-basis product and the strong refinements behind
-the changes of basis between L and M.
+quasi-shuffles of the M-basis product, the free bits of the refinements
+on masks behind the changes of basis between L and M, and the partition
+terms through which Sym reads its results back from QSym.
 For each, the script copies ``src/qschur`` to a temporary directory,
 applies the change, and runs ``verify all`` there under a wall-time limit.
 An unchanged copy runs first as the control and must pass.  A mutant is
@@ -135,10 +136,16 @@ MUTANTS = [
         "",
     ),
     (
-        "refinement-blocks-reversed",
+        "refinement-no-first-cut",
         "qsym.py",
-        "out += p",
-        "out = p + out",
+        "free = ~mask & ((1 << sum(alpha)) - 1)",
+        "free = ~mask & ((1 << sum(alpha)) - 1) & -2",
+    ),
+    (
+        "sym-part-keeps-compositions",
+        "qsym.py",
+        "if is_partition(lam)}",
+        "if is_composition(lam)}",
     ),
 ]
 

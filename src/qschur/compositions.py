@@ -466,11 +466,16 @@ def canonical_key(alpha: Composition) -> tuple[int, int, Composition]:
     return (sum(alpha), len(alpha), alpha)
 
 
+def _require_count(*values: int) -> None:
+    for v in values:
+        if not (type(v) is int and v >= 0):
+            raise ValueError(f"{v!r} is not a non-negative int")
+
+
 def compositions_of(n: int) -> Iterator[Composition]:
     """All compositions of ``n`` in canonical order (length, then lex);
     raises ``ValueError`` when ``n`` is not a non-negative int."""
-    if not (type(n) is int and n >= 0):
-        raise ValueError(f"{n!r} is not a non-negative int")
+    _require_count(n)
     if n == 0:
         yield ()
         return
@@ -480,23 +485,35 @@ def compositions_of(n: int) -> Iterator[Composition]:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Composition]:
-    """All partitions of ``n``, largest first within the leading part."""
+    """All partitions of ``n`` with no part above ``max_part`` (default
+    ``n``), largest first within the leading part; raises ``ValueError``
+    when ``n`` or a given ``max_part`` is not a non-negative int."""
+    max_part = n if max_part is None else max_part
+    _require_count(n, max_part)
+    return _partitions(n, max_part)
+
+
+def _partitions(n: int, max_part: int) -> Iterator[Composition]:
     if n == 0:
         yield ()
         return
-    if max_part is None:
-        max_part = n
     for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
+        for rest in _partitions(n - first, first):
             yield (first,) + rest
 
 
 def weak_compositions(n: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All weak compositions of ``n`` with exactly ``length`` parts."""
+    """All weak compositions of ``n`` with exactly ``length`` parts; raises
+    ``ValueError`` when either is not a non-negative int."""
+    _require_count(n, length)
+    return _weak_compositions(n, length)
+
+
+def _weak_compositions(n: int, length: int) -> Iterator[tuple[int, ...]]:
     if length == 0:
         if n == 0:
             yield ()
         return
     for first in range(n + 1):
-        for rest in weak_compositions(n - first, length - 1):
+        for rest in _weak_compositions(n - first, length - 1):
             yield (first,) + rest

@@ -20,6 +20,10 @@ exponent vectors of length ``m``, noncommutative ones are words over
 basis elements is the quasi-shuffle of their indices; the polynomial model
 evaluates elements and recovers them (:func:`to_polynomial`,
 :func:`from_polynomial`), and no product goes through it.
+
+QSym changes basis on descent masks, L to S by the one peel.  Sym is the
+symmetric part of QSym: its basis changes, products and Schur expansions
+include their input in QSym, work there and keep the partition terms.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -41,13 +44,11 @@ from .compositions import (
     _mask_sums,
     _tally,
     canonical_key,
-    compositions_of,
     is_composition,
     is_partition,
     is_weak_composition,
     require_composition,
     strong,
-    underlying_partition,
     weak_compositions,
 )
 
@@ -341,12 +342,18 @@ def _down_table(gamma: Composition, beta: Composition) -> dict:
 
 
 def _strong_refinements(alpha: Composition):
-    """Strong compositions refining ``alpha``: blockwise concatenations."""
-    for parts in itertools.product(*(tuple(compositions_of(a)) for a in alpha)):
-        out: tuple[int, ...] = ()
-        for p in parts:
-            out += p
-        yield out
+    """The compositions refining ``alpha``, on descent masks: their partial
+    sums hold alpha's, so their masks (``_mask_of_comp``) are alpha's joined
+    with any submask of its clear bits below bit |alpha| - 1, which every
+    composition of |alpha| sets."""
+    mask = _mask_of_comp(alpha)
+    free = ~mask & ((1 << sum(alpha)) - 1)
+    sub = free
+    while True:
+        yield _comp_of_mask(mask | sub)
+        if not sub:
+            return
+        sub = (sub - 1) & free
 
 
 def _l_to_m(terms: dict) -> dict:
@@ -381,10 +388,10 @@ def _peel(terms: dict, key, expansion, name=str) -> dict:
     Quasi-Schur functions are unitriangular in the fundamental basis
     (Haglund, Luoto, Mason and van Willigenburg, *Quasisymmetric Schur
     functions*, JCTA 2011); the verify check peel-orders-are-unitriangular
-    covers the orders below (through degree 10 when it was added).  The
-    change from L to S peels on descent masks (``_l_to_s``), where ``-mask``
-    is the key: within a degree, descending mask order is ascending
-    ``_l_to_s_key``, and each row stays in its degree.
+    covers the order below (through degree 10 when it was added).  The
+    library peels once, from L to S on descent masks (``_l_to_s``), where
+    ``-mask`` is the key: within a degree, descending mask order is
+    ascending ``_l_to_s_key``, and each row stays in its degree.
     """
     remaining = dict(terms)
     out: dict = {}
@@ -410,10 +417,6 @@ def _peel(terms: dict, key, expansion, name=str) -> dict:
 
 def _l_to_s_key(alpha: Composition):
     return sum(alpha), alpha[::-1]  # degree, then reverse-lexicographic
-
-
-def _m_to_s_key(lam: Composition):
-    return sum(lam), lam  # degree, then lexicographic
 
 
 def _l_to_s(terms: dict) -> dict:
@@ -457,18 +460,10 @@ def _s_column(alpha: Composition) -> dict[int, int]:
     return x
 
 
-@cache
-def _schur_in_monomial(lam: Composition) -> dict:
-    """m-basis expansion of the Schur function of ``lam`` (as a dict): the
-    sum of the quasi-Schur functions of the rearrangements of ``lam``."""
-    total = _l_to_m(_s_to_l(_rearrangements(lam)))
-    return {index: c for index, c in total.items() if is_partition(index)}
-
-
 def _rearrangements(lam: Composition) -> dict:
     """Each composition whose parts sort to ``lam``, with coefficient 1, in
-    the order of ``compositions_of`` (lexicographic): each distinct part
-    leads, smallest first, the rearrangements of the other parts."""
+    lexicographic order: each distinct part leads, smallest first, the
+    rearrangements of the other parts."""
     if not lam:
         return {(): 1}
     out = {}
@@ -479,19 +474,28 @@ def _rearrangements(lam: Composition) -> dict:
     return out
 
 
-def _distinct_rearrangements(lam: Composition) -> int:
-    counts = Counter(lam)
-    total = math.factorial(len(lam))
-    for v in counts.values():
-        total //= math.factorial(v)
-    return total
+def _include(f: GradedElement) -> GradedElement:
+    """The inclusion of Sym in QSym on ``m`` and ``s``: m_lam and s_lam go to
+    the sums of M_alpha and S_alpha over the rearrangements alpha of lam."""
+    if f.basis == "h":
+        raise ValueError("expand h through to_polynomial; inclusion needs m or s")
+    return GradedElement("QSym", f.basis.upper(), linear(f.terms, _rearrangements))
+
+
+def _symmetric_part(f: GradedElement) -> GradedElement:
+    """A symmetric QSym element in ``M`` or ``S`` as a Sym element in ``m``
+    or ``s``: its terms at partitions, since the inclusion of c * s_lam
+    holds c at every rearrangement of lam, lam among them."""
+    terms = {lam: c for lam, c in f.terms.items() if is_partition(lam)}
+    return GradedElement("Sym", f.basis.lower(), terms)
 
 
 def convert(f: GradedElement, basis: str) -> GradedElement:
     """Rewrite ``f`` in another basis of the same ring (exactly).
 
-    ``L``/``M`` -> ``S`` (through ``L``, on descent masks) and ``m`` -> ``s``
-    peel (``_peel``).
+    ``L``/``M`` -> ``S`` go through ``L`` and the one peel, on descent
+    masks (``_l_to_s``); Sym changes basis in QSym (``_include``, then
+    ``_symmetric_part``).
     In QSym and Sym an index that names no basis element raises
     ``ValueError`` before any route runs, even when ``basis`` is ``f``'s own.
     """
@@ -513,27 +517,19 @@ def convert(f: GradedElement, basis: str) -> GradedElement:
             raise ValueError(f"no conversion {f.basis} -> {basis} in QSym")
         return GradedElement("QSym", basis, routes[(f.basis, basis)](f.terms))
     if f.ring == "Sym":
-        if (f.basis, basis) == ("s", "m"):
-            return GradedElement("Sym", "m", linear(f.terms, _schur_in_monomial))
-        if (f.basis, basis) == ("m", "s"):
-            return GradedElement(
-                "Sym", "s", _peel(f.terms, _m_to_s_key, _schur_in_monomial)
-            )
-        raise ValueError(f"no conversion {f.basis} -> {basis} in Sym")
+        if {f.basis, basis} != {"m", "s"}:
+            raise ValueError(f"no conversion {f.basis} -> {basis} in Sym")
+        return _symmetric_part(convert(_include(f), basis.upper()))
     raise ValueError(f"no conversions within ring {f.ring}")
 
 
 def sym_to_qsym(f: GradedElement) -> GradedElement:
-    """The inclusion of symmetric functions, landing in the M basis.
-    Raises ``ValueError`` on an index that is not a partition."""
+    """The inclusion of symmetric functions (``_include``), landing in the
+    M basis.  Raises ``ValueError`` on an index that is not a partition."""
     if f.ring != "Sym":
         raise ValueError("expected a Sym element")
     _require_basis_indices(is_partition, f)
-    if f.basis == "h":
-        raise ValueError("expand h through to_polynomial; inclusion needs m or s")
-    if f.basis == "s":
-        f = convert(f, "m")
-    return GradedElement("QSym", "M", linear(f.terms, _rearrangements))
+    return convert(_include(f), "M")
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +554,7 @@ def to_polynomial(f: GradedElement, m: int) -> TruncatedPolynomial:
                 return prod.terms
 
             return TruncatedPolynomial(m, True, linear(f.terms, h_product))
-        f = sym_to_qsym(f)
+        f = _include(f)
     if f.ring != "QSym":
         raise ValueError(f"no polynomial model for ring {f.ring}")
     f = convert(f, "M")
@@ -593,20 +589,16 @@ def from_polynomial(p: TruncatedPolynomial, n: int) -> GradedElement:
         raise ValueError(f"need at least {max(top, n)} variables, have {p.m}")
 
     def monomial_str(exps) -> str:
-        return (
-            "".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e) or "1"
-        )
+        return "".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e) or "1"
 
-    seen: dict[Composition, tuple] = {}
-    for exps, c in p.terms.items():
-        alpha = strong(exps)
-        seen.setdefault(alpha, exps)
+    seen: dict[Composition, tuple] = {}  # alpha -> its first exponent vector
+    for exps in p.terms:
+        seen.setdefault(strong(exps), exps)
     terms: dict = {}
-    for alpha, witness in seen.items():
+    for alpha, good in seen.items():
         coeffs = {key: p.terms.get(key, 0) for key in _placements(alpha, p.m)}
         values = set(coeffs.values())
         if len(values) > 1:
-            good = seen[alpha]
             bad = next(k for k, v in coeffs.items() if v != p.terms.get(good, 0))
             raise ValueError(
                 "not quasisymmetric: "
@@ -628,20 +620,15 @@ def multiply(f: GradedElement, g: GradedElement) -> GradedElement:
 
     QSym inputs are converted to M, where M_a M_b is the sum of M_w over
     the quasi-shuffles w of a and b (:func:`_quasi_shuffles`), and give an
-    M-basis result.  Sym inputs are included in QSym (:func:`sym_to_qsym`),
-    multiplied there, and give the m-basis result read off the partition
-    indices.  An index that names no basis element raises ``ValueError``.
+    M-basis result.  Sym inputs are multiplied in QSym (``_include``) and
+    come back in m (``_symmetric_part``).  An index that names no basis
+    element raises ``ValueError``.
     """
     if f.ring != g.ring:
         raise ValueError("cannot multiply across rings")
     if f.ring == "Sym":
         _require_basis_indices(is_partition, f, g)
-        product = multiply(sym_to_qsym(f), sym_to_qsym(g))
-        out = {}
-        for alpha, c in product.terms.items():
-            if is_partition(alpha):
-                out[alpha] = c
-        return GradedElement("Sym", "m", out)
+        return _symmetric_part(multiply(_include(f), _include(g)))
     if f.ring != "QSym":
         raise ValueError(f"no product for ring {f.ring}")
     _require_basis_indices(is_composition, f, g)
@@ -736,35 +723,26 @@ def coproduct(f: GradedElement) -> dict:
 
 
 def is_symmetric(f: GradedElement) -> bool:
-    """Whether a QSym element is invariant under rearranging its indices;
-    a Sym element is, once its indices check out as partitions."""
+    """Whether a QSym element is invariant under rearranging its indices,
+    that is, the inclusion of its terms at partitions; a Sym element is,
+    once its indices check out as partitions."""
     if f.ring == "Sym":
         _require_basis_indices(is_partition, f)
         return True
     g = convert(f, "M")
-    by_partition: dict[Composition, list] = {}
-    for alpha, c in g.terms.items():
-        by_partition.setdefault(underlying_partition(alpha), []).append(c)
-    for lam, coeffs in by_partition.items():
-        if len(set(coeffs)) != 1:
-            return False
-        if len(coeffs) != _distinct_rearrangements(lam):
-            return False
-    return True
+    return _include(_symmetric_part(g)) == g
 
 
 def schur_expansion(f: GradedElement) -> GradedElement:
-    """Expand a symmetric element in the Schur basis (exactly)."""
+    """Expand a symmetric element in the Schur basis (exactly).  A QSym
+    element that passes :func:`is_symmetric` is the inclusion of its Schur
+    expansion, so that expansion is its S-basis terms at partitions
+    (``_symmetric_part``); one that fails raises ``ValueError``."""
     if f.ring == "Sym":
         return convert(f, "s")
     if not is_symmetric(f):
         raise ValueError("element is not symmetric")
-    g = convert(f, "M")
-    mono: dict = {}
-    for alpha, c in g.terms.items():
-        if is_partition(alpha):
-            mono[alpha] = c
-    return convert(GradedElement("Sym", "m", mono), "s")
+    return _symmetric_part(convert(f, "S"))
 
 
 # ---------------------------------------------------------------------------

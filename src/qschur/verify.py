@@ -77,10 +77,8 @@ from .qsym import (
     TruncatedPolynomial,
     _accumulate,
     _l_to_s_key,
-    _m_to_s_key,
     _peel,
     _s_column,
-    _schur_in_monomial,
     basis_element,
     commutative_monomial,
     convert,
@@ -393,15 +391,17 @@ def _check_schur_inversion(d: int, rng: random.Random) -> Sweep:
             return f"S_{alpha} reads back as {back.terms}"
 
 
+def _rearranged(lam: Composition) -> list[Composition]:
+    """The compositions of |lam| whose parts sort to ``lam``, by a scan."""
+    return [a for a in compositions_of(sum(lam)) if underlying_partition(a) == lam]
+
+
 @_register("schur-sum-over-rearrangements", "bases")
 def _check_schur_sum(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
         yield
         m = max(sum(lam), 1)
-        rearranged = [
-            a for a in compositions_of(sum(lam)) if underlying_partition(a) == lam
-        ]
-        total = _poly_sum(m, True, (to_polynomial(qs_schur(a), m) for a in rearranged))
+        total = _poly_sum(m, True, (to_polynomial(qs_schur(a), m) for a in _rearranged(lam)))
         if to_polynomial(basis_element("Sym", "s", lam), m) != total:
             return f"Schur sum fails for {lam}"
 
@@ -411,12 +411,7 @@ def _check_monomial_symmetric(d: int, rng: random.Random) -> Sweep:
     for lam in _parts_upto(d):
         yield
         m = max(sum(lam), 1)
-        rearranged = [
-            a for a in compositions_of(sum(lam)) if underlying_partition(a) == lam
-        ]
-        total = _poly_sum(
-            m, True, (to_polynomial(_m_element(a), m) for a in rearranged)
-        )
+        total = _poly_sum(m, True, (to_polynomial(_m_element(a), m) for a in _rearranged(lam)))
         if to_polynomial(basis_element("Sym", "m", lam), m) != total:
             return f"monomial sum fails for {lam}"
 
@@ -543,14 +538,22 @@ def _check_symmetry(d: int, rng: random.Random) -> Sweep:
 
 @_register("peel-orders-are-unitriangular", "bases")
 def _check_peel_orders(d: int, rng: random.Random) -> Sweep:
+    """Quasi-Schur functions in L under the peel's ``_l_to_s_key``, and
+    Schur functions in m in lexicographic order: each other term indexes
+    the basis and comes below the function's own."""
+
+    def schur_in_m(lam):
+        return convert(basis_element("Sym", "s", lam), "m").terms
+
     for basis, indices, key, expansion in (
         ("S", _comps_upto(d), _l_to_s_key, lambda alpha: qs_schur(alpha).terms),
-        ("s", _parts_upto(d), _m_to_s_key, _schur_in_monomial),
+        ("s", _parts_upto(d), lambda lam: (sum(lam), lam), schur_in_m),
     ):
+        known = set(indices)  # every index of each degree the terms reach
         for index in indices:
             yield
             terms = expansion(index)
-            lower = all(key(i) < key(index) for i in terms if i != index)
+            lower = all(i in known and key(i) < key(index) for i in terms if i != index)
             if terms.get(index) != 1 or not lower:
                 return f"{basis}_{index} is not unitriangular: {terms}"
 
@@ -879,7 +882,7 @@ def _check_uniform_symmetric(d: int, rng: random.Random) -> Sweep:
     for beta, gamma in _uniform_pairs(d):
         yield
         f = skew_qs_schur(gamma, beta)
-        if not is_symmetric(convert(f, "M")):
+        if not is_symmetric(f):
             return f"uniform {gamma} over {beta} is not symmetric"
         expansion = schur_expansion(f)
         if any(not isinstance(c, int) or c < 0 for c in expansion.terms.values()):
@@ -893,7 +896,7 @@ def _check_symmetric_scan(d: int, rng: random.Random) -> Sweep:
         if skew_shape(COMPOSITION, gamma, beta).is_uniform():
             continue
         yield
-        if is_symmetric(convert(skew_qs_schur(gamma, beta), "M")):
+        if is_symmetric(skew_qs_schur(gamma, beta)):
             witnesses.append(f"{gamma} over {beta}")
     if witnesses:
         return Note("symmetric non-uniform shapes: " + "; ".join(witnesses))

@@ -20,6 +20,7 @@ from fractions import Fraction
 from qschur.compositions import (
     _chain_tables,
     _tally,
+    compositions_of,
     is_contained,
     is_partition,
     partitions_of,
@@ -29,8 +30,10 @@ from qschur.compositions import (
 from qschur.qsym import (
     GradedElement,
     TruncatedPolynomial,
+    _peel,
     convert,
     from_polynomial,
+    qs_schur,
     sym_to_qsym,
     to_polynomial,
 )
@@ -575,6 +578,36 @@ def product_by_peel(alpha, beta):
         if c:
             terms[gamma] = c
     return GradedElement("NSym", "S_star", terms)
+
+
+# --- Sym's changes of basis by their own routes --------------------------------
+# The changes of basis as they were before Sym changed basis in QSym and the
+# refinements moved onto descent masks: the refinements of alpha as the
+# blockwise concatenations of compositions of its parts; s_lam in m as the
+# quasi-Schur rows of lam's rearrangements summed in L, moved to M over those
+# refinements and kept at partitions; and m to s as a peel that takes off
+# the largest partition in lexicographic order with that expansion.
+
+
+def refinements_by_blocks(alpha):
+    for blocks in itertools.product(*(tuple(compositions_of(a)) for a in alpha)):
+        yield sum(blocks, ())
+
+
+@functools.cache
+def schur_in_monomial_by_rows(lam):
+    rows = Counter()
+    for alpha in set(itertools.permutations(lam)):
+        rows.update(qs_schur(alpha).terms)
+    total = Counter()
+    for tau, c in rows.items():
+        for beta in refinements_by_blocks(tau):
+            total[beta] += c
+    return {beta: c for beta, c in total.items() if c and is_partition(beta)}
+
+
+def monomial_to_schur_by_peel(terms):
+    return _peel(terms, lambda lam: (sum(lam), lam), schur_in_monomial_by_rows)
 
 
 # --- the noncommuting analogue by fillings ------------------------------------

@@ -42,10 +42,29 @@ def test_compositions_of_counts():
         assert len(list(compositions_of(n))) == 2 ** (n - 1)
 
 
-@pytest.mark.parametrize("n", [2.0, -1, True, "2"])
-def test_compositions_of_rejects_non_integers(n):
+BAD_COUNTS = [2.0, -1, True, "2"]
+COUNTED = {
+    "partitions_of-n": lambda v: partitions_of(v),
+    "partitions_of-max_part": lambda v: partitions_of(3, v),
+    "weak_compositions-n": lambda v: weak_compositions(v, 2),
+    "weak_compositions-length": lambda v: weak_compositions(2, v),
+}
+
+
+@pytest.mark.parametrize(
+    "call, n",
+    [pytest.param(compositions_of, v, id=str(v)) for v in BAD_COUNTS]
+    + [
+        pytest.param(call, v, id=f"{name}-{v}")
+        for name, call in COUNTED.items()
+        for v in BAD_COUNTS
+    ],
+)
+def test_compositions_of_rejects_non_integers(call, n):
+    # The check runs at the call, in front of the recursion, so a bad count
+    # can neither yield nothing nor recurse without end.
     with pytest.raises(ValueError, match="is not a non-negative int"):
-        list(compositions_of(n))
+        list(call(n))
 
 
 def test_partitions_of():

@@ -16,13 +16,12 @@ public function checks its arguments and then reads its ``_name`` memo.
 ``PUBLIC_MEMOS`` names the one exception, ``enumerate_standard``, whose
 only argument is a ``SkewShape`` that validates itself when built.
 
-The five caches stay because a ``verify`` pass rereads them.  A degree-5
+The four caches stay because a ``verify`` pass rereads them.  A degree-5
 ``verify all`` pass in a fresh process took 0.76 s at the median of 7
 interleaved runs, and with one memo unwrapped in every module that binds
 it: 0.91 s without ``_chain_store`` (the chain tables down to each inner
 shape, behind every skew and quasi-Schur function), 0.87 s without
-``enumerate_standard``, 0.88 s without ``_skew_shape`` and 0.82 s without
-``_schur_in_monomial`` (the Sym checks convert s to m once per case).
+``enumerate_standard`` and 0.88 s without ``_skew_shape``.
 ``_rect_census`` saves little at degree 5 (0.78 s) but much at degree 7,
 where three interleaved passes took 12.7-14.1 s with it and 15.2-18.0 s
 without.  The runs are noisy, 2 cores shared.  ``_chain_store`` serves
@@ -34,7 +33,11 @@ The memos that only retired routes read (set compositions by size and by
 shape, compositions by size, semistandard fillings by shape) are gone:
 lifting M_(8) built and kept all 545,835 set compositions of 8 to return
 one term.  So is the memo of skew functions, each now tallied afresh from
-its stored table.
+its stored table.  So is the memo of Schur functions in the m basis:
+Sym changes basis in QSym, through the peel from L to S and the
+refinements on descent masks, and without the memo a sequential degree-7
+``verify all`` took 15.4 s in each of two runs, against 15.0 and 17.1 s
+with it in interleaved runs.
 
 The accumulation scan lists every function that adds into a dict by hand,
 reading ``d.get(k, 0) + ...`` or ``d.get(k, 0) - ...``.  Sparse sums go through
@@ -67,7 +70,6 @@ ROOT = Path(__file__).resolve().parent.parent
 CACHES = {
     "applications._rect_census",
     "qsym._chain_store",
-    "qsym._schur_in_monomial",
     "tableaux._skew_shape",
     "tableaux.enumerate_standard",
 }

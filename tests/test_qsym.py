@@ -48,8 +48,11 @@ from oracles import (
     fundamental_poly,
     leq_by_covers,
     monomial_quasi_poly,
+    monomial_to_schur_by_peel,
     multiply_by_polynomials,
     qschur_poly,
+    refinements_by_blocks,
+    schur_in_monomial_by_rows,
     schur_poly,
     solve_exact,
 )
@@ -175,6 +178,36 @@ def test_rearrangements_match_the_composition_scan():
         for lam in partitions_of(n):
             scan = [a for a in compositions_of(n) if underlying_partition(a) == lam]
             assert list(qsym._rearrangements(lam).items()) == [(a, 1) for a in scan]
+
+
+def test_schur_to_monomial_matches_the_rows_route():
+    # Sym's s -> m and the inclusion of s_lam, through QSym, against the sum
+    # of the rearrangements' quasi-Schur rows moved to M by blockwise
+    # refinements.
+    for n in range(9):
+        for lam in partitions_of(n):
+            s_lam = basis_element("Sym", "s", lam)
+            in_m = schur_in_monomial_by_rows(lam)
+            assert convert(s_lam, "m").terms == in_m
+            assert sym_to_qsym(s_lam).terms == {
+                alpha: c for mu, c in in_m.items() for alpha in qsym._rearrangements(mu)
+            }
+
+
+def test_monomial_to_schur_matches_the_lexicographic_peel():
+    for n in range(9):
+        for lam in partitions_of(n):
+            m_lam = basis_element("Sym", "m", lam)
+            in_s = monomial_to_schur_by_peel({lam: 1})
+            assert convert(m_lam, "s").terms == in_s
+            assert schur_expansion(sym_to_qsym(m_lam)).terms == in_s
+
+
+def test_refinements_on_masks_match_blockwise_concatenation():
+    for alpha in comps_upto(9):
+        got = list(qsym._strong_refinements(alpha))
+        assert len(got) == len(set(got))
+        assert set(got) == set(refinements_by_blocks(alpha))
 
 
 def test_multiply_never_uses_the_polynomial_model(monkeypatch):
