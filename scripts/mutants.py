@@ -8,8 +8,10 @@ of the peel on masks), the column solve of the products, the closed form
 of the cover order, the order in which a skew's chain tables are filled,
 the subtraction of the peel, the mask prefixes a product's walk keeps, the
 quasi-shuffles of the M-basis product, the free bits of the refinements
-on masks behind the changes of basis between L and M, and the partition
-terms through which Sym reads its results back from QSym.
+on masks behind the changes of basis between L and M, the partition
+terms through which Sym reads its results back from QSym, the placement
+rule and the column order of the column sort, and the bump rule of row
+insertion.
 For each, the script copies ``src/qschur`` to a temporary directory,
 applies the change, and runs ``verify all`` there under a wall-time limit.
 An unchanged copy runs first as the control and must pass.  A mutant is
@@ -146,6 +148,24 @@ MUTANTS = [
         "qsym.py",
         "if is_partition(lam)}",
         "if is_composition(lam)}",
+    ),
+    (
+        "unpack-strict-placement",
+        "transforms.py",
+        "row[-1] >= e",
+        "row[-1] > e",
+    ),
+    (
+        "pack-increasing-columns",
+        "transforms.py",
+        "cols = [iter(sorted(col, reverse=True)) for col in _columns(t)]",
+        "cols = [iter(sorted(col)) for col in _columns(t)]",
+    ),
+    (
+        "row-insert-bumps-equal",
+        "transforms.py",
+        "if x < k:",
+        "if x <= k:",
     ),
 ]
 

@@ -47,11 +47,9 @@ from .tableaux import (
 )
 from .transforms import (
     pack_columns,
-    pack_columns_skew,
     rect,
     rsk,
     unpack_columns,
-    unpack_columns_skew,
 )
 
 
@@ -242,12 +240,7 @@ def _args_rho(p: argparse.ArgumentParser) -> None:
 
 def _cmd_rho(args) -> int:
     t = load_tableau(args.tableau)
-    if args.inverse:
-        out = unpack_columns_skew(t, args.beta) if args.beta else unpack_columns(t)
-    elif t.shape.inner:
-        out = pack_columns_skew(t)
-    else:
-        out = pack_columns(t)
+    out = unpack_columns(t, args.beta or ()) if args.inverse else pack_columns(t)
     emit(to_json_dict(out))
     return 0
 

@@ -316,10 +316,16 @@ def validate(t: Tableau) -> str:
 
 
 def content(t: Tableau, max_entry: int | None = None) -> tuple[int, ...]:
-    """Multiplicity of each value 1..max as a weak composition."""
+    """Multiplicity of each value 1..max as a weak composition.
+
+    ``max_entry``, when given, must be an int (a bool is not one) at least
+    the largest entry, else ``ValueError``.
+    """
     counts = Counter(t.entries().values())
     top = max(counts, default=0)
     if max_entry is not None:
+        if type(max_entry) is not int:
+            raise ValueError(f"max_entry must be an int, got {max_entry!r}")
         if top > max_entry:
             raise ValueError(f"entry {top} exceeds max_entry={max_entry}")
         top = max_entry

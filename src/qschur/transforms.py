@@ -1,34 +1,24 @@
 """Bijections and moves connecting composition and partition fillings.
 
-``pack_columns`` / ``unpack_columns`` exchange straight composition
-fillings with straight partition fillings by sorting columns; the skew
-variants are mirror images, replaying one column sequence up Young's
-lattice or up the composition poset.
+``pack_columns`` / ``unpack_columns`` exchange composition fillings of
+gamma//beta with partition fillings of lam/mu, the underlying partitions
+of gamma and beta, by sorting columns; a straight shape is the case of an
+empty beta.
 Insertion, rectification, and the (dual) Knuth moves live here too.
 """
 
 from __future__ import annotations
 
-from .compositions import (
-    ChainStep,
-    Composition,
-    _covers,
-    _young_covers,
-    require_composition,
-    underlying_partition,
-)
+from .compositions import Composition, require_composition, underlying_partition
 from .tableaux import (
     COMPOSITION,
     PARTITION,
     Tableau,
     _columns,
-    _grow_rows,
-    colseq,
     column_word,
-    destandardize,
     enumerate_standard,
     make_tableau,
-    standardize,
+    skew_shape,
     straight,
 )
 
@@ -46,89 +36,53 @@ def _straight_tableau(kind: str, rows: list[list[int]]) -> Tableau:
 
 
 def pack_columns(t: Tableau) -> Tableau:
-    """Sort each column into decreasing order, top-justified.
+    """Sort each column's skew entries into decreasing order, below the
+    inner cells of the underlying partition of the inner shape.
 
-    Sends a straight composition filling to the partition filling of the
-    underlying partition shape; inverse of :func:`unpack_columns`.
-    """
-    _require_straight(t, COMPOSITION)
-    cols = [sorted(col, reverse=True) for col in _columns(t)]
-    lam = underlying_partition(t.shape.outer)
-    rows = tuple(tuple(cols[c][r] for c in range(lam[r])) for r in range(len(lam)))
-    return Tableau(straight(PARTITION, lam), rows)
-
-
-def unpack_columns(t: Tableau) -> Tableau:
-    """Rebuild the composition filling whose sorted columns give ``t``.
-
-    The first column, sorted increasingly, seeds the rows; later columns
-    are placed in decreasing order, each entry going to the highest row of
-    the right current length whose last entry can sit to its left.
-    """
-    _require_straight(t, PARTITION)
-    cols = _columns(t) or [[]]
-    rows = [[e] for e in sorted(cols[0])]
-    for c, col in enumerate(cols[1:], start=2):
-        for e in sorted(col, reverse=True):
-            for row in rows:
-                if len(row) == c - 1 and row[-1] >= e:
-                    row.append(e)
-                    break
-            else:
-                raise ValueError(f"entry {e} in column {c} has no valid row")
-    return _straight_tableau(COMPOSITION, rows)
-
-
-def pack_columns_skew(t: Tableau) -> Tableau:
-    """Skew analogue of :func:`pack_columns`.
-
-    The column sequence of the standardization is replayed up Young's
-    lattice from the underlying partition of the inner shape: column 1
-    opens a new bottom row, column j > 1 extends the topmost row of length
-    j - 1.
+    Sends a composition filling of outer//inner to a partition filling of
+    the underlying partitions of outer and inner; inverse of
+    :func:`unpack_columns` over ``inner``.
     """
     if t.shape.kind != COMPOSITION:
         raise ValueError("expected a composition-shape tableau")
-    that, tau = standardize(t)
+    lam = underlying_partition(t.shape.outer)
     mu = underlying_partition(t.shape.inner)
-    partner = _grow_rows(PARTITION, mu, _replay(colseq(that), mu, _young_covers))
-    return partner if t.is_standard() else destandardize(partner, tau)
+    cols = [iter(sorted(col, reverse=True)) for col in _columns(t)]
+    rows = tuple(
+        tuple(None if c < skip else next(cols[c]) for c in range(length))
+        for length, skip in zip(lam, mu + (0,) * (len(lam) - len(mu)))
+    )
+    return Tableau(skew_shape(PARTITION, lam, mu), rows)
 
 
-def unpack_columns_skew(t: Tableau, beta: Composition) -> Tableau:
-    """Inverse of :func:`pack_columns_skew` over the composition base ``beta``.
+def unpack_columns(t: Tableau, beta: Composition = ()) -> Tableau:
+    """Rebuild the composition filling over ``beta`` whose sorted columns
+    give ``t``, a partition filling over the underlying partition of ``beta``.
 
-    Requires the inner shape of ``t`` to be the underlying partition of
-    ``beta``; the column sequence is replayed up the composition poset from
-    ``beta`` instead.
+    The first column, sorted increasingly, seeds new rows above the rows of
+    ``beta``; later columns are placed in decreasing order, each entry going
+    to the highest row of the right current length whose last cell can sit
+    to its left: an inner cell, or an entry at least as large.
     """
     if t.shape.kind != PARTITION:
         raise ValueError("expected a partition-shape tableau")
+    require_composition(beta)
     if underlying_partition(beta) != t.shape.inner:
         raise ValueError(
             f"base {beta} does not have underlying partition {t.shape.inner}"
         )
-    require_composition(beta)
-    that, tau = standardize(t)
-    partner = _grow_rows(COMPOSITION, beta, _replay(colseq(that), beta, _covers))
-    return partner if t.is_standard() else destandardize(partner, tau)
-
-
-def _replay(seq: tuple[int, ...], base: Composition, up) -> tuple[ChainStep, ...]:
-    """The chain up from ``base`` whose step t is the cover in ``up`` adding
-    a cell in column ``seq[t - 1]``: in L_C and in Young's lattice at most
-    one cover adds a cell to a given column."""
-    current = base
-    steps: list[ChainStep] = []
-    for j in seq:
-        for bigger, step in up(current):
-            if step.column == j:
-                break
-        else:
-            raise ValueError(f"column sequence {seq} does not grow from {base}")
-        steps.append(step)
-        current = bigger
-    return tuple(steps)
+    cols = _columns(t) or [[]]
+    rows = [[e] for e in sorted(cols[0])] + [[None] * part for part in beta]
+    for c, col in enumerate(cols[1:], start=2):
+        for e in sorted(col, reverse=True):
+            for row in rows:
+                if len(row) == c - 1 and (row[-1] is None or row[-1] >= e):
+                    row.append(e)
+                    break
+            else:
+                raise ValueError(f"entry {e} in column {c} has no valid row")
+    outer = tuple(map(len, rows))
+    return Tableau(skew_shape(COMPOSITION, outer, beta), tuple(map(tuple, rows)))
 
 
 def _row_insert(rows: list[list[int]], k: int) -> tuple[int, int]:
@@ -222,10 +176,11 @@ def rect(t: Tableau) -> Tableau:
 def p_move(word: Word, k: int) -> Word:
     """Elementary Knuth move on positions k, k+1, k+2 (1-based).
 
-    Raises ValueError when no move applies at that window.
+    Raises ValueError when no move applies at that window, or when ``k`` is
+    not an int (a bool is not one) in 1..len(word) - 2.
     """
-    if not 1 <= k <= len(word) - 2:
-        raise ValueError(f"window {k} out of range for word of length {len(word)}")
+    if not (type(k) is int and 1 <= k <= len(word) - 2):
+        raise ValueError(f"window {k!r} out of range for word of length {len(word)}")
     x, y, z = word[k - 1], word[k], word[k + 1]
     out = list(word)
     if x < z < y or y < z < x:
@@ -242,8 +197,11 @@ def q_move(word: Word, k: int) -> Word:
 
     Writing the positions of these three values left to right, the move
     exchanges the letters at the two outer positions; it applies only when
-    the middle position does not hold k+1.
+    the middle position does not hold k+1.  Raises ValueError when it does,
+    or when ``k`` is not an int (a bool is not one).
     """
+    if type(k) is not int:
+        raise ValueError(f"value k must be an int, got {k!r}")
     pos: dict[int, int] = {}
     for i, x in enumerate(word):
         if x in (k, k + 1, k + 2):
@@ -307,11 +265,12 @@ def is_rigid_row_pair(t: Tableau, r: int) -> bool:
     The rows must have different lengths and every triple
     ((r, j), (r, j+1), (r+1, j)) for j up to the length of row r+1 must be
     rigid: the first triple's entries are three consecutive values, and
-    later triples satisfy T(r+1, j) < T(r, j+1).
+    later triples satisfy T(r+1, j) < T(r, j+1).  Raises ValueError unless
+    ``r`` is an int (a bool is not one) naming a row above the last.
     """
     sh = t.shape
-    if not 1 <= r < len(sh.outer):
-        raise ValueError(f"rows {r}, {r + 1} not both present")
+    if not (type(r) is int and 1 <= r < len(sh.outer)):
+        raise ValueError(f"rows {r!r} and the next are not both present")
     if sh.outer[r - 1] == sh.outer[r]:
         return False
     for j in range(1, sh.outer[r] + 1):

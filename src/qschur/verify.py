@@ -127,13 +127,11 @@ from .transforms import (
     is_rigid_row_pair,
     p_move,
     pack_columns,
-    pack_columns_skew,
     q_move,
     rect,
     restricted_move_components,
     rsk,
     unpack_columns,
-    unpack_columns_skew,
 )
 
 DEFAULT_SEED = 17
@@ -1200,6 +1198,11 @@ def _check_rect_descents(d: int, rng: random.Random) -> Sweep:
 
 @_register("skew-column-sort-pairing", "roundtrips", cap=7)
 def _check_skew_pairing(d: int, rng: random.Random) -> Sweep:
+    """The column sort pairs the fillings of gamma//beta with those of
+    lam(gamma)/lam(beta): each image is a valid filling of that shape that
+    unpacks over beta to its preimage, and the counts agree.  The colseq
+    test checks the replay property, that the column sequence of a standard
+    filling survives, against the column sort, which never reads it."""
     sct_counts: Counter = Counter()  # (partition of gamma, beta) -> SSCT count
     for beta, gamma in _interval_pairs(d):
         shape = skew_shape(COMPOSITION, gamma, beta)
@@ -1208,18 +1211,18 @@ def _check_skew_pairing(d: int, rng: random.Random) -> Sweep:
         sct_counts[underlying_partition(gamma), beta] += len(fillings)
         for t in fillings:
             yield
-            image = pack_columns_skew(t)
+            image = pack_columns(t)
             if image.shape.outer != underlying_partition(gamma):
                 return f"skew packing of {t.rows} lands on a wrong shape"
             if image.shape.inner != mu:
                 return f"skew packing of {t.rows} moves the base"
             if validate(image) not in ("SSRT", "SRT"):
                 return f"skew packing of {t.rows} is invalid"
-            if unpack_columns_skew(image, beta) != t:
+            if unpack_columns(image, beta) != t:
                 return f"skew unpack(pack) moves {t.rows}"
         for t in enumerate_standard(shape):
             yield
-            if colseq(t) != colseq(pack_columns_skew(t)):
+            if colseq(t) != colseq(pack_columns(t)):
                 return f"skew packing changes colseq of {t.rows}"
     # counting form: SSCT over beta with fixed partition closure vs SSRT
     for nu in _parts_upto(d):

@@ -19,12 +19,15 @@ from fractions import Fraction
 
 from qschur.compositions import (
     _chain_tables,
+    _covers,
     _tally,
+    _young_covers,
     compositions_of,
     is_contained,
     is_partition,
     partitions_of,
     refines,
+    underlying_partition,
     weak_compositions,
 )
 from qschur.qsym import (
@@ -42,13 +45,16 @@ from qschur.tableaux import (
     PARTITION,
     SkewShape,
     Tableau,
+    _grow_rows,
     canonical_srt,
+    colseq,
     column_word,
     descent_composition,
     destandardize,
     enumerate_semistandard,
     enumerate_standard,
     make_tableau,
+    standardize,
     straight,
     validate,
 )
@@ -624,6 +630,35 @@ def qs_rs_by_fillings(alpha, m):
         repeats = math.prod(math.factorial(k) for k in Counter(values).values())
         terms.extend((word, repeats) for word in set(itertools.permutations(values)))
     return TruncatedPolynomial(m, False, terms)
+
+
+# --- the column sort by replaying column sequences ----------------------------
+# pack_columns and unpack_columns on skew shapes as they were before one
+# column sort served every inner shape: the column sequence of the
+# standardization replayed up Young's lattice from the underlying partition
+# of the inner shape, or up the composition order from beta, grown into
+# rows and destandardized.  In either lattice at most one cover adds a cell
+# to a given column, so each step of the replay is determined.
+
+
+def _replay(t, kind, base, up):
+    that, tau = standardize(t)
+    current = base
+    steps = []
+    for j in colseq(that):
+        current, step = next((bigger, s) for bigger, s in up(current) if s.column == j)
+        steps.append(step)
+    return destandardize(_grow_rows(kind, base, tuple(steps)), tau)
+
+
+def pack_by_replay(t):
+    return _replay(t, PARTITION, underlying_partition(t.shape.inner), _young_covers)
+
+
+def unpack_by_replay(t, beta):
+    if underlying_partition(beta) != t.shape.inner:
+        raise ValueError(f"base {beta} does not have underlying partition {t.shape.inner}")
+    return _replay(t, COMPOSITION, beta, _covers)
 
 
 # --- rectification by composition insertion and test-only helpers ------------

@@ -207,6 +207,33 @@ def test_rho_round_trip(tmp_path, capsys):
     assert json.loads(out)["rows"] == [[1], [3, 2]]
 
 
+def test_rho_skew_golden(tmp_path, capsys):
+    """Skew rho and its inverse over two bases, each stdout pinned by
+    sha256 as well as by its rows."""
+    ssct = [[2, 1], [None, 4, 4, 4], [None, None, 2]]
+    path = write_tableau(tmp_path, "ssct.json", COMPOSITION, ssct)
+    code, out, _ = run(capsys, "rho", "--tableau", path)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "622e7f578081da899a08e90a322e1b5b768b5e697ba76d9d087185475a41bfab"
+    )
+    assert json.loads(out)["rows"] == [[None, None, 4, 4], [None, 4, 2], [2, 1]]
+    srt = tmp_path / "ssrt.json"
+    srt.write_text(out)
+    for beta, rows, sha256 in [
+        ("1,2", ssct, "80427781890c9a2ba7eabafd6470dd354bfb0295de99b89db015f97b203dd22f"),
+        (
+            "2,1",
+            [[2, 1], [None, None, 4, 4], [None, 4, 2]],
+            "5e979f47d721abbc0cd775c2bce5a5dcb5d18f1f976ce837489b57d90bc0dc68",
+        ),
+    ]:
+        code, out, _ = run(capsys, "rho", "--tableau", str(srt), "--inverse", "--beta", beta)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        assert json.loads(out)["rows"] == rows
+
+
 def test_pr_product_command(tmp_path, capsys):
     t1 = write_tableau(tmp_path, "t1.json", PARTITION, [[3, 2], [1]])
     t2 = write_tableau(tmp_path, "t2.json", PARTITION, [[3, 2, 1]])

@@ -319,7 +319,7 @@ def test_young_covers_are_the_partitions_one_cell_up():
 
 
 def test_covers_add_cells_in_distinct_columns():
-    # the column-sequence replay of the skew bijections relies on this
+    # the column-sequence replay of oracles.pack_by_replay relies on this
     shapes = [(covers, comp) for comp in comps_upto(7)]
     shapes += [(_young_covers, lam) for n in range(8) for lam in partitions_of(n)]
     for up, shape in shapes:

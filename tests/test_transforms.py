@@ -3,18 +3,20 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qschur.compositions import compositions_of, underlying_partition
+from qschur.compositions import compositions_of, leq, underlying_partition
 from qschur.tableaux import (
     COMPOSITION,
     PARTITION,
     SkewShape,
     Tableau,
     column_word,
+    content,
     descents,
     descent_composition,
     enumerate_semistandard,
     enumerate_standard,
     from_rows,
+    skew_shape,
     straight,
     validate,
 )
@@ -25,17 +27,22 @@ from qschur.transforms import (
     is_rigid_row_pair,
     p_move,
     pack_columns,
-    pack_columns_skew,
     q_move,
     rect,
     restricted_move_components,
     rsk,
     standard_words_of_shape,
     unpack_columns,
-    unpack_columns_skew,
 )
 
-from oracles import c_class, insert_word, rect_by_ssct_insertion, word_c_shape
+from oracles import (
+    c_class,
+    insert_word,
+    pack_by_replay,
+    rect_by_ssct_insertion,
+    unpack_by_replay,
+    word_c_shape,
+)
 
 
 def comps_upto(d):
@@ -179,21 +186,72 @@ def test_rect_preserves_descents():
 def test_skew_pack_round_trip():
     shape = SkewShape(COMPOSITION, (1, 4, 3), (1, 2))
     for t in enumerate_semistandard(shape, 3):
-        image = pack_columns_skew(t)
+        image = pack_columns(t)
         assert image.shape.kind == PARTITION
         assert image.shape.outer == underlying_partition(t.shape.outer)
         assert image.shape.inner == underlying_partition(t.shape.inner)
-        assert unpack_columns_skew(image, t.shape.inner) == t
+        assert unpack_columns(image, t.shape.inner) == t
 
 
 def test_skew_unpack_rejects_non_composition_bases():
     filled = from_rows(PARTITION, [[None, None, 2], [None, 1]])
     empty = from_rows(PARTITION, [[None, None], [None]])
-    assert unpack_columns_skew(filled, (1, 2)).shape.inner == (1, 2)
+    assert unpack_columns(filled, (1, 2)).shape.inner == (1, 2)
     for t in (filled, empty):
         for beta in ([2, 1], (2, 0, 1), (0, 2, 1)):
             with pytest.raises(ValueError, match="is not a composition"):
-                unpack_columns_skew(t, beta)
+                unpack_columns(t, beta)
+        with pytest.raises(ValueError, match="does not have underlying partition"):
+            unpack_columns(t, (3,))
+        with pytest.raises(ValueError, match="does not have underlying partition"):
+            unpack_columns(t)
+
+
+def replay_fillings():
+    """Every SSCT with |gamma| at most 5 at entry bound 4, with |gamma| = 6
+    at entry bound 3, and every SCT with |gamma| = 7, over every beta below
+    gamma, straight shapes included."""
+    for gamma in comps_upto(7):
+        n = sum(gamma)
+        for beta in comps_upto(n):
+            if not leq(beta, gamma):
+                continue
+            shape = skew_shape(COMPOSITION, gamma, beta)
+            if n <= 5:
+                yield from enumerate_semistandard(shape, 4)
+            elif n == 6:
+                yield from enumerate_semistandard(shape, 3)
+            else:
+                yield from enumerate_standard(shape)
+
+
+def test_column_sort_agrees_with_replay():
+    fillings = list(replay_fillings())
+    assert len(fillings) == 4402
+    for t in fillings:
+        image = pack_columns(t)
+        assert image == pack_by_replay(t)
+        beta = t.shape.inner
+        assert unpack_columns(image, beta) == unpack_by_replay(image, beta) == t
+
+
+BAD_INTS = [True, False, 1.0, 2.5, "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_INTS)
+def test_integer_arguments_reject_other_types(bad):
+    t = from_rows(COMPOSITION, [[1, 1]])
+    rigid = from_rows(COMPOSITION, [[3], [8, 7, 5, 2], [9, 4, 1], [None, None, 10, 6]])
+    calls = [
+        lambda: p_move((2, 1, 3), bad),
+        lambda: q_move((1, 2, 3), bad),
+        lambda: is_rigid_row_pair(rigid, bad),
+    ]
+    if bad is not None:  # None is the default: no bound
+        calls.append(lambda: content(t, bad))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_p_move_changes_word_not_insertion():
