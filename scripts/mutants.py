@@ -10,8 +10,10 @@ the subtraction of the peel, the mask prefixes a product's walk keeps, the
 quasi-shuffles of the M-basis product, the free bits of the refinements
 on masks behind the changes of basis between L and M, the partition
 terms through which Sym reads its results back from QSym, the placement
-rule and the column order of the column sort, and the bump rule of row
-insertion.
+rule and the column order of the column sort, the bump rule of row
+insertion, and the two NCQSym kernels: the weight with which M terms are
+spread over set compositions and the block sizes by which the forgetful
+map sends a set composition back to QSym.
 For each, the script copies ``src/qschur`` to a temporary directory,
 applies the change, and runs ``verify all`` there under a wall-time limit.
 An unchanged copy runs first as the control and must pass.  A mutant is
@@ -166,6 +168,18 @@ MUTANTS = [
         "transforms.py",
         "if x < k:",
         "if x <= k:",
+    ),
+    (
+        "spread-drops-factorials",
+        "applications.py",
+        "weight = math.prod(math.factorial(p) for p in beta)",
+        "weight = 1",
+    ),
+    (
+        "project-reversed-blocks",
+        "applications.py",
+        "{tuple(map(len, pi)): 1}",
+        "{tuple(map(len, pi[::-1])): 1}",
     ),
 ]
 

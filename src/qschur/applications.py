@@ -9,6 +9,9 @@ whose union is an initial segment 1..n; dropping the block order (for set
 partitions) we sort blocks by their minima.  They are generated one shape
 at a time and never stored.  Kostka numbers and :func:`qs_rs` count the
 fillings of each content by an M coefficient of S_alpha, enumerating none.
+The analogues :func:`qs_rs` and :func:`s_rs` are ``M_Pi`` elements with no
+variable count; words are built only to evaluate one, and chi is
+:func:`project`.
 """
 
 from __future__ import annotations
@@ -38,12 +41,10 @@ from .compositions import (
 from .qsym import (
     GradedElement,
     TruncatedPolynomial,
-    _placements,
     _rearrangements,
     _require_basis_indices,
     basis_element,
     convert,
-    let_variables_commute,
     linear,
     qs_schur,
 )
@@ -222,16 +223,20 @@ def nsym_image_sum(terms: Iterable[Tableau]) -> GradedElement:
 # noncommuting variables
 
 
-def _m_pi(pi: SetComposition, m: int, choices) -> TruncatedPolynomial:
+def _words(pi: SetComposition, m: int, choices) -> dict:
     """One word per choice ``choices(range(1, m + 1), len(pi))`` of a
-    variable per block; raises ``ValueError`` when ``pi`` is not a set
-    composition of 1..n."""
-    if not _is_set_composition(pi):
-        raise ValueError(f"{pi} does not index a basis element")
+    variable per block, each with coefficient 1; ``pi`` is not checked."""
     block_of = {j: b for b, block in enumerate(pi) for j in block}
     word = [block_of[j] for j in range(1, len(block_of) + 1)]
     words = (tuple(c[b] for b in word) for c in choices(range(1, m + 1), len(pi)))
-    return TruncatedPolynomial(m, False, dict.fromkeys(words, 1))
+    return dict.fromkeys(words, 1)
+
+
+def _m_pi(pi: SetComposition, m: int, choices) -> TruncatedPolynomial:
+    """:func:`_words` as a polynomial, once ``pi`` is checked."""
+    if not _is_set_composition(pi):
+        raise ValueError(f"{pi} does not index a basis element")
+    return TruncatedPolynomial(m, False, _words(pi, m, choices))
 
 
 def m_pi_nc(pi: SetComposition, m: int) -> TruncatedPolynomial:
@@ -263,84 +268,72 @@ def kostka(alpha: Composition, beta: tuple[int, ...]) -> int:
     return convert(qs_schur(alpha), "M").coefficient(strong(beta))
 
 
-def qs_rs(alpha: Composition, m: int) -> TruncatedPolynomial:
-    """Quasi-Schur analogue in noncommuting variables.
+def _spread(f: GradedElement) -> GradedElement:
+    """The QSym element ``f`` in NCQSym: c * M_beta -> c * beta! * (the sum
+    of M_pi over the set compositions pi of shape beta), beta! the product
+    of the factorials of its parts."""
 
-    Sums, over semistandard fillings of ``alpha`` with entries at most
-    ``m``, every distinct rearrangement of the entry multiset, weighted by
-    the product of the content factorials.  The fillings of each content
-    beta number c, the M_strong(beta) coefficient of S_alpha (:func:`kostka`),
-    so each word of content beta gets c * beta!.  The verify check
-    analogue-dual-route compares it with the set-composition expansion.
-    Raises ``ValueError`` when ``alpha`` is not a composition or ``m`` not
-    a non-negative int.
-    """
+    def spread(beta: Composition) -> dict:
+        weight = math.prod(math.factorial(p) for p in beta)
+        return dict.fromkeys(_set_compositions_of_shape(beta), weight)
+
+    return GradedElement("NCQSym", "M_Pi", linear(convert(f, "M").terms, spread))
+
+
+def qs_rs(alpha: Composition) -> GradedElement:
+    """Quasi-Schur analogue in noncommuting variables, in ``M_Pi``: the
+    paper's sum, over the semistandard fillings of ``alpha``, of every
+    distinct rearrangement of the entries times the content factorials.
+    The words of content beta are those of the M_pi with pi of shape
+    strong(beta), and the fillings of that content number the M_beta
+    coefficient of S_alpha (:func:`kostka`), so the analogue is
+    ``|alpha|! * lift(S_alpha)``.  Raises ``ValueError`` when ``alpha`` is
+    not a composition."""
     require_composition(alpha)
-    if type(m) is not int or m < 0:
-        raise ValueError(f"m must be a non-negative int, got {m!r}")
-    terms: dict = {}
-    for sigma, c in convert(qs_schur(alpha), "M").terms.items():
-        weight = c * math.prod(math.factorial(p) for p in sigma)
-        for beta in _placements(sigma, m):
-            letters = [i for i, k in enumerate(beta, 1) for _ in range(k)]
-            terms.update(dict.fromkeys(set(itertools.permutations(letters)), weight))
-    return TruncatedPolynomial(m, False, terms)
+    return _spread(qs_schur(alpha))
 
 
-def s_rs(lam: Composition, m: int) -> TruncatedPolynomial:
-    """Schur analogue in noncommuting variables: sum of :func:`qs_rs` over
-    all rearrangements of ``lam``; raises ``ValueError`` when ``lam`` is
-    not a partition, or as :func:`qs_rs` does."""
+def s_rs(lam: Composition) -> GradedElement:
+    """Schur analogue in noncommuting variables: the sum of :func:`qs_rs`
+    over all rearrangements of ``lam``, spread from that sum of S_alpha
+    in one pass; raises ``ValueError`` when ``lam`` is not a partition."""
     if not (isinstance(lam, tuple) and is_partition(lam)):
         raise ValueError(f"{lam} is not a partition")
-    return TruncatedPolynomial(
-        m, False, linear(_rearrangements(lam), lambda a: qs_rs(a, m).terms)
-    )
-
-
-def chi_nc(p: TruncatedPolynomial) -> TruncatedPolynomial:
-    """Let the variables commute."""
-    return let_variables_commute(p)
+    return _spread(GradedElement("QSym", "S", _rearrangements(lam)))
 
 
 def lift(f: GradedElement) -> GradedElement:
-    """Lift a quasisymmetric element into noncommuting variables.
-
-    Spreads each monomial term M_alpha over the set compositions of shape
-    ``alpha``, scaled so that projecting back is the identity.
-    """
+    """Lift a quasisymmetric element into noncommuting variables: the
+    spread of :func:`qs_rs` with each M_alpha divided by |alpha|!, so that
+    projecting back is the identity."""
     if f.ring != "QSym":
         raise ValueError("lift applies to QSym elements")
-    f = convert(f, "M")
-
-    def spread(alpha) -> dict:
-        factor = Fraction(
-            math.prod(math.factorial(p) for p in alpha), math.factorial(sum(alpha))
-        )
-        return dict.fromkeys(_set_compositions_of_shape(alpha), factor)
-
-    return GradedElement("NCQSym", "M_Pi", linear(f.terms, spread))
+    terms = convert(f, "M").terms
+    scaled = {alpha: Fraction(c, math.factorial(sum(alpha))) for alpha, c in terms.items()}
+    return _spread(GradedElement("QSym", "M", scaled))
 
 
 def project(f: GradedElement) -> GradedElement:
-    """Forget the set structure: each set composition maps to its block
-    sizes.  Raises ``ValueError`` on an index that is not a set composition
-    of 1..n."""
+    """The forgetful map chi onto QSym: each set composition maps to its
+    block sizes.  Raises ``ValueError`` on an index that is not a set
+    composition of 1..n."""
     if (f.ring, f.basis) != ("NCQSym", "M_Pi"):
         raise ValueError("project applies to NCQSym elements")
     _require_basis_indices(_is_set_composition, f)
-    return GradedElement(
-        "QSym", "M", linear(f.terms, lambda pi: {shape_of_blocks(pi): 1})
-    )
+    return GradedElement("QSym", "M", linear(f.terms, lambda pi: {tuple(map(len, pi)): 1}))
 
 
 def ncqsym_to_polynomial(f: GradedElement, m: int) -> TruncatedPolynomial:
-    """Evaluate at noncommuting x_1..x_m; raises as :func:`m_pi_nc` does."""
+    """Evaluate at noncommuting x_1..x_m, skipping the M_pi with more than
+    m blocks, which have no word; raises as :func:`m_pi_nc` does."""
     if (f.ring, f.basis) != ("NCQSym", "M_Pi"):
         raise ValueError("expected an NCQSym element")
-    return TruncatedPolynomial(
-        m, False, linear(f.terms, lambda pi: m_pi_nc(pi, m).terms)
-    )
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be a non-negative int, got {m!r}")
+    _require_basis_indices(_is_set_composition, f)
+    fitting = {pi: c for pi, c in f.terms.items() if len(pi) <= m}
+    terms = linear(fitting, lambda pi: _words(pi, m, itertools.combinations))
+    return TruncatedPolynomial(m, False, terms)
 
 
 # ---------------------------------------------------------------------------

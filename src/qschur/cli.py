@@ -21,9 +21,10 @@ import math
 import sys
 
 from .applications import (
-    chi_nc,
     descent_pieri_K,
+    ncqsym_to_polynomial,
     pr_product,
+    project,
     qs_rs,
 )
 from .compositions import covers, interval_chains, leq
@@ -239,6 +240,8 @@ def _args_rho(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_rho(args) -> int:
+    if args.beta is not None and not args.inverse:
+        raise ValueError("--beta applies only with --inverse")
     t = load_tableau(args.tableau)
     out = unpack_columns(t, args.beta or ()) if args.inverse else pack_columns(t)
     emit(to_json_dict(out))
@@ -301,11 +304,10 @@ def _cmd_ncqsym(args) -> int:
     if m < 1:
         raise ValueError("--vars must be at least 1")
     if args.ncqsym_command == "qs-rs":
-        emit(poly_json(qs_rs(args.alpha, m)))
+        emit(poly_json(ncqsym_to_polynomial(qs_rs(args.alpha), m)))
         return 0
-    lhs = chi_nc(qs_rs(args.alpha, m))
     rhs = math.factorial(n) * to_polynomial(qs_schur(args.alpha), m)
-    ok = lhs == rhs
+    ok = to_polynomial(project(qs_rs(args.alpha)), m) == rhs
     emit({"alpha": list(args.alpha), "vars": m, "ok": ok})
     return 0 if ok else 1
 

@@ -33,6 +33,7 @@ from .compositions import (
     Composition,
     _chain_tables,
     _levels,
+    _mask_of_comp,
     _up_cells,
     canonical_key,
     is_composition,
@@ -89,8 +90,13 @@ def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
     the walk's.  Raises ``ValueError`` when an argument is not a composition.
     """
     require_composition(alpha, beta)
-    column = _s_column(alpha)  # mask of tau -> coefficient of S_alpha in L_tau
-    tables = _chain_tables(beta, sum(alpha), column)
+    return _product_by_column(_s_column(alpha), sum(alpha), beta)
+
+
+def _product_by_column(column: dict[int, int], n: int, beta: Composition) -> GradedElement:
+    """The walk and dot product of :func:`product_nc_schur`, given the
+    column of its factor of degree ``n``; ``beta`` is not checked."""
+    tables = _chain_tables(beta, n, column)
     terms = (
         (gamma, sum(k * column[mask] for (_, mask), k in tables[gamma].items()))
         for gamma in sorted(tables, key=canonical_key)
@@ -99,14 +105,18 @@ def product_nc_schur(alpha: Composition, beta: Composition) -> GradedElement:
 
 
 def multiply_nc(f: GradedElement, g: GradedElement) -> GradedElement:
-    """Bilinear extension of :func:`product_nc_schur`."""
+    """Bilinear extension of :func:`product_nc_schur`, one column solved per
+    term of ``f``; raises ``ValueError`` on an index that is no composition."""
     for h in (f, g):
         if (h.ring, h.basis) != ("NSym", "S_star"):
             raise ValueError("expected NSym elements in the dual quasi-Schur basis")
-    terms = linear(
-        f.terms, lambda a: linear(g.terms, lambda b: product_nc_schur(a, b).terms)
-    )
-    return GradedElement("NSym", "S_star", terms)
+    require_composition(*f.terms, *g.terms)
+
+    def times_g(alpha: Composition) -> dict:
+        column = _s_column(alpha)
+        return linear(g.terms, lambda beta: _product_by_column(column, sum(alpha), beta).terms)
+
+    return GradedElement("NSym", "S_star", linear(f.terms, times_g))
 
 
 def pieri(kind: str, n: int, beta: Composition) -> GradedElement:
@@ -120,15 +130,15 @@ def pieri(kind: str, n: int, beta: Composition) -> GradedElement:
     (``qsym._peel``), and (n) has the smallest mask of its degree.  So
     L_(n) occurs only in S_(n), the S_(n) coefficient of any element is its
     L_(n) coefficient, and the column, ``_s_column((n,))``, is the mask of
-    (n) alone, solved from one row.  A chain has descent composition (n)
-    when no entry is a descent, that is (``_extend_chains``) when each cell
-    added lies strictly right of the one before; the mask of (n) is its
-    sentinel, one set bit and n - 1 zeros, so the walk cut to its prefixes
-    carries only these monotone chains.  Column case: a chain up from () whose cells
+    (n) alone.  A chain has descent composition (n) when no entry is a
+    descent, that is (``_extend_chains``) when each cell added lies
+    strictly right of the one before; the mask of (n) is its sentinel, one
+    set bit and n - 1 zeros, so the walk cut to its prefixes carries only
+    these monotone chains.  Column case: a chain up from () whose cells
     never move right starts in column 1 and stays there, so L_(1^n) occurs
-    only in S_(1^n) and the column is again one mask, that of (1^n), though
-    the forward substitution reads all 2^(n - 1) rows to find it; its
-    chains are those in which every entry is a descent.
+    only in S_(1^n) and the column is again one mask, that of (1^n); its
+    chains are those in which every entry is a descent.  The walk is handed
+    that one mask, with no column solved (that reads 2^(n - 1) rows).
 
     Raises ``ValueError`` when ``kind`` is neither, when ``n`` is not a
     nonnegative int (a bool or a float is not one) or when ``beta`` is not
@@ -137,8 +147,9 @@ def pieri(kind: str, n: int, beta: Composition) -> GradedElement:
         raise ValueError(f"kind must be 'row' or 'column', not {kind!r}")
     if not (type(n) is int and n >= 0):
         raise ValueError(f"strip size must be a nonnegative int, not {n!r}")
+    require_composition(beta)
     alpha: Composition = (n,) if kind == "row" and n else (1,) * n
-    return product_nc_schur(alpha, beta)
+    return _product_by_column({_mask_of_comp(alpha): 1}, n, beta)
 
 
 @dataclass(frozen=True)

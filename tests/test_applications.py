@@ -6,7 +6,6 @@ import pytest
 
 from qschur import applications, transforms
 from qschur.applications import (
-    chi_nc,
     descent_pieri_K,
     knuth_class,
     kostka,
@@ -32,6 +31,7 @@ from qschur.qsym import (
     TruncatedPolynomial,
     basis_element,
     commutative_monomial,
+    convert,
     let_variables_commute,
     qs_schur,
     skew_qs_schur,
@@ -280,54 +280,66 @@ def test_kostka_matches_brute_enumeration():
 
 
 def test_qs_rs_golden():
-    p = qs_rs((1, 2), 2)
+    f = qs_rs((1, 2))
+    assert f.terms == {
+        ((1,), (2, 3)): 2,
+        ((2,), (1, 3)): 2,
+        ((3,), (1, 2)): 2,
+        ((1,), (2,), (3,)): 1,
+        ((1,), (3,), (2,)): 1,
+        ((2,), (1,), (3,)): 1,
+        ((2,), (3,), (1,)): 1,
+        ((3,), (1,), (2,)): 1,
+        ((3,), (2,), (1,)): 1,
+    }
+    p = ncqsym_to_polynomial(f, 2)
     assert p.terms == {(1, 2, 2): 2, (2, 1, 2): 2, (2, 2, 1): 2}
 
 
 def test_qs_rs_matches_the_fillings_scan():
     for n in range(6):
         for alpha in compositions_of(n):
+            f = qs_rs(alpha)
             for m in {max(n - 1, 0), n, n + 1}:
-                assert qs_rs(alpha, m) == qs_rs_by_fillings(alpha, m), (alpha, m)
+                assert ncqsym_to_polynomial(f, m) == qs_rs_by_fillings(alpha, m), (alpha, m)
 
 
 def test_qs_rs_is_the_scaled_lift_of_the_quasi_schur_function():
-    for n in range(5):
+    for n in range(7):
         for alpha in compositions_of(n):
-            lifted = lift(qs_schur(alpha))
-            for m in (n, n + 1):
-                ours = qs_rs(alpha, m).terms
-                scaled = ncqsym_to_polynomial(lifted, m).terms
-                assert all(type(c) is int for c in ours.values())
-                assert all((math.factorial(n) * c).denominator == 1 for c in scaled.values())
-                assert ours == {w: int(math.factorial(n) * c) for w, c in scaled.items()}
+            ours = qs_rs(alpha)
+            assert all(type(c) is int for c in ours.terms.values())
+            assert ours == math.factorial(n) * lift(qs_schur(alpha)), alpha
 
 
 @pytest.mark.parametrize("alpha, m", [((2, 0), 2), ([1, 2], 2), ((1, 2), -1), ((1, 2), True)])
 def test_qs_rs_rejects_bad_input(alpha, m):
+    """A bad composition is rejected when the analogue is built, a bad
+    variable count when it is evaluated."""
     with pytest.raises(ValueError):
-        qs_rs(alpha, m)
+        ncqsym_to_polynomial(qs_rs(alpha), m)
 
 
 @pytest.mark.parametrize("lam", [(1, 2), (2, 0), [2, 1], (2.0, 1)])
 def test_s_rs_rejects_non_partitions(lam):
     with pytest.raises(ValueError, match="is not a partition"):
-        s_rs(lam, 2)
+        s_rs(lam)
 
 
 def test_schur_analogue_sums_rearrangements():
-    lam = (2, 1)
-    total = qs_rs((2, 1), 3) + qs_rs((1, 2), 3)
-    assert s_rs(lam, 3) == total
+    for n in range(7):
+        for lam in partitions_of(n):
+            total = GradedElement("NCQSym", "M_Pi")
+            for alpha in set(itertools.permutations(lam)):
+                total = total + qs_rs(alpha)
+            assert s_rs(lam) == total, lam
 
 
 def test_projection_recovers_quasi_schur():
-    for alpha in [(1,), (2,), (1, 1), (2, 1), (1, 2), (1, 1, 1)]:
-        n = sum(alpha)
-        for m in (n, n + 1):
-            scaled = chi_nc(qs_rs(alpha, m))
-            expected = math.factorial(n) * to_polynomial(qs_schur(alpha), m)
-            assert scaled == expected
+    for n in range(7):
+        for alpha in compositions_of(n):
+            expected = math.factorial(n) * convert(qs_schur(alpha), "M")
+            assert project(qs_rs(alpha)) == expected, alpha
 
 
 def test_lift_golden():
@@ -378,6 +390,7 @@ def test_nc_monomials_reject_non_set_compositions(pi):
         lambda: ncqsym_to_polynomial(GradedElement("NCQSym", "M_Pi"), -2),
         lambda: let_variables_commute(TruncatedPolynomial(1, False, {(3,): 1})),
         lambda: TruncatedPolynomial(2, False, {(0, 1): 1}),
+        lambda: ncqsym_to_polynomial(GradedElement("NCQSym", "M_Pi", {((1,),): 1}), 2.0),
     ],
 )
 def test_polynomials_check_their_variable_count_and_monomials(build):
@@ -408,7 +421,7 @@ def test_project_rejects_non_set_compositions():
 def test_lift_lands_in_polynomial_model():
     f = basis_element("QSym", "M", (2,)) + 2 * basis_element("QSym", "M", (1, 1))
     m = 3
-    commuted = chi_nc(ncqsym_to_polynomial(lift(f), m))
+    commuted = let_variables_commute(ncqsym_to_polynomial(lift(f), m))
     assert commuted == to_polynomial(f, m)
 
 

@@ -10,6 +10,7 @@ import pytest
 import qschur
 from qschur import cli
 from qschur.cli import COMMANDS, build_parser, main, parse_composition
+from qschur.compositions import compositions_of
 from qschur.tableaux import COMPOSITION, PARTITION, from_rows, to_json_dict
 
 from oracles import rect_by_ssct_insertion
@@ -207,6 +208,13 @@ def test_rho_round_trip(tmp_path, capsys):
     assert json.loads(out)["rows"] == [[1], [3, 2]]
 
 
+def test_rho_rejects_beta_without_inverse(tmp_path, capsys):
+    path = write_tableau(tmp_path, "ssct.json", COMPOSITION, [[2, 1], [None, 4, 4, 4], [None, None, 2]])
+    code, out, err = run(capsys, "rho", "--tableau", path, "--beta", "2,1")
+    assert (code, out) == (2, "")
+    assert err == "error: --beta applies only with --inverse\n"
+
+
 def test_rho_skew_golden(tmp_path, capsys):
     """Skew rho and its inverse over two bases, each stdout pinned by
     sha256 as well as by its rows."""
@@ -279,6 +287,25 @@ def test_ncqsym_qs_rs_golden(capsys):
             {"word": [2, 2, 1], "coeff": 2},
         ],
     }
+
+
+def test_ncqsym_sweep_is_pinned(capsys):
+    """Both ncqsym commands on every composition of weight 1 to 4 and on
+    (2, 1, 2), with --vars omitted and 1 to 4: exit codes and stdouts
+    hashed in order, as captured when the analogues were word polynomials
+    cut off at the variable count."""
+    alphas = [a for n in range(1, 5) for a in compositions_of(n)] + [(2, 1, 2)]
+    digest = hashlib.sha256()
+    for command in ("qs-rs", "chi-check"):
+        for alpha in alphas:
+            for m in (None, 1, 2, 3, 4):
+                argv = ["ncqsym", command, "--alpha", ",".join(map(str, alpha))]
+                argv += [] if m is None else ["--vars", str(m)]
+                code, out, _ = run(capsys, *argv)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == (
+        "adb8950405ea8bba4eb9ca1a322a67db0046bb4a5821f8412cf959fd827c0dc8"
+    )
 
 
 def test_ncqsym_chi_check(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qschur import qsym
+from qschur import nsym, qsym
 from qschur.compositions import (
     _chain_tables,
     _comp_of_mask,
@@ -225,6 +225,17 @@ def test_row_and_column_products_read_one_mask():
         assert qsym._s_column((1,) * n) == {_mask_of_comp((1,) * n): 1}
 
 
+def test_pieri_matches_the_solved_column():
+    # pieri hands the walk the strip's one mask; product_nc_schur solves
+    # the column by forward substitution and reads the same mask.
+    assert qsym._s_column(()) == {_mask_of_comp(()): 1}
+    for beta in [b for w in range(6) for b in compositions_of(w)] + [(2, 3, 1, 2, 2)]:
+        for n in range(7):
+            assert pieri("row", n, beta) == product_nc_schur((n,) if n else (), beta)
+            assert pieri("column", n, beta) == product_nc_schur((1,) * n, beta)
+    assert pieri("column", 10, (2, 3, 1, 2, 2)) == product_nc_schur((1,) * 10, (2, 3, 1, 2, 2))
+
+
 def test_pieri_counts_monotone_chains():
     # A row adds its cells in strictly increasing columns, a column in
     # weakly decreasing ones, counted on the oracle's own covers.
@@ -275,6 +286,27 @@ def test_multiply_nc_is_bilinear():
     g = S((1,))
     expected = product_nc_schur((2,), (1,)) + 2 * product_nc_schur((1, 1), (1,))
     assert multiply_nc(f, g) == expected
+
+
+def test_multiply_nc_solves_one_column_per_term(monkeypatch):
+    f = S((2, 1)) + 3 * S((1, 2)) - S((1, 1, 1))
+    g = S((1,)) + 2 * S((2, 1)) + S(())
+    expected = GradedElement("NSym", "S_star")
+    for a, c in f.terms.items():
+        for b, k in g.terms.items():
+            expected = expected + (c * k) * product_nc_schur(a, b)
+    solved = []
+    real = qsym._s_column
+    monkeypatch.setattr(nsym, "_s_column", lambda alpha: solved.append(alpha) or real(alpha))
+    assert multiply_nc(f, g) == expected
+    assert sorted(solved) == sorted(f.terms)
+
+
+def test_multiply_nc_rejects_non_compositions():
+    for bad in [(0, 1), (2, -1), (1.0,)]:
+        for f, g in [(S(bad), S((1,))), (S((1,)), S(bad))]:
+            with pytest.raises(ValueError, match="is not a composition"):
+                multiply_nc(f, g)
 
 
 def test_multiply_nc_rejects_other_bases():

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from qschur import tableaux, verify
-from qschur.qsym import TruncatedPolynomial
+from qschur.qsym import GradedElement
 from qschur.tableaux import COMPOSITION, SkewShape, from_rows
 from qschur.verify import _CHECKS, SUITES, run_check
 
@@ -64,11 +64,12 @@ def test_a_note_passes_and_is_reported():
 def test_analogue_dual_route_reports_disagreement(monkeypatch):
     real = verify.qs_rs
 
-    def perturbed(alpha, m):
-        p = real(alpha, m)
+    def perturbed(alpha):
+        f = real(alpha)
         if alpha == (1, 2):
-            p = p + TruncatedPolynomial(m, False, {(1, 1, 1): 1})
-        return p
+            # two blocks, so the first evaluation, at m=2, already sees it
+            f = f + GradedElement("NCQSym", "M_Pi", {((1,), (2, 3)): 1})
+        return f
 
     monkeypatch.setattr(verify, "qs_rs", perturbed)
     result = run_check("analogue-dual-route", 3, 17)
